@@ -15,8 +15,8 @@ Cycle lengths of c_j are the ramification indices over the j-th branch point
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .perm import (
     GeneratedGroup,
@@ -144,10 +144,16 @@ def relation_product(c: BranchedCover) -> Permutation:
 
 def validate(c: BranchedCover) -> CoverReport:
     """Check every invariant and report all violations, not only the first."""
+    return _validate(c)[0]
+
+
+def _validate(c: BranchedCover) -> tuple:
+    """The report, and the monodromy group once the structure checks pass
+    (None before)."""
     violations = _structural_violations(c)
     if violations:
         return CoverReport(False, tuple(violations), c.degree, c.base_genus,
-                           c.branch_count)
+                           c.branch_count), None
     for j, cyc in enumerate(c.branch_cycles):
         if cyc.is_identity():
             violations.append(f"branch cycle {j + 1} is the identity")
@@ -162,7 +168,7 @@ def validate(c: BranchedCover) -> CoverReport:
             f"monodromy group is intransitive: orbits {group.orbit_partition}")
     if violations:
         return CoverReport(False, tuple(violations), c.degree, c.base_genus,
-                           c.branch_count, is_connected=connected)
+                           c.branch_count, is_connected=connected), group
     genus = total_space_genus(c, checked=False)
     order = group.order
     return CoverReport(
@@ -176,19 +182,22 @@ def validate(c: BranchedCover) -> CoverReport:
         monodromy_order=order,
         is_morse=is_morse(c, checked=False),
         is_galois=order == c.degree,
-    )
+    ), group
 
 
-def require_valid(c: BranchedCover) -> None:
-    report = validate(c)
+def require_valid(c: BranchedCover) -> GeneratedGroup:
+    """Raise InvalidCoverError unless c is valid; return the monodromy group
+    that validation built."""
+    report, group = _validate(c)
     if not report.valid:
         raise InvalidCoverError(report.violations)
+    return group
 
 
 def monodromy_group(c: BranchedCover, checked: bool = True) -> GeneratedGroup:
     """Group generated by all handles and branch cycles."""
     if checked:
-        require_valid(c)
+        return require_valid(c)
     gens = c.all_generators()
     if not gens:
         gens = (Permutation.identity(c.degree),)
@@ -220,15 +229,17 @@ def is_morse(c: BranchedCover, checked: bool = True) -> bool:
 
 def is_galois(c: BranchedCover, checked: bool = True) -> bool:
     """Regular monodromy action: group order equals the degree."""
-    if checked:
-        require_valid(c)
-    return monodromy_group(c, checked=False).order == c.degree
+    return monodromy_group(c, checked).order == c.degree
 
 
 # ---------------------------------------------------------------------------
 # cover file format (strict JSON)
 
 _COVER_FIELDS = {"degree", "base_genus", "handles", "branch_cycles", "labels"}
+
+#: Largest degree a cover file may declare.  Parsing allocates a tuple of
+#: ``degree`` entries per permutation, so the bound is checked first.
+MAX_FILE_DEGREE = 10_000
 
 
 def cover_to_json_dict(c: BranchedCover) -> dict:
@@ -260,6 +271,9 @@ def cover_from_json_dict(doc: dict) -> BranchedCover:
     base_genus = doc["base_genus"]
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise CoverFormatError(f"degree must be a positive integer, got {degree!r}")
+    if degree > MAX_FILE_DEGREE:
+        raise CoverFormatError(
+            f"degree {degree} exceeds the file bound {MAX_FILE_DEGREE}")
     if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
         raise CoverFormatError(
             f"base_genus must be a non-negative integer, got {base_genus!r}")
@@ -270,11 +284,12 @@ def cover_from_json_dict(doc: dict) -> BranchedCover:
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise CoverFormatError(
                 f"handle {i + 1} must be a 2-element array of cycle strings")
-        handles.append((parse_cycles(pair[0], degree),
-                        parse_cycles(pair[1], degree)))
+        handles.append((_parse_entry(pair[0], degree, f"handle {i + 1}"),
+                        _parse_entry(pair[1], degree, f"handle {i + 1}")))
     if not isinstance(doc["branch_cycles"], list):
         raise CoverFormatError("branch_cycles must be an array")
-    cycles = [parse_cycles(s, degree) for s in doc["branch_cycles"]]
+    cycles = [_parse_entry(s, degree, f"branch cycle {j + 1}")
+              for j, s in enumerate(doc["branch_cycles"])]
     labels = None
     if "labels" in doc:
         if (not isinstance(doc["labels"], list)
@@ -284,6 +299,12 @@ def cover_from_json_dict(doc: dict) -> BranchedCover:
     return BranchedCover(degree=degree, base_genus=base_genus,
                          handles=tuple(handles), branch_cycles=tuple(cycles),
                          labels=labels)
+
+
+def _parse_entry(text, degree: int, where: str) -> Permutation:
+    if not isinstance(text, str):
+        raise CoverFormatError(f"{where} must be a cycle string, got {text!r}")
+    return parse_cycles(text, degree)
 
 
 def loads_cover(text: str) -> BranchedCover:

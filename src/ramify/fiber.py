@@ -11,6 +11,15 @@ Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
 cycles) and by connectivity of the dual graph; their agreement is a test in
 the suite, never an assumption here.
+
+All of these live on a CoverContext, which builds each on first use and at
+most once: the monodromy group G (kept from validation when the context
+validates), the orbits on pairs with the orbitals and the pair -> orbital
+lookup, the scheme points, the dual graph, Stab_G(1), the HN test, the
+off-diagonal flag, the S_d certificate and the derived cover.  Each public
+function below is a view of a fresh context; ``gen.check_cover`` and
+``numono.certify_projection`` keep one context for all their checks.
+Nothing is cached across covers.
 """
 
 from __future__ import annotations
@@ -18,12 +27,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cover import (
     BranchedCover,
+    is_morse,
     monodromy_group,
     require_valid,
     total_space_genus,
+    validate,
 )
 from .graphs import Graph, delete_vertex, is_connected, quotient_by_partition
 from .perm import (
@@ -223,110 +235,325 @@ class OracleReport:
 
 # ---------------------------------------------------------------------------
 
-def _pair_orbits(c: BranchedCover) -> tuple:
-    group = monodromy_group(c, checked=False)
-    domain = itertools.product(range(1, c.degree + 1), repeat=2)
-    return orbits(group, domain)
+class CoverContext:
+    """One cover and the objects derived from it, each built at most once,
+    on first use.  With ``checked`` the cover is validated first and the
+    monodromy group that validation built is kept.  A context serves one
+    call; nothing is shared between covers."""
 
+    def __init__(self, c: BranchedCover, checked: bool = True):
+        self.cover = c
+        if checked:
+            # shadows the lazy property below
+            self.group = require_valid(c)
+
+    @cached_property
+    def group(self) -> GeneratedGroup:
+        return monodromy_group(self.cover, checked=False)
+
+    @cached_property
+    def pair_orbits(self) -> tuple:
+        pairs = itertools.product(range(1, self.cover.degree + 1), repeat=2)
+        return orbits(self.group, pairs)
+
+    @cached_property
+    def orbitals(self) -> tuple:
+        return tuple(Orbital(id=i, representative=part[0], size=len(part),
+                             is_diagonal=part[0][0] == part[0][1])
+                     for i, part in enumerate(self.pair_orbits))
+
+    @cached_property
+    def orbital_of(self) -> dict:
+        """Ordered pair -> id of its orbital."""
+        return {pair: i for i, part in enumerate(self.pair_orbits)
+                for pair in part}
+
+    @cached_property
+    def scheme_points(self) -> tuple:
+        lookup = self.orbital_of
+        points = []
+        for j, cj in enumerate(self.cover.branch_cycles, start=1):
+            step = (0,) + cj.images
+            cycles = cj.cycles(include_fixed=True)
+            for kappa, kappa2 in itertools.product(cycles, repeat=2):
+                e, e2 = len(kappa), len(kappa2)
+                branches = []
+                seen: set = set()
+                for a, b in itertools.product(kappa, kappa2):
+                    if (a, b) in seen:
+                        continue
+                    orbit = [(a, b)]
+                    x, y = step[a], step[b]
+                    while (x, y) != (a, b):
+                        orbit.append((x, y))
+                        x, y = step[x], step[y]
+                    seen.update(orbit)
+                    rep = min(orbit)
+                    branches.append(LocalBranch(
+                        orbital_id=lookup[rep],
+                        size=len(orbit),
+                        representative=rep,
+                    ))
+                assert len(branches) == math.gcd(e, e2)
+                assert all(b.size == math.lcm(e, e2) for b in branches)
+                branches.sort(key=lambda b: b.representative)
+                points.append(SchemePoint(
+                    branch_index=j,
+                    cycle_pair=(kappa, kappa2),
+                    branches=tuple(branches),
+                ))
+        return tuple(points)
+
+    @cached_property
+    def dual_graph(self) -> Graph:
+        edges = set()
+        for sp in self.scheme_points:
+            ids = sorted({b.orbital_id for b in sp.branches})
+            edges.update(itertools.combinations(ids, 2))
+        return Graph(range(len(self.orbitals)), edges)
+
+    @cached_property
+    def stabilizer(self) -> GeneratedGroup:
+        return point_stabilizer(self.group, 1)
+
+    @cached_property
+    def genuine(self) -> GenuineRamification:
+        closure = normal_closure(self.cover.branch_cycles, self.group)
+        index = self.group.order // joined_group(self.stabilizer, closure).order
+        return GenuineRamification(genuinely_ramified=index == 1,
+                                   etale_subcover_degree=index)
+
+    @cached_property
+    def offdiag(self) -> ConnectivityFlag:
+        diag = next(o.id for o in self.orbitals if o.is_diagonal)
+        verdict = is_connected(delete_vertex(self.dual_graph, diag))
+        return ConnectivityFlag(connected=verdict.connected,
+                                vacuous=verdict.vacuous)
+
+    @cached_property
+    def sd_certificate(self) -> SdCertification:
+        c = self.cover
+        d = c.degree
+        if d < 2:
+            return SdCertification(False, d, failed_hypothesis="degree < 2")
+        if not is_morse(c, checked=False):
+            return SdCertification(False, d, failed_hypothesis="not Morse")
+        gr = self.genuine
+        if not gr.genuinely_ramified:
+            return SdCertification(
+                False, d,
+                failed_hypothesis=(
+                    f"not genuinely ramified (etale subcover of degree "
+                    f"{gr.etale_subcover_degree})"))
+
+        steps = ["hypotheses: Morse and genuinely ramified (HN = G)"]
+        if not self.offdiag.connected:
+            raise TheoremViolationError(
+                "genuinely ramified cover with disconnected off-diagonal closure")
+        steps.append("off-diagonal closure of the fiber square is connected")
+
+        orbs = self.orbitals
+        if len(orbs) != 2:
+            raise TheoremViolationError(
+                f"Morse genuinely ramified cover with {len(orbs)} orbitals")
+        steps.append("exactly 2 orbitals: the off-diagonal part is irreducible")
+
+        # transitivity computes its own orbits on pairs: an independent check
+        if transitivity(self.group) is not Transitivity.TWO_TRANSITIVE:
+            raise TheoremViolationError(
+                "2 orbitals but the monodromy group is not two-transitive")
+        steps.append("monodromy group is two-transitive")
+
+        if not any(cyc.is_transposition() for cyc in c.branch_cycles):
+            raise TheoremViolationError("Morse cover without a transposition")
+        steps.append("a branch cycle is a transposition, so the group contains one")
+
+        order = self.group.order
+        if order != math.factorial(d):
+            raise TheoremViolationError(
+                f"two-transitive group with a transposition of order {order} != {d}!")
+        steps.append(f"galois closure order is {order} = {d}!")
+
+        return SdCertification(True, d, steps=tuple(steps),
+                               galois_closure_order=order)
+
+    def component_cover(self, orbital: Orbital) -> BranchedCover:
+        c = self.cover
+        pairs = self.pair_orbits[self.orbital_of[orbital.representative]]
+        index = {pair: i + 1 for i, pair in enumerate(pairs)}
+
+        def induced(p: Permutation) -> Permutation:
+            images = [0] * len(pairs)
+            for pair, i in index.items():
+                images[i - 1] = index[(p(pair[0]), p(pair[1]))]
+            return Permutation(images)
+
+        result = BranchedCover(
+            degree=len(pairs),
+            base_genus=c.base_genus,
+            handles=tuple((induced(a), induced(b)) for a, b in c.handles),
+            branch_cycles=tuple(induced(cyc) for cyc in c.branch_cycles),
+            labels=c.labels,
+        )
+        report = validate(result)
+        assert report.valid, f"orbital action produced an invalid cover: {report.violations}"
+        return result
+
+    @cached_property
+    def derived_cover(self) -> DerivedCover:
+        c = self.cover
+        d = c.degree
+        if d < 2:
+            raise ValueError("derived cover needs degree >= 2")
+        group = self.group
+        stab = self.stabilizer
+
+        # breadth-first transversal from point 1: v[p] maps 1 to p
+        v = {1: Permutation.identity(d)}
+        frontier = [1]
+        while frontier:
+            nxt = []
+            for q in frontier:
+                for gen in group.generators:
+                    r = gen(q)
+                    if r not in v:
+                        v[r] = gen * v[q]
+                        nxt.append(r)
+            nxt.sort()
+            frontier = nxt
+        assert len(v) == d
+
+        inertia = []
+        for j, cj in enumerate(c.branch_cycles, start=1):
+            for kappa in cj.cycles(include_fixed=True):
+                i = kappa[0]
+                e = len(kappa)
+                u = v[i].inverse()
+                element = u * (cj ** e) * u.inverse()
+                assert element(1) == 1
+                assert element in stab
+                inertia.append(LocalInertia(branch_index=j, cycle=kappa,
+                                            element=element))
+
+        nontrivial = [li.element for li in inertia if not li.element.is_identity()]
+        morse = all(t.is_transposition() for t in nontrivial)
+
+        fiber_transitive = d == 2 or len(orbits(stab, range(2, d + 1))) == 1
+
+        stab2 = point_stabilizer(stab, 2)
+        closure = normal_closure(nontrivial, stab)
+        gr = joined_group(stab2, closure).order == stab.order
+
+        genus = None
+        if fiber_transitive:
+            g_y = total_space_genus(c, checked=False)
+            ram = sum(len(cyc) - 1 for t in nontrivial for cyc in t.cycles())
+            doubled = (d - 1) * (2 * g_y - 2) + ram
+            assert doubled % 2 == 0 and doubled >= -2, "derived Riemann-Hurwitz failed"
+            genus = (doubled + 2) // 2
+
+        return DerivedCover(
+            base=c,
+            degree=d - 1,
+            group=stab,
+            local_inertia=tuple(inertia),
+            fiber_transitive=fiber_transitive,
+            morse=morse,
+            genuinely_ramified=gr,
+            total_space_genus=genus,
+        )
+
+    def cayley_oracle(self, cap: int) -> OracleReport:
+        c = self.cover
+        group = self.group
+        if group.order > cap:
+            return OracleReport(True, f"group order {group.order} exceeds cap {cap}",
+                                None, None, None, None, None)
+        elements = group.elements(cap=cap)
+
+        connection: set = set()
+        for cj in c.branch_cycles:
+            powers = []
+            p = cj
+            while not p.is_identity():
+                powers.append(p)
+                p = p * cj
+            for g in elements:
+                for s in powers:
+                    connection.add(s.conjugate(g))
+
+        labels = {g: format_cycles(g) for g in elements}
+        edges = set()
+        for g in elements:
+            for s in connection:
+                h = s * g
+                a, b = labels[g], labels[h]
+                if a != b:
+                    edges.add((a, b) if a < b else (b, a))
+        cayley = Graph(labels.values(), edges)
+
+        parts: dict = {}
+        for g in elements:
+            parts.setdefault(self.orbital_of[(1, g(1))], []).append(labels[g])
+        names = sorted(parts)
+        quotient = quotient_by_partition(cayley, [parts[n] for n in names],
+                                         names=names)
+        return OracleReport(
+            skipped=False,
+            reason=None,
+            cayley_graph=cayley,
+            quotient=quotient,
+            quotient_connected=is_connected(quotient).connected,
+            matches_dual=quotient == self.dual_graph,
+            quotient_edges_strict_subset=(set(quotient.edges)
+                                          < set(self.dual_graph.edges)),
+        )
+
+    @cached_property
+    def report(self) -> FiberReport:
+        d = self.cover.degree
+        return FiberReport(
+            degree=d,
+            orbitals=self.orbitals,
+            scheme_points=self.scheme_points,
+            dual_graph=self.dual_graph,
+            fiber_connected=is_connected(self.dual_graph).connected,
+            offdiag_closure_connected=self.offdiag,
+            offdiag_irreducible=d >= 2 and len(self.orbitals) == 2,
+            genuinely_ramified=self.genuine.genuinely_ramified,
+            etale_subcover_degree=self.genuine.etale_subcover_degree,
+            galois_closure_order=self.group.order,
+            sd_certificate=self.sd_certificate,
+        )
+
+
+# ---------------------------------------------------------------------------
+# the public functions: one context per call
 
 def orbitals(c: BranchedCover, checked: bool = True) -> tuple:
     """Orbitals ordered by least pair; the diagonal comes first for a
     transitive group since (1,1) is the least pair of all."""
-    if checked:
-        require_valid(c)
-    parts = _pair_orbits(c)
-    out = []
-    for i, part in enumerate(parts):
-        rep = part[0]
-        out.append(Orbital(
-            id=i,
-            representative=rep,
-            size=len(part),
-            is_diagonal=rep[0] == rep[1],
-        ))
-    return tuple(out)
+    return CoverContext(c, checked).orbitals
 
 
-def _orbital_lookup(c: BranchedCover) -> dict:
-    lookup = {}
-    for i, part in enumerate(_pair_orbits(c)):
-        for pair in part:
-            lookup[pair] = i
-    return lookup
-
-
-def scheme_points(c: BranchedCover, checked: bool = True,
-                  _lookup: dict | None = None) -> tuple:
+def scheme_points(c: BranchedCover, checked: bool = True) -> tuple:
     """All points of the fiber square over branch points, with their local
     branches.  A pair of cycles of lengths (e, e') carries gcd(e, e')
     branches, each an orbit of size lcm(e, e')."""
-    if checked:
-        require_valid(c)
-    lookup = _lookup if _lookup is not None else _orbital_lookup(c)
-    points = []
-    for j, cj in enumerate(c.branch_cycles, start=1):
-        cycles = cj.cycles(include_fixed=True)
-        for kappa, kappa2 in itertools.product(cycles, repeat=2):
-            e, e2 = len(kappa), len(kappa2)
-            branches = []
-            seen: set = set()
-            for a, b in itertools.product(kappa, kappa2):
-                if (a, b) in seen:
-                    continue
-                orbit = [(a, b)]
-                seen.add((a, b))
-                x, y = cj(a), cj(b)
-                while (x, y) != (a, b):
-                    orbit.append((x, y))
-                    seen.add((x, y))
-                    x, y = cj(x), cj(y)
-                rep = min(orbit)
-                branches.append(LocalBranch(
-                    orbital_id=lookup[rep],
-                    size=len(orbit),
-                    representative=rep,
-                ))
-            assert len(branches) == math.gcd(e, e2)
-            assert all(b.size == math.lcm(e, e2) for b in branches)
-            branches.sort(key=lambda b: b.representative)
-            points.append(SchemePoint(
-                branch_index=j,
-                cycle_pair=(kappa, kappa2),
-                branches=tuple(branches),
-            ))
-    return tuple(points)
+    return CoverContext(c, checked).scheme_points
 
 
 def dual_graph(c: BranchedCover, checked: bool = True) -> Graph:
     """Simple graph on orbitals; distinct components are joined when some
     scheme point carries local branches of both."""
-    if checked:
-        require_valid(c)
-    lookup = _orbital_lookup(c)
-    orbs = orbitals(c, checked=False)
-    edges = set()
-    for sp in scheme_points(c, checked=False, _lookup=lookup):
-        ids = sorted({b.orbital_id for b in sp.branches})
-        for a, b in itertools.combinations(ids, 2):
-            edges.add((a, b))
-    return Graph(range(len(orbs)), edges)
+    return CoverContext(c, checked).dual_graph
 
 
 def genuinely_ramified(c: BranchedCover, checked: bool = True) -> GenuineRamification:
     """Group-theoretic test: HN = G for H = Stab_G(1) and N the normal
     closure of the branch cycles.  The witness is the degree [G : HN] of the
     maximal etale subcover."""
-    if checked:
-        require_valid(c)
-    group = monodromy_group(c, checked=False)
-    stab = point_stabilizer(group, 1)
-    closure = normal_closure(c.branch_cycles, group)
-    hn = joined_group(stab, closure)
-    index = group.order // hn.order
-    return GenuineRamification(
-        genuinely_ramified=index == 1,
-        etale_subcover_degree=index,
-    )
+    return CoverContext(c, checked).genuine
 
 
 def offdiag_closure_connected(c: BranchedCover,
@@ -334,73 +561,19 @@ def offdiag_closure_connected(c: BranchedCover,
     """Connectivity of the dual graph with the diagonal vertex (and incident
     edges) removed.  Degree 1 leaves nothing: reported vacuous, never
     silently true."""
-    if checked:
-        require_valid(c)
-    graph = dual_graph(c, checked=False)
-    diag = next(o.id for o in orbitals(c, checked=False) if o.is_diagonal)
-    verdict = is_connected(delete_vertex(graph, diag))
-    return ConnectivityFlag(connected=verdict.connected, vacuous=verdict.vacuous)
+    return CoverContext(c, checked).offdiag
 
 
 def galois_closure_order(c: BranchedCover, checked: bool = True) -> int:
     """The Galois closure of the cover has group G and degree |G|."""
-    if checked:
-        require_valid(c)
-    return monodromy_group(c, checked=False).order
+    return CoverContext(c, checked).group.order
 
 
 def certify_sd(c: BranchedCover, checked: bool = True) -> SdCertification:
     """Certify that a Morse, genuinely ramified cover has full symmetric
     Galois closure, step by step.  Hypothesis failures return a refusal; a
     step failing under satisfied hypotheses raises TheoremViolationError."""
-    if checked:
-        require_valid(c)
-    d = c.degree
-    if d < 2:
-        return SdCertification(False, d, failed_hypothesis="degree < 2")
-    from .cover import is_morse
-    if not is_morse(c, checked=False):
-        return SdCertification(False, d, failed_hypothesis="not Morse")
-    gr = genuinely_ramified(c, checked=False)
-    if not gr.genuinely_ramified:
-        return SdCertification(
-            False, d,
-            failed_hypothesis=(
-                f"not genuinely ramified (etale subcover of degree "
-                f"{gr.etale_subcover_degree})"))
-
-    steps = ["hypotheses: Morse and genuinely ramified (HN = G)"]
-    group = monodromy_group(c, checked=False)
-
-    offdiag = offdiag_closure_connected(c, checked=False)
-    if not offdiag.connected:
-        raise TheoremViolationError(
-            "genuinely ramified cover with disconnected off-diagonal closure")
-    steps.append("off-diagonal closure of the fiber square is connected")
-
-    orbs = orbitals(c, checked=False)
-    if len(orbs) != 2:
-        raise TheoremViolationError(
-            f"Morse genuinely ramified cover with {len(orbs)} orbitals")
-    steps.append("exactly 2 orbitals: the off-diagonal part is irreducible")
-
-    if transitivity(group) is not Transitivity.TWO_TRANSITIVE:
-        raise TheoremViolationError(
-            "2 orbitals but the monodromy group is not two-transitive")
-    steps.append("monodromy group is two-transitive")
-
-    if not any(cyc.is_transposition() for cyc in c.branch_cycles):
-        raise TheoremViolationError("Morse cover without a transposition")
-    steps.append("a branch cycle is a transposition, so the group contains one")
-
-    order = group.order
-    if order != math.factorial(d):
-        raise TheoremViolationError(
-            f"two-transitive group with a transposition of order {order} != {d}!")
-    steps.append(f"galois closure order is {order} = {d}!")
-
-    return SdCertification(True, d, steps=tuple(steps),
-                           galois_closure_order=order)
+    return CoverContext(c, checked).sd_certificate
 
 
 def component_cover(c: BranchedCover, orbital: Orbital,
@@ -408,31 +581,7 @@ def component_cover(c: BranchedCover, orbital: Orbital,
     """The cover of X given by the monodromy action on one orbital's pairs,
     relabeled 1..|orbital|: the normalization of that component over X.  The
     diagonal orbital gives back a cover equal to the input."""
-    if checked:
-        require_valid(c)
-    group = monodromy_group(c, checked=False)
-    pairs = next(part for part in orbits(
-        group, itertools.product(range(1, c.degree + 1), repeat=2))
-        if orbital.representative in part)
-    index = {pair: i + 1 for i, pair in enumerate(pairs)}
-
-    def induced(p: Permutation) -> Permutation:
-        images = [0] * len(pairs)
-        for pair, i in index.items():
-            images[i - 1] = index[(p(pair[0]), p(pair[1]))]
-        return Permutation(images)
-
-    result = BranchedCover(
-        degree=len(pairs),
-        base_genus=c.base_genus,
-        handles=tuple((induced(a), induced(b)) for a, b in c.handles),
-        branch_cycles=tuple(induced(cyc) for cyc in c.branch_cycles),
-        labels=c.labels,
-    )
-    from .cover import validate
-    report = validate(result)
-    assert report.valid, f"orbital action produced an invalid cover: {report.violations}"
-    return result
+    return CoverContext(c, checked).component_cover(orbital)
 
 
 def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:
@@ -441,73 +590,7 @@ def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:
     u c_j^e u^-1 at the point of Y given by a length-e cycle of c_j (u from
     the breadth-first orbit transversal, mapping the cycle's least point
     to 1)."""
-    if checked:
-        require_valid(c)
-    d = c.degree
-    if d < 2:
-        raise ValueError("derived cover needs degree >= 2")
-    group = monodromy_group(c, checked=False)
-    stab = point_stabilizer(group, 1)
-
-    # breadth-first transversal from point 1: v[p] maps 1 to p
-    ident = Permutation.identity(d)
-    v = {1: ident}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for gen in group.generators:
-                r = gen(q)
-                if r not in v:
-                    v[r] = gen * v[q]
-                    nxt.append(r)
-        nxt.sort()
-        frontier = nxt
-    assert len(v) == d
-
-    inertia = []
-    for j, cj in enumerate(c.branch_cycles, start=1):
-        for kappa in cj.cycles(include_fixed=True):
-            i = kappa[0]
-            e = len(kappa)
-            u = v[i].inverse()
-            element = u * (cj ** e) * u.inverse()
-            assert element(1) == 1
-            assert element in stab
-            inertia.append(LocalInertia(branch_index=j, cycle=kappa,
-                                        element=element))
-
-    nontrivial = [li.element for li in inertia if not li.element.is_identity()]
-    morse = all(t.is_transposition() for t in nontrivial)
-
-    if d == 2:
-        fiber_transitive = True
-    else:
-        fiber_transitive = len(orbits(stab, range(2, d + 1))) == 1
-
-    stab2 = point_stabilizer(stab, 2) if d >= 2 else stab
-    closure = normal_closure(nontrivial, stab)
-    hn = joined_group(stab2, closure)
-    gr = hn.order == stab.order
-
-    genus = None
-    if fiber_transitive:
-        g_y = total_space_genus(c, checked=False)
-        ram = sum(len(cyc) - 1 for t in nontrivial for cyc in t.cycles())
-        doubled = (d - 1) * (2 * g_y - 2) + ram
-        assert doubled % 2 == 0 and doubled >= -2, "derived Riemann-Hurwitz failed"
-        genus = (doubled + 2) // 2
-
-    return DerivedCover(
-        base=c,
-        degree=d - 1,
-        group=stab,
-        local_inertia=tuple(inertia),
-        fiber_transitive=fiber_transitive,
-        morse=morse,
-        genuinely_ramified=gr,
-        total_space_genus=genus,
-    )
+    return CoverContext(c, checked).derived_cover
 
 
 def cayley_quotient_oracle(c: BranchedCover, cap: int = 10080,
@@ -515,75 +598,9 @@ def cayley_quotient_oracle(c: BranchedCover, cap: int = 10080,
     """Galois-closure-level oracle: the graph on the elements of G with an
     edge when gamma . gamma'^-1 lies in a conjugate of some <c_j> minus the
     identity, quotiented along gamma -> orbital of (1, gamma(1))."""
-    if checked:
-        require_valid(c)
-    group = monodromy_group(c, checked=False)
-    if group.order > cap:
-        return OracleReport(True, f"group order {group.order} exceeds cap {cap}",
-                            None, None, None, None, None)
-    elements = group.elements(cap=cap)
-
-    connection: set = set()
-    for cj in c.branch_cycles:
-        powers = []
-        p = cj
-        while not p.is_identity():
-            powers.append(p)
-            p = p * cj
-        for g in elements:
-            for s in powers:
-                connection.add(s.conjugate(g))
-
-    labels = {g: format_cycles(g) for g in elements}
-    edges = set()
-    for g in elements:
-        for s in connection:
-            h = s * g
-            a, b = labels[g], labels[h]
-            if a != b:
-                edges.add((a, b) if a < b else (b, a))
-    cayley = Graph(labels.values(), edges)
-
-    lookup = _orbital_lookup(c)
-    parts: dict = {}
-    for g in elements:
-        parts.setdefault(lookup[(1, g(1))], []).append(labels[g])
-    names = sorted(parts)
-    quotient = quotient_by_partition(cayley, [parts[n] for n in names],
-                                     names=names)
-    dual = dual_graph(c, checked=False)
-    quotient_edges = set(quotient.edges)
-    dual_edges = set(dual.edges)
-    return OracleReport(
-        skipped=False,
-        reason=None,
-        cayley_graph=cayley,
-        quotient=quotient,
-        quotient_connected=is_connected(quotient).connected,
-        matches_dual=quotient == dual,
-        quotient_edges_strict_subset=quotient_edges < dual_edges,
-    )
+    return CoverContext(c, checked).cayley_oracle(cap)
 
 
 def analyze(c: BranchedCover) -> FiberReport:
     """Full fiber-square report for a valid cover."""
-    require_valid(c)
-    orbs = orbitals(c, checked=False)
-    lookup = _orbital_lookup(c)
-    points = scheme_points(c, checked=False, _lookup=lookup)
-    graph = dual_graph(c, checked=False)
-    gr = genuinely_ramified(c, checked=False)
-    offdiag = offdiag_closure_connected(c, checked=False)
-    return FiberReport(
-        degree=c.degree,
-        orbitals=orbs,
-        scheme_points=points,
-        dual_graph=graph,
-        fiber_connected=is_connected(graph).connected,
-        offdiag_closure_connected=offdiag,
-        offdiag_irreducible=c.degree >= 2 and len(orbs) == 2,
-        genuinely_ramified=gr.genuinely_ramified,
-        etale_subcover_degree=gr.etale_subcover_degree,
-        galois_closure_order=galois_closure_order(c, checked=False),
-        sd_certificate=certify_sd(c, checked=False),
-    )
+    return CoverContext(c).report

@@ -20,21 +20,11 @@ from .cover import (
     BranchedCover,
     dumps_cover,
     is_morse,
-    monodromy_group,
     relation_product,
     total_space_genus,
     validate,
 )
-from .fiber import (
-    cayley_quotient_oracle,
-    certify_sd,
-    component_cover,
-    derived_cover_q1,
-    dual_graph,
-    genuinely_ramified,
-    offdiag_closure_connected,
-    orbitals,
-)
+from .fiber import CoverContext
 from .graphs import is_connected
 from .perm import Permutation, Transitivity, transitivity
 
@@ -159,13 +149,24 @@ def random_cover(spec: CorpusSpec, seed: int | None = None) -> BranchedCover:
     if not spec.random_mode and seed is None:
         raise ValueError("random_cover needs random mode or an explicit seed")
     rng = random.Random(spec.seed if seed is None else seed)
-    d_lo, d_hi = spec.degrees
-    g_lo, g_hi = spec.base_genera
-    r_lo, r_hi = spec.branch_counts
-    d = rng.randint(d_lo, d_hi)
-    g = rng.randint(g_lo, g_hi)
-    r = rng.randint(r_lo, r_hi)
-    return _sample_cover(rng, d, g, r, spec.morse_only)
+    return _sample_cover(rng, *_draw_parameters(rng, spec), spec.morse_only)
+
+
+def _draw_parameters(rng: random.Random, spec: CorpusSpec) -> tuple:
+    """Degree, base genus and branch count of one random cover.  Morse mode
+    draws only even branch counts: commutators are even and a product of an
+    odd number of transpositions is odd, so no odd count is feasible."""
+    d = rng.randint(*spec.degrees)
+    g = rng.randint(*spec.base_genera)
+    if not spec.morse_only:
+        return d, g, rng.randint(*spec.branch_counts)
+    lo, hi = spec.branch_counts
+    evens = range(lo + lo % 2, hi + 1, 2)
+    if not evens:
+        raise InfeasibleParametersError(
+            f"no Morse cover has r in {lo}:{hi} (parity: a product of an odd "
+            f"number of transpositions is odd and never the identity)")
+    return d, g, rng.choice(evens)
 
 
 def _sample_cover(rng: random.Random, d: int, g: int, r: int,
@@ -206,13 +207,9 @@ def _sample_cover(rng: random.Random, d: int, g: int, r: int,
         cover = BranchedCover(d, g, handles, cycles)
         if validate(cover).valid:
             return cover
-    diagnosis = ""
-    if morse and g == 0 and r % 2 == 1:
-        diagnosis = (" (parity: a product of an odd number of transpositions"
-                     " is odd and never the identity)")
     raise InfeasibleParametersError(
         f"no valid cover found for d={d} g={g} r={r} morse={morse} within "
-        f"{REJECTION_BUDGET} draws{diagnosis}")
+        f"{REJECTION_BUDGET} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +274,11 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
         violations.append(
             f"{check}: {text} | cover: {dumps_cover(cover).strip()}")
 
-    group = monodromy_group(cover, checked=False)
-    orbs = orbitals(cover, checked=False)
-    graph = dual_graph(cover, checked=False)
-    gr = genuinely_ramified(cover, checked=False)
+    ctx = CoverContext(cover, checked=False)
+    group = ctx.group
+    orbs = ctx.orbitals
+    graph = ctx.dual_graph
+    gr = ctx.genuine
     morse = is_morse(cover, checked=False)
 
     # section 3 equivalence: HN = G iff the fiber square is connected
@@ -293,7 +291,7 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     # theorem main: genuinely ramified => off-diagonal closure connected
     counters["theorem_main"] += 1
     if gr.genuinely_ramified:
-        flag = offdiag_closure_connected(cover, checked=False)
+        flag = ctx.offdiag
         if flag.vacuous:
             vacuous_main = 1
         elif not flag.connected:
@@ -316,7 +314,7 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
             violation("sd_cover_order",
                       f"order {group.order} != {cover.degree}!")
         else:
-            cert = certify_sd(cover, checked=False)
+            cert = ctx.sd_certificate
             if not cert.certified:
                 violation("sd_cover_order",
                           f"certification refused: {cert.failed_hypothesis}")
@@ -324,7 +322,7 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     # derived cover invariants for Morse genuinely ramified covers, d >= 3
     if morse and gr.genuinely_ramified and cover.degree >= 3:
         counters["derived_cover"] += 1
-        derived = derived_cover_q1(cover, checked=False)
+        derived = ctx.derived_cover
         if not derived.morse:
             violation("derived_cover", "derived cover not Morse")
         if not derived.genuinely_ramified:
@@ -334,7 +332,7 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
                       f"derived degree {derived.degree} != d-1")
         offdiag = [o for o in orbs if not o.is_diagonal]
         if len(offdiag) == 1:
-            comp = component_cover(cover, offdiag[0], checked=False)
+            comp = ctx.component_cover(offdiag[0])
             comp_genus = total_space_genus(comp, checked=False)
             if comp_genus != derived.total_space_genus:
                 violation("derived_cover",
@@ -344,7 +342,7 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     # Galois covers: the Cayley quotient is the dual graph exactly
     if group.order == cover.degree and group.order <= oracle_cap:
         counters["cayley_oracle"] += 1
-        report = cayley_quotient_oracle(cover, cap=oracle_cap, checked=False)
+        report = ctx.cayley_oracle(oracle_cap)
         if report.skipped or not report.matches_dual:
             violation("cayley_oracle", "quotient graph differs from dual graph")
 
@@ -359,11 +357,7 @@ def verify_corpus(spec: CorpusSpec, oracle_cap: int = 10080,
     if spec.random_mode:
         rng = random.Random(spec.seed)
         covers: Iterator = (
-            _sample_cover(rng,
-                          rng.randint(*spec.degrees),
-                          rng.randint(*spec.base_genera),
-                          rng.randint(*spec.branch_counts),
-                          spec.morse_only)
+            _sample_cover(rng, *_draw_parameters(rng, spec), spec.morse_only)
             for _ in range(spec.samples))
     else:
         covers = enumerate_covers(spec)

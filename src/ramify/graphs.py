@@ -1,5 +1,5 @@
-"""Small deterministic graph toolkit: connectivity, the diameter-endpoint
-deletion lemma, partition quotients, DOT export.
+"""Small deterministic graph toolkit: connectivity, vertex deletion,
+partition quotients, DOT export.
 
 Graphs are simple (no loops or multi-edges), undirected, immutable, and keep
 their vertex labels sorted so every operation is reproducible.  Labels within
@@ -100,37 +100,6 @@ def delete_vertex(g: Graph, v) -> Graph:
     labels = tuple(x for x in g.labels if x != v)
     edges = tuple(e for e in g.edges if v not in e)
     return Graph._trusted(labels, edges)
-
-
-def _bfs_dist(g: Graph, source) -> dict:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g._adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def diameter_endpoint(g: Graph):
-    """A vertex realizing the graph diameter (an endpoint of some pair at
-    maximum shortest-path distance); ties broken by least label.  Requires a
-    connected graph with at least two vertices."""
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
-    best_v = None
-    best_d = -1
-    for v in g.labels:
-        dist = _bfs_dist(g, v)
-        if len(dist) != g.n:
-            raise ValueError("graph is disconnected")
-        ecc = max(dist.values())
-        if ecc > best_d:
-            best_d = ecc
-            best_v = v
-    return best_v
 
 
 def quotient_by_partition(g: Graph, parts: Sequence[Iterable],

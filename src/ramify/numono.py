@@ -584,7 +584,9 @@ class _Seg:
     def at(self, t: float) -> complex:
         return self.a + (self.b - self.a) * t
 
-    initial_steps = 8
+    @property
+    def initial_steps(self) -> int:
+        return 8
 
 
 @dataclass(frozen=True)
@@ -989,9 +991,8 @@ def certify_projection(p: PlanePolynomial,
     reported (the S_d conclusion via the order check alone)."""
     from math import factorial
 
-    from .fiber import certify_sd, genuinely_ramified
+    from .fiber import CoverContext
     from .perm import Transitivity, transitivity
-    from .cover import monodromy_group
 
     if result is None:
         result = track_monodromy(p, cfg)
@@ -1006,17 +1007,16 @@ def certify_projection(p: PlanePolynomial,
         infinity_kind = "cycle type " + str(c_inf.cycle_type())
     full_morse = finite_morse and infinity_kind in ("unramified",
                                                     "transposition")
-    group = monodromy_group(result.cover, checked=False)
-    gr = genuinely_ramified(result.cover, checked=False)
-    cert = certify_sd(result.cover, checked=False)
+    ctx = CoverContext(result.cover, checked=False)
+    group = ctx.group
     return ProjectionReport(
         result=result,
         finite_cycles_morse=finite_morse,
         infinity_kind=infinity_kind,
         full_morse=full_morse,
-        genuinely_ramified=gr.genuinely_ramified,
+        genuinely_ramified=ctx.genuine.genuinely_ramified,
         two_transitive=transitivity(group) is Transitivity.TWO_TRANSITIVE,
         group_order=group.order,
         is_full_symmetric=group.order == factorial(result.degree),
-        sd_certificate=cert,
+        sd_certificate=ctx.sd_certificate,
     )

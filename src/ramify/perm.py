@@ -13,11 +13,10 @@ freely across threads.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
-
-#: Largest group order for which the naive product-closure oracle is run.
-NAIVE_CLOSURE_CAP = 10080
+from typing import Iterable, Sequence
 
 
 class CycleParseError(ValueError):
@@ -169,8 +168,7 @@ class Permutation:
         return tuple(i + 1 for i, x in enumerate(self._raw) if x != i)
 
     def order(self) -> int:
-        from math import lcm
-        return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._raw == other._raw
@@ -186,11 +184,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"parse_cycles({format_cycles(self)!r}, {self.degree})"
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a o b)(i) = a(b(i)); the right factor acts first."""
-    return a * b
 
 
 def format_cycles(p: Permutation) -> str:
@@ -304,7 +297,7 @@ def _rebuild_orbit(level: _Level, gens: list, degree: int) -> None:
     level.transversal = trans
 
 
-def _strip_from(h: tuple, levels: list, start: int) -> tuple:
+def _strip_from(h: tuple, levels: list, start: int = 0) -> tuple:
     """Sift h through levels >= start; returns (residue, stuck level) or
     (None, d) when h is a member."""
     for k in range(start, len(levels)):
@@ -318,8 +311,24 @@ def _strip_from(h: tuple, levels: list, start: int) -> tuple:
     return None, len(levels)
 
 
-def _strip(h: tuple, levels: list) -> tuple:
-    return _strip_from(h, levels, 0)
+def _extend(levels: list, h: tuple, degree: int) -> bool:
+    """Add h to a complete chain unless it is already a member: the residue
+    joins the level it stuck at, which lies in the stabilizer of the points
+    before it, so only that level and those above it are re-completed."""
+    residue, k = _strip_from(h, levels)
+    if residue is None:
+        return False
+    levels[k].gens.append(residue)
+    for j in range(k, -1, -1):
+        _complete_level(levels, j, degree)
+    return True
+
+
+def _copy_chain(levels: list) -> list:
+    out = [_Level(lev.point) for lev in levels]
+    for new, lev in zip(out, levels):
+        new.gens, new.transversal = list(lev.gens), dict(lev.transversal)
+    return out
 
 
 def _complete_level(levels: list, i: int, degree: int) -> None:
@@ -388,13 +397,21 @@ class GeneratedGroup:
             if g.degree != degree:
                 raise DegreeMismatchError(
                     f"generator of degree {g.degree} in a group of degree {degree}")
+        self._set(degree, gens, _schreier_sims(degree, (g._raw for g in gens)))
+
+    @classmethod
+    def _from_chain(cls, degree: int, gens: tuple,
+                    levels: list) -> "GeneratedGroup":
+        """The group of gens, whose complete chain the caller has built."""
+        group = object.__new__(cls)
+        group._set(degree, gens, levels)
+        return group
+
+    def _set(self, degree: int, gens: tuple, levels: list) -> None:
         self.degree = degree
         self.generators = gens
-        self._levels = _schreier_sims(degree, (g._raw for g in gens))
-        order = 1
-        for lev in self._levels:
-            order *= len(lev.transversal)
-        self._order = order
+        self._levels = levels
+        self._order = math.prod(len(lev.transversal) for lev in levels)
         self._orbit_partition = orbits(self)
 
     @classmethod
@@ -413,7 +430,7 @@ class GeneratedGroup:
     def __contains__(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        residue, _ = _strip(p._raw, self._levels)
+        residue, _ = _strip_from(p._raw, self._levels)
         return residue is None
 
     def elements(self, cap: int | None = None) -> tuple:
@@ -432,11 +449,6 @@ class GeneratedGroup:
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
         return f"GeneratedGroup(d={self.degree}, order={self._order}, <{gens}>)"
-
-
-def group_order(g: GeneratedGroup) -> int:
-    """Exact order via the stabilizer chain."""
-    return g.order
 
 
 def _act(p: Permutation, item):
@@ -512,31 +524,41 @@ def point_stabilizer(g: GeneratedGroup, p: int) -> GeneratedGroup:
 
 
 def normal_closure(sub: Iterable[Permutation], g: GeneratedGroup) -> GeneratedGroup:
-    """Smallest normal subgroup of g containing sub."""
+    """Smallest normal subgroup of g containing sub.
+
+    One stabilizer chain grows as conjugates of its generators by the
+    generators of g and their inverses are sifted into it."""
     elems = list(sub)
     for s in elems:
         if s not in g:
             raise MembershipError(f"{s} is not an element of the ambient group")
+    levels = [_Level(k) for k in range(g.degree)]
+    conjugators = [(c._raw, _inverse(c._raw)) for c in g.generators]
     gens: list = []
-    closure = GeneratedGroup.trivial(g.degree)
-    work = [s for s in elems if not s.is_identity()]
+    work = deque(s._raw for s in elems if not s.is_identity())
     while work:
-        w = work.pop(0)
-        if w in closure:
+        w = work.popleft()
+        if not _extend(levels, w, g.degree):
             continue
-        gens.append(w)
-        closure = GeneratedGroup(g.degree, gens)
-        for conj_by in g.generators:
-            work.append(w.conjugate(conj_by))
-            work.append(w.conjugate(conj_by.inverse()))
-    return closure
+        gens.append(Permutation._from_raw(w))
+        for c, c_inv in conjugators:
+            work.append(_compose(_compose(c, w), c_inv))
+            work.append(_compose(_compose(c_inv, w), c))
+    return GeneratedGroup._from_chain(
+        g.degree, tuple(gens) or (Permutation.identity(g.degree),), levels)
 
 
 def joined_group(a: GeneratedGroup, b: GeneratedGroup) -> GeneratedGroup:
-    """The subgroup generated by the generators of both groups."""
+    """The subgroup generated by the generators of both groups: the chain
+    of the larger one, extended by the generators of the other."""
     if a.degree != b.degree:
         raise DegreeMismatchError("cannot join groups of different degree")
-    return GeneratedGroup(a.degree, a.generators + b.generators)
+    big, small = (a, b) if a.order >= b.order else (b, a)
+    levels = _copy_chain(big._levels)
+    for h in small.generators:
+        _extend(levels, h._raw, a.degree)
+    return GeneratedGroup._from_chain(a.degree, a.generators + b.generators,
+                                      levels)
 
 
 def transitivity(g: GeneratedGroup) -> Transitivity:
@@ -549,27 +571,3 @@ def transitivity(g: GeneratedGroup) -> Transitivity:
         if len(orbits(g, pairs)) == 2:
             return Transitivity.TWO_TRANSITIVE
     return Transitivity.TRANSITIVE
-
-
-def naive_closure(generators: Sequence[Permutation],
-                  cap: int = NAIVE_CLOSURE_CAP) -> frozenset:
-    """Product-closure by breadth-first multiplication; oracle for small
-    groups.  Raises ValueError beyond the cap."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    degree = generators[0].degree
-    ident = Permutation.identity(degree)
-    closure = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in generators:
-                prod = g * h
-                if prod not in closure:
-                    closure.add(prod)
-                    if len(closure) > cap:
-                        raise ValueError(f"naive closure exceeds cap {cap}")
-                    nxt.append(prod)
-        frontier = nxt
-    return frozenset(closure)

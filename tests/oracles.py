@@ -1,13 +1,18 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive and self-contained: plain image
-tuples, breadth-first closures, full product-space scans.  Nothing imports
-the package's group machinery, so these stay valid checks of it.
+tuples, breadth-first closures, full product-space scans.  Nothing uses
+the package's group machinery (at most its permutation type and its
+graphs), so these stay valid checks of it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
+
+from ramify.graphs import Graph
+from ramify.perm import Permutation
 
 
 def o_compose(a: tuple, b: tuple) -> tuple:
@@ -105,3 +110,51 @@ def o_count_valid_tuples(d: int, r: int) -> int:
         if o_is_transitive(list(tup), d):
             count += 1
     return count
+
+
+def naive_closure(generators: list, cap: int = 10080) -> frozenset:
+    """Product closure of Permutations by breadth-first multiplication.
+    Raises ValueError beyond the cap."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    ident = Permutation.identity(generators[0].degree)
+    closure = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in generators:
+                prod = g * h
+                if prod not in closure:
+                    closure.add(prod)
+                    if len(closure) > cap:
+                        raise ValueError(f"naive closure exceeds cap {cap}")
+                    nxt.append(prod)
+        frontier = nxt
+    return frozenset(closure)
+
+
+def diameter_endpoint(g: Graph):
+    """A vertex realizing the graph diameter (an endpoint of some pair at
+    maximum shortest-path distance); ties broken by least label.  Requires a
+    connected graph with at least two vertices."""
+    if g.n < 2:
+        raise ValueError("need at least two vertices")
+    best_v = None
+    best_d = -1
+    for v in g.labels:
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            x = queue.popleft()
+            for w in g.neighbors(x):
+                if w not in dist:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        if len(dist) != g.n:
+            raise ValueError("graph is disconnected")
+        ecc = max(dist.values())
+        if ecc > best_d:
+            best_d = ecc
+            best_v = v
+    return best_v

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramify.cover import (
+    MAX_FILE_DEGREE,
     BranchedCover,
     CoverFormatError,
     InvalidCoverError,
@@ -34,6 +35,7 @@ HYPERELLIPTIC6 = mk(2, 0, ["(1 2)"] * 6)
 TREFOIL = mk(3, 0, ["(1 2)", "(2 3)", "(1 3 2)"])
 TREFOIL_MORSE = mk(3, 0, ["(1 2)", "(1 2)", "(2 3)", "(2 3)"])
 D4 = mk(4, 0, ["(1 2 3 4)", "(1 3)", "(1 4)(2 3)"])
+GALOIS_V4 = mk(4, 0, ["(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"])
 ETALE_G1 = mk(2, 1, [], handle_strs=[("(1 2)", "id")])
 RAMIFIED_G1 = mk(2, 1, ["(1 2)", "(1 2)"], handle_strs=[("id", "id")])
 IDENTITY_COVER = mk(1, 0, [])
@@ -233,6 +235,32 @@ def test_cover_file_rejects_bad_types():
                               "handles": [], "branch_cycles": []})
     with pytest.raises(CoverFormatError):
         loads_cover("not json")
+
+
+def test_cover_file_rejects_non_string_branch_cycle():
+    with pytest.raises(CoverFormatError, match="branch cycle 1"):
+        loads_cover('{"degree": 2, "base_genus": 0, "handles": [], '
+                    '"branch_cycles": [12]}')
+
+
+def test_cover_file_rejects_non_string_handle():
+    with pytest.raises(CoverFormatError, match="handle 1"):
+        loads_cover('{"degree": 2, "base_genus": 1, "handles": [[1, 2]], '
+                    '"branch_cycles": []}')
+
+
+def test_cover_file_rejects_degree_above_bound():
+    with pytest.raises(CoverFormatError, match="exceeds"):
+        cover_from_json_dict({"degree": MAX_FILE_DEGREE + 1, "base_genus": 0,
+                              "handles": [], "branch_cycles": ["(1 2)"]})
+
+
+def test_cover_file_accepts_degree_at_bound():
+    c = cover_from_json_dict({"degree": MAX_FILE_DEGREE, "base_genus": 0,
+                              "handles": [],
+                              "branch_cycles": ["(1 2)", "(1 2)"]})
+    assert c.degree == MAX_FILE_DEGREE
+    assert str(c.branch_cycles[0]) == "(1 2)"
 
 
 def test_cover_file_is_deterministic():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -25,6 +27,7 @@ from ramify.perm import Permutation, parse_cycles
 from test_cover import (
     D4,
     ETALE_G1,
+    GALOIS_V4,
     HYPERELLIPTIC6,
     IDENTITY_COVER,
     RAMIFIED_G1,
@@ -33,6 +36,10 @@ from test_cover import (
     mk,
     valid_covers_st,
 )
+
+#: A Morse genus-0 cover of degree 7 with group S_7, made by a braid walk.
+MORSE7 = mk(7, 0, ["(4 6)", "(1 3)", "(2 7)", "(4 5)", "(1 2)", "(3 6)",
+                   "(6 7)", "(4 5)", "(4 6)", "(2 4)", "(1 7)", "(3 4)"])
 
 
 # -- orbitals ---------------------------------------------------------------
@@ -442,3 +449,38 @@ def test_analyze_flags_consistent():
         assert report.fiber_connected == report.genuinely_ramified
         assert report.offdiag_irreducible == (
             cover.degree >= 2 and len(report.orbitals) == 2)
+
+
+#: SHA-256 of ``json.dumps(analyze(c).to_json_dict())``, recorded from the
+#: implementation that rebuilt every derived object on each use, with the
+#: headline verdicts: genuinely ramified, orbitals, |G|, S_d certified.
+GOLDEN_ANALYZE = {
+    "galois_v4": (GALOIS_V4, True, 4, 4, False,
+                  "64a2a7997a7772b7cc7039a8dc32b8e29cb2d236373a237f6a2497a251a7c6d2"),
+    "etale_g1": (ETALE_G1, False, 2, 2, False,
+                 "8f8eb029048fc8cde9259320f2364bf9db0d051c2ac93ddfdba99b93a72e6a1b"),
+    "d4": (D4, True, 3, 8, False,
+           "e0a8c31a86fbfa6711db1415882457042b408bf167feb44c81b901235179244a"),
+    "trefoil": (TREFOIL, True, 2, 6, False,
+                "709e69e3dc4ce1ecb30d980755e1862bbc9078ec7467f4a17dc8311f6696fb52"),
+    "ramified_g1": (RAMIFIED_G1, True, 2, 2, True,
+                    "4aff3c78edf34f8a6c68af8550f2905ea92d567c1f4da45e1d6314ed5a163b08"),
+    "morse7": (MORSE7, True, 2, 5040, True,
+               "860b9c32b95b193641fb6d8702909a607c27a5a009c16de24c7ce6e9529c513a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_analyze_json_matches_recorded(name):
+    cover, gr, n_orbitals, order, certified, digest = GOLDEN_ANALYZE[name]
+    doc = analyze(cover).to_json_dict()
+    assert (doc["genuinely_ramified"], len(doc["orbitals"]),
+            doc["galois_closure_order"], doc["sd_certificate"]["certified"]) \
+        == (gr, n_orbitals, order, certified)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cover", [MORSE7, D4, ETALE_G1, GALOIS_V4])
+def test_analyze_builds_the_monodromy_group_once(cover, monodromy_builds):
+    analyze(cover)
+    assert monodromy_builds == [cover.all_generators()]

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from ramify.cover import dumps_cover, is_morse, loads_cover, validate
 from ramify.gen import (
+    _sample_cover,
     CapExceededError,
     CorpusSpec,
     InfeasibleParametersError,
@@ -118,6 +121,29 @@ def test_random_morse_odd_branch_count_infeasible():
         random_cover(s)
 
 
+def test_random_morse_mixed_parity_range_verifies():
+    report = verify_corpus(CorpusSpec((4, 4), (0, 0), (5, 6), morse_only=True,
+                                      samples=4, seed=3))
+    assert report.ok
+    assert report.covers_checked == 4
+    assert report.checks_run["sd_cover_order"] == 4
+
+
+def test_random_morse_odd_count_at_genus_one_infeasible():
+    s = spec(3, 1, 3, morse_only=True, samples=1, seed=1)
+    with pytest.raises(InfeasibleParametersError, match="parity"):
+        random_cover(s)
+
+
+def test_random_morse_single_even_count_draws_as_randint():
+    # a one-value range consumes the generator as rng.randint does, so
+    # seeded Morse corpora keep their covers
+    s = spec(6, 0, 10, morse_only=True, samples=1, seed=11)
+    rng = random.Random(11)
+    d, g, r = rng.randint(6, 6), rng.randint(0, 0), rng.randint(10, 10)
+    assert random_cover(s) == _sample_cover(rng, d, g, r, True)
+
+
 def test_random_mode_requires_seed():
     with pytest.raises(ValueError, match="seed"):
         CorpusSpec((2, 2), (0, 0), (2, 2), samples=3)
@@ -169,3 +195,12 @@ def test_report_serialization_stable():
     assert report.to_json_dict() == report.to_json_dict()
     text = report.to_text()
     assert "no violations" in text
+
+
+def test_check_cover_builds_the_monodromy_group_once(monodromy_builds):
+    from test_fiber import MORSE7
+    counters, _, violations = check_cover(MORSE7)
+    assert not violations and counters["derived_cover"] == 1
+    # the component cover's own validation builds the only other group
+    assert monodromy_builds.count(MORSE7.all_generators()) == 1
+    assert len(monodromy_builds) == 2

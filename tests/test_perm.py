@@ -11,11 +11,8 @@ from ramify.perm import (
     MembershipError,
     Permutation,
     Transitivity,
-    compose,
     format_cycles,
-    group_order,
     joined_group,
-    naive_closure,
     normal_closure,
     orbits,
     parse_cycles,
@@ -23,7 +20,13 @@ from ramify.perm import (
     transitivity,
 )
 
-from oracles import o_closure, o_normal_closure, o_point_orbits, o_stabilizer
+from oracles import (
+    naive_closure,
+    o_closure,
+    o_normal_closure,
+    o_point_orbits,
+    o_stabilizer,
+)
 
 
 def perm(text: str, d: int) -> Permutation:
@@ -50,24 +53,24 @@ def small_groups_st(draw, max_degree=6, max_gens=3):
 
 def test_compose_involution_is_identity():
     t = perm("(1 2)", 2)
-    assert compose(t, t).is_identity()
+    assert (t * t).is_identity()
 
 
 def test_compose_right_factor_first():
     a = perm("(1 2 3 4)", 4)
     b = perm("(1 3)", 4)
-    assert str(compose(a, b)) == "(1 4)(2 3)"
+    assert str(a * b) == "(1 4)(2 3)"
 
 
 def test_compose_identity_law():
     a = perm("(1 3 2)", 4)
-    assert compose(a, Permutation.identity(4)) == a
-    assert compose(Permutation.identity(4), a) == a
+    assert a * Permutation.identity(4) == a
+    assert Permutation.identity(4) * a == a
 
 
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
-        compose(perm("(1 2)", 2), perm("(1 2)", 3))
+        perm("(1 2)", 2) * perm("(1 2)", 3)
 
 
 @given(permutations_st())
@@ -136,17 +139,17 @@ def test_printer_is_canonical(p):
 
 def test_order_s3():
     g = GeneratedGroup(3, [perm("(1 2)", 3), perm("(1 2 3)", 3)])
-    assert group_order(g) == 6
+    assert g.order == 6
 
 
 def test_order_d4():
     g = GeneratedGroup(4, [perm("(1 2 3 4)", 4), perm("(1 3)", 4)])
-    assert group_order(g) == 8
+    assert g.order == 8
 
 
 def test_order_s5():
     g = GeneratedGroup(5, [perm("(1 2 3 4 5)", 5), perm("(1 2)", 5)])
-    assert group_order(g) == 120
+    assert g.order == 120
 
 
 def test_order_trivial():
@@ -293,6 +296,42 @@ def test_normal_closure_matches_oracle(g, data):
     raw_sub = [tuple(x - 1 for x in s.images) for s in sub]
     raw_all = {tuple(x - 1 for x in e.images) for e in elements}
     assert n.order == len(o_normal_closure(raw_sub, raw_all))
+
+
+def braid_walk_tuple(rng, d):
+    """Transpositions t_1..t_{d-1} of a random spanning tree, then the same
+    in reverse, mixed by Hurwitz moves: a Morse genus-0 tuple with group
+    S_d and product 1."""
+    points = list(range(1, d + 1))
+    rng.shuffle(points)
+    tree = [Permutation.from_cycle([points[i], points[rng.randrange(i)]], d)
+            for i in range(1, d)]
+    cycles = tree + tree[::-1]
+    for _ in range(10 * len(cycles)):
+        i = rng.randrange(len(cycles) - 1)
+        a, b = cycles[i], cycles[i + 1]
+        if rng.random() < 0.5:
+            cycles[i], cycles[i + 1] = a * b * a.inverse(), a
+        else:
+            cycles[i], cycles[i + 1] = b, b.inverse() * a * b
+    return cycles
+
+
+@pytest.mark.parametrize("d", range(6, 11))
+def test_incremental_normal_closure_matches_fresh_chain(d):
+    rng = random.Random(f"normal-closure/{d}")
+    cycles = braid_walk_tuple(rng, d)
+    g = GeneratedGroup(d, cycles)
+    stab = point_stabilizer(g, 1)
+    cases = [(cycles[:1], g), ([cycles[0] * cycles[1]], g),
+             ([stab.generators[0]], stab),
+             (stab.generators[:2], stab)]
+    for sub, ambient in cases:
+        n = normal_closure(sub, ambient)
+        assert n.order == GeneratedGroup(d, n.generators).order
+        assert all(s in n for s in sub)
+        assert all(s.conjugate(c) in n
+                   for c in ambient.generators for s in n.generators)
 
 
 # -- transitivity -----------------------------------------------------------
