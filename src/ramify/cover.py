@@ -241,6 +241,12 @@ _COVER_FIELDS = {"degree", "base_genus", "handles", "branch_cycles", "labels"}
 #: ``degree`` entries per permutation, so the bound is checked first.
 MAX_FILE_DEGREE = 10_000
 
+#: Largest number of permutation entries times ``degree`` a cover file may
+#: declare (a handle counts as two entries).  Each entry, even ``"id"``,
+#: allocates a ``degree``-sized tuple, so the bound is checked before any
+#: entry is parsed; at the largest degree it allows 25 entries.
+MAX_FILE_CELLS = 250_000
+
 
 def cover_to_json_dict(c: BranchedCover) -> dict:
     doc = {
@@ -277,17 +283,22 @@ def cover_from_json_dict(doc: dict) -> BranchedCover:
     if not isinstance(base_genus, int) or isinstance(base_genus, bool) or base_genus < 0:
         raise CoverFormatError(
             f"base_genus must be a non-negative integer, got {base_genus!r}")
-    handles = []
     if not isinstance(doc["handles"], list):
         raise CoverFormatError("handles must be an array")
+    if not isinstance(doc["branch_cycles"], list):
+        raise CoverFormatError("branch_cycles must be an array")
+    entries = 2 * len(doc["handles"]) + len(doc["branch_cycles"])
+    if entries * degree > MAX_FILE_CELLS:
+        raise CoverFormatError(
+            f"{entries} entries of degree {degree} exceed the file bound of "
+            f"{MAX_FILE_CELLS} entries times degree")
+    handles = []
     for i, pair in enumerate(doc["handles"]):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise CoverFormatError(
                 f"handle {i + 1} must be a 2-element array of cycle strings")
         handles.append((_parse_entry(pair[0], degree, f"handle {i + 1}"),
                         _parse_entry(pair[1], degree, f"handle {i + 1}")))
-    if not isinstance(doc["branch_cycles"], list):
-        raise CoverFormatError("branch_cycles must be an array")
     cycles = [_parse_entry(s, degree, f"branch cycle {j + 1}")
               for j, s in enumerate(doc["branch_cycles"])]
     labels = None

@@ -190,6 +190,16 @@ def format_poly(coeffs: Coeffs) -> str:
 
 # -- parser ------------------------------------------------------------------
 
+#: Largest total degree the parser builds, and largest exponent it accepts
+#: on any base.  Products and powers expand eagerly, so both are checked
+#: before expanding; degree 8 is the largest curve the tracker is used on.
+MAX_POLY_DEGREE = 100
+
+
+def _total_degree(a: Coeffs) -> int:
+    return max((i + j for i, j in a), default=0)
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
@@ -246,8 +256,12 @@ def _parse_term(lx: _Lexer) -> Coeffs:
         kind, _, _ = lx.peek()
         if kind != "*":
             return acc
-        lx.take()
-        acc = _p_mul(acc, _parse_factor(lx))
+        _, _, pos = lx.take()
+        factor = _parse_factor(lx)
+        if _total_degree(acc) + _total_degree(factor) > MAX_POLY_DEGREE:
+            raise PolyParseError(
+                f"product exceeds degree bound {MAX_POLY_DEGREE}", pos)
+        acc = _p_mul(acc, factor)
 
 
 def _parse_factor(lx: _Lexer) -> Coeffs:
@@ -258,6 +272,9 @@ def _parse_factor(lx: _Lexer) -> Coeffs:
         nkind, n, pos = lx.take()
         if nkind != "num":
             raise PolyParseError("exponent must be a non-negative integer", pos)
+        if n > MAX_POLY_DEGREE or _total_degree(base) * n > MAX_POLY_DEGREE:
+            raise PolyParseError(
+                f"power exceeds degree bound {MAX_POLY_DEGREE}", pos)
         return _p_pow(base, n)
     return base
 

@@ -7,14 +7,18 @@ tuples are 0-based and private.
 
 Groups are immutable: the stabilizer chain (full ascending base
 1, 2, ..., d) is built once at construction, so instances can be shared
-freely across threads.
+freely across threads.  Every chain grows by one path, ``_extend``, which
+sifts one element in and re-completes the levels it touched; a level
+keeps its transversal and the Schreier generators it has already sifted,
+so none is sifted twice.  A point stabilizer Stab(p) of a group fixing
+1..p-1 is the suffix of its chain after base point p, shared rather than
+rebuilt.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -47,7 +51,7 @@ def _inverse(a: tuple) -> tuple:
 
 
 def _is_identity(a: tuple) -> bool:
-    return all(i == x for i, x in enumerate(a))
+    return a == tuple(range(len(a)))
 
 
 class Permutation:
@@ -164,12 +168,6 @@ class Permutation:
         swaps = sum(len(c) - 1 for c in self.cycles())
         return -1 if swaps % 2 else 1
 
-    def moved_points(self) -> tuple:
-        return tuple(i + 1 for i, x in enumerate(self._raw) if x != i)
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._raw == other._raw
 
@@ -256,45 +254,39 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer chain (deterministic Schreier-Sims, full ascending base)
+# stabilizer chain (incremental Schreier-Sims, full ascending base)
 #
 # Level k holds the strong generators first moved at base point k; the
 # generating set of the stabilizer of points 0..k-1 is the union of the
 # generator lists of levels k, k+1, ..., d-1.
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    """One level of a chain.  The orbit only grows and a representative,
+    once chosen, never changes, so a Schreier generator u_r^-1 g u_q is the
+    same element for as long as the chain lives: ``sifted[g]`` counts the
+    orbit points q (a prefix of ``orbit``) whose pair (q, g) is done."""
 
-    def __init__(self, point: int):
+    __slots__ = ("point", "gens", "orbit", "transversal", "inverses", "sifted")
+
+    def __init__(self, point: int, degree: int):
+        ident = tuple(range(degree))
         self.point = point
         self.gens: list = []
-        # orbit point -> raw u with u(self.point) = orbit point
-        self.transversal: dict = {point: None}
+        self.orbit: list = [point]
+        # orbit point q -> raw u with u(self.point) = q, and its inverse
+        self.transversal, self.inverses = {point: ident}, {point: ident}
+        self.sifted: dict = {}
+
+    def copy(self) -> "_Level":
+        new = object.__new__(_Level)
+        new.point, new.gens, new.orbit = self.point, list(self.gens), list(self.orbit)
+        new.transversal, new.inverses, new.sifted = (
+            dict(self.transversal), dict(self.inverses), dict(self.sifted))
+        return new
 
 
 def _gens_at(levels: list, i: int) -> list:
-    out = []
-    for k in range(i, len(levels)):
-        out.extend(levels[k].gens)
-    return out
-
-
-def _rebuild_orbit(level: _Level, gens: list, degree: int) -> None:
-    ident = tuple(range(degree))
-    trans = {level.point: ident}
-    frontier = [level.point]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            uq = trans[q]
-            for g in gens:
-                r = g[q]
-                if r not in trans:
-                    trans[r] = _compose(g, uq)
-                    nxt.append(r)
-        nxt.sort()
-        frontier = nxt
-    level.transversal = trans
+    return [g for lev in levels[i:] for g in lev.gens]
 
 
 def _strip_from(h: tuple, levels: list, start: int = 0) -> tuple:
@@ -304,14 +296,14 @@ def _strip_from(h: tuple, levels: list, start: int = 0) -> tuple:
         p = h[k]
         if p == k:
             continue
-        u = levels[k].transversal.get(p)
-        if u is None:
+        u_inv = levels[k].inverses.get(p)
+        if u_inv is None:
             return h, k
-        h = _compose(_inverse(u), h)
+        h = _compose(u_inv, h)
     return None, len(levels)
 
 
-def _extend(levels: list, h: tuple, degree: int) -> bool:
+def _extend(levels: list, h: tuple) -> bool:
     """Add h to a complete chain unless it is already a member: the residue
     joins the level it stuck at, which lies in the stabilizer of the points
     before it, so only that level and those above it are re-completed."""
@@ -320,56 +312,44 @@ def _extend(levels: list, h: tuple, degree: int) -> bool:
         return False
     levels[k].gens.append(residue)
     for j in range(k, -1, -1):
-        _complete_level(levels, j, degree)
+        _complete_level(levels, j)
     return True
 
 
-def _copy_chain(levels: list) -> list:
-    out = [_Level(lev.point) for lev in levels]
-    for new, lev in zip(out, levels):
-        new.gens, new.transversal = list(lev.gens), dict(lev.transversal)
-    return out
-
-
-def _complete_level(levels: list, i: int, degree: int) -> None:
+def _complete_level(levels: list, i: int) -> None:
     """Establish the strong-generation property at level i, assuming all
-    deeper levels already have it (they are kept intact)."""
+    deeper levels already have it.  Only the (orbit point, generator) pairs
+    not yet done are visited: the orbit grows along them, and each of their
+    Schreier generators is sifted into the deeper levels once."""
+    lev = levels[i]
+    orbit, trans, inverses, sifted = (lev.orbit, lev.transversal,
+                                      lev.inverses, lev.sifted)
     while True:
-        gens = _gens_at(levels, i)
-        _rebuild_orbit(levels[i], gens, degree)
-        trans = levels[i].transversal
-        added = False
-        for q in sorted(trans):
-            uq = trans[q]
-            for g in gens:
-                sg = _compose(_compose(_inverse(trans[g[q]]), g), uq)
+        pending = [g for g in _gens_at(levels, i)
+                   if sifted.get(g, 0) < len(orbit)]
+        if not pending:
+            return
+        for g in pending:
+            n = sifted.get(g, 0)
+            while n < len(orbit):
+                q = orbit[n]
+                n += 1
+                r = g[q]
+                if r not in trans:
+                    gu = _compose(g, trans[q])
+                    orbit.append(r)
+                    trans[r], inverses[r] = gu, _inverse(gu)
+                    continue
+                u_inv = inverses[r]
+                sg = tuple(u_inv[g[x]] for x in trans[q])
                 if _is_identity(sg):
                     continue
                 residue, k = _strip_from(sg, levels, i + 1)
                 if residue is not None:
                     levels[k].gens.append(residue)
                     for j in range(k, i, -1):
-                        _complete_level(levels, j, degree)
-                    added = True
-                    break
-            if added:
-                break
-        if not added:
-            return
-
-
-def _schreier_sims(degree: int, raw_gens: Iterable[tuple]) -> list:
-    levels = [_Level(k) for k in range(degree)]
-    seen = set()
-    for g in raw_gens:
-        if _is_identity(g) or g in seen:
-            continue
-        seen.add(g)
-        first_moved = next(i for i in range(degree) if g[i] != i)
-        levels[first_moved].gens.append(g)
-    for i in range(degree - 1, -1, -1):
-        _complete_level(levels, i, degree)
-    return levels
+                        _complete_level(levels, j)
+            sifted[g] = n
 
 
 class Transitivity(Enum):
@@ -397,7 +377,10 @@ class GeneratedGroup:
             if g.degree != degree:
                 raise DegreeMismatchError(
                     f"generator of degree {g.degree} in a group of degree {degree}")
-        self._set(degree, gens, _schreier_sims(degree, (g._raw for g in gens)))
+        levels = [_Level(k, degree) for k in range(degree)]
+        for g in gens:
+            _extend(levels, g._raw)
+        self._set(degree, gens, levels)
 
     @classmethod
     def _from_chain(cls, degree: int, gens: tuple,
@@ -411,7 +394,7 @@ class GeneratedGroup:
         self.degree = degree
         self.generators = gens
         self._levels = levels
-        self._order = math.prod(len(lev.transversal) for lev in levels)
+        self._order = math.prod(len(lev.orbit) for lev in levels)
         self._orbit_partition = orbits(self)
 
     @classmethod
@@ -487,76 +470,62 @@ def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
 
 
 def point_stabilizer(g: GeneratedGroup, p: int) -> GeneratedGroup:
-    """Stab_g(p) generated by Schreier generators.
+    """Stab_g(p), satisfying order(result) * |orbit(p)| == order(g).
 
-    Satisfies order(result) * |orbit(p)| == order(g).
-    """
-    if not 1 <= p <= g.degree:
-        raise ValueError(f"point {p} out of range 1..{g.degree}")
-    p0 = p - 1
-    ident = tuple(range(g.degree))
-    trans = {p0: ident}
-    frontier = [p0]
-    raw_gens = [gen._raw for gen in g.generators]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            uq = trans[q]
-            for raw in raw_gens:
-                r = raw[q]
-                if r not in trans:
-                    trans[r] = _compose(raw, uq)
-                    nxt.append(r)
-        nxt.sort()
-        frontier = nxt
-    sgens: list = []
-    seen = set()
-    for q in sorted(trans):
-        uq = trans[q]
-        for raw in raw_gens:
-            w = _compose(_compose(_inverse(trans[raw[q]]), raw), uq)
-            if not _is_identity(w) and w not in seen:
-                seen.add(w)
-                sgens.append(Permutation._from_raw(w))
-    if not sgens:
-        sgens = [Permutation.identity(g.degree)]
-    return GeneratedGroup(g.degree, sgens)
+    When g fixes 1..p-1, its chain levels for the base points p+1..d are a
+    complete chain of Stab_g(p) and are shared, not rebuilt; nothing may
+    ever extend a built group's levels in place.  Any other p is moved to
+    point 1 by conjugating with the transposition (1 p)."""
+    d = g.degree
+    if not 1 <= p <= d:
+        raise ValueError(f"point {p} out of range 1..{d}")
+    if any(len(lev.orbit) > 1 for lev in g._levels[:p - 1]):
+        t = Permutation.from_cycle([1, p], d)
+        moved = GeneratedGroup(d, [x.conjugate(t) for x in g.generators])
+        return GeneratedGroup(d, [x.conjugate(t) for x in
+                                  point_stabilizer(moved, 1).generators])
+    levels = [_Level(k, d) for k in range(p)] + g._levels[p:]
+    gens = tuple(Permutation._from_raw(h) for h in _gens_at(levels, p))
+    return GeneratedGroup._from_chain(
+        d, gens or (Permutation.identity(d),), levels)
 
 
 def normal_closure(sub: Iterable[Permutation], g: GeneratedGroup) -> GeneratedGroup:
     """Smallest normal subgroup of g containing sub.
 
-    One stabilizer chain grows as conjugates of its generators by the
-    generators of g and their inverses are sifted into it."""
+    One stabilizer chain grows as the elements of sub are sifted in, then
+    in turn the conjugates c w c^-1 of each element w it gained by each
+    generator c of g (in a finite group c N c^-1 <= N forces equality).
+    It stops once its order is |g|: a subgroup of g of that order is g."""
     elems = list(sub)
     for s in elems:
         if s not in g:
             raise MembershipError(f"{s} is not an element of the ambient group")
-    levels = [_Level(k) for k in range(g.degree)]
+    levels = [_Level(k, g.degree) for k in range(g.degree)]
     conjugators = [(c._raw, _inverse(c._raw)) for c in g.generators]
     gens: list = []
-    work = deque(s._raw for s in elems if not s.is_identity())
-    while work:
-        w = work.popleft()
-        if not _extend(levels, w, g.degree):
-            continue
-        gens.append(Permutation._from_raw(w))
-        for c, c_inv in conjugators:
-            work.append(_compose(_compose(c, w), c_inv))
-            work.append(_compose(_compose(c_inv, w), c))
+    # the list iterator sees the elements appended to gens meanwhile
+    conjugates = (_compose(_compose(c, w), c_inv)
+                  for w in gens for c, c_inv in conjugators)
+    for w in itertools.chain((s._raw for s in elems), conjugates):
+        if _extend(levels, w):
+            gens.append(w)
+            if math.prod(len(lev.orbit) for lev in levels) == g.order:
+                break
     return GeneratedGroup._from_chain(
-        g.degree, tuple(gens) or (Permutation.identity(g.degree),), levels)
+        g.degree, tuple(Permutation._from_raw(w) for w in gens)
+        or (Permutation.identity(g.degree),), levels)
 
 
 def joined_group(a: GeneratedGroup, b: GeneratedGroup) -> GeneratedGroup:
-    """The subgroup generated by the generators of both groups: the chain
-    of the larger one, extended by the generators of the other."""
+    """The subgroup generated by the generators of both groups: a copy of
+    the chain of the larger one, extended by the generators of the other."""
     if a.degree != b.degree:
         raise DegreeMismatchError("cannot join groups of different degree")
     big, small = (a, b) if a.order >= b.order else (b, a)
-    levels = _copy_chain(big._levels)
+    levels = [lev.copy() for lev in big._levels]
     for h in small.generators:
-        _extend(levels, h._raw, a.degree)
+        _extend(levels, h._raw)
     return GeneratedGroup._from_chain(a.degree, a.generators + b.generators,
                                       levels)
 

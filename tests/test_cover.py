@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramify.cover import (
+    MAX_FILE_CELLS,
     MAX_FILE_DEGREE,
     BranchedCover,
     CoverFormatError,
@@ -261,6 +262,29 @@ def test_cover_file_accepts_degree_at_bound():
                               "branch_cycles": ["(1 2)", "(1 2)"]})
     assert c.degree == MAX_FILE_DEGREE
     assert str(c.branch_cycles[0]) == "(1 2)"
+
+
+def test_cover_file_rejects_entries_above_bound():
+    degree = 2_500
+    entries = MAX_FILE_CELLS // degree + 1
+    with pytest.raises(CoverFormatError, match="exceed"):
+        cover_from_json_dict({"degree": degree, "base_genus": 0,
+                              "handles": [], "branch_cycles": ["id"] * entries})
+    # handles count twice, and the bound is checked before any entry is read
+    with pytest.raises(CoverFormatError, match="exceed"):
+        cover_from_json_dict({"degree": degree, "base_genus": 1,
+                              "handles": [[None, None]] * (entries // 2 + 1),
+                              "branch_cycles": []})
+
+
+def test_cover_file_accepts_entries_at_bound():
+    degree = 2_500
+    entries = MAX_FILE_CELLS // degree
+    assert entries * degree == MAX_FILE_CELLS
+    c = cover_from_json_dict({"degree": degree, "base_genus": 1,
+                              "handles": [["id", "(1 2)"]],
+                              "branch_cycles": ["id"] * (entries - 2)})
+    assert 2 * len(c.handles) + len(c.branch_cycles) == entries
 
 
 def test_cover_file_is_deterministic():

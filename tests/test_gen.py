@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -25,6 +26,17 @@ def spec(d, g, r, **kw):
 
 
 # -- enumeration ----------------------------------------------------------
+
+@pytest.mark.parametrize("d, expected", [(2, 1), (3, 24), (4, 2880)])
+def test_morse_genus0_count_matches_hurwitz_formula(d, expected):
+    """Hurwitz's formula: S_d has d^(d-3) (2d-2)! transitive factorisations
+    of the identity into 2d-2 transpositions (Goulden and Jackson,
+    Transitive factorizations into transpositions and holomorphic mappings
+    on the sphere, Proc. AMS 125, 1997)."""
+    assert expected * d ** 3 == d ** d * math.factorial(2 * d - 2)
+    covers = enumerate_covers(spec(d, 0, 2 * d - 2, morse_only=True))
+    assert sum(1 for _ in covers) == expected
+
 
 def test_enumerate_d2_g0_r2():
     covers = list(enumerate_covers(spec(2, 0, 2)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -220,6 +221,25 @@ def test_orbits_match_oracle(g):
 
 # -- point stabilizer -------------------------------------------------------
 
+def braid_walk_tuple(rng, d):
+    """Transpositions t_1..t_{d-1} of a random spanning tree, then the same
+    in reverse, mixed by Hurwitz moves: a Morse genus-0 tuple with group
+    S_d and product 1."""
+    points = list(range(1, d + 1))
+    rng.shuffle(points)
+    tree = [Permutation.from_cycle([points[i], points[rng.randrange(i)]], d)
+            for i in range(1, d)]
+    cycles = tree + tree[::-1]
+    for _ in range(10 * len(cycles)):
+        i = rng.randrange(len(cycles) - 1)
+        a, b = cycles[i], cycles[i + 1]
+        if rng.random() < 0.5:
+            cycles[i], cycles[i + 1] = a * b * a.inverse(), a
+        else:
+            cycles[i], cycles[i + 1] = b, b.inverse() * a * b
+    return cycles
+
+
 def test_stabilizer_s3():
     g = GeneratedGroup(3, [perm("(1 2)", 3), perm("(1 2 3)", 3)])
     assert point_stabilizer(g, 1).order == 2
@@ -252,6 +272,125 @@ def test_stabilizer_matches_oracle(g):
     elements = o_closure(raw)
     for p0 in range(g.degree):
         assert point_stabilizer(g, p0 + 1).order == len(o_stabilizer(elements, p0))
+
+
+def _elements_raw(g):
+    return {tuple(x - 1 for x in e.images) for e in g.elements()}
+
+
+PREFIX_GROUPS = [
+    # S_5 and D_4: transitive, every p but 1 goes through conjugation
+    [perm("(1 2 3 4 5)", 5), perm("(1 2)", 5)],
+    [perm("(1 2 3 4)", 4), perm("(1 3)", 4)],
+    # fixes 1 and 2, so p <= 3 reads a suffix of the chain
+    [perm("(3 4 5)", 6), perm("(4 5 6)", 6)],
+    # fixes 1, intransitive on the rest
+    [perm("(2 3)(4 5)", 5), perm("(4 5)", 5)],
+]
+
+
+@pytest.mark.parametrize("gens", PREFIX_GROUPS)
+def test_point_stabilizer_elements_match_oracle(gens):
+    g = GeneratedGroup(gens[0].degree, gens)
+    elements = _elements_raw(g)
+    for p0 in range(g.degree):
+        stab = point_stabilizer(g, p0 + 1)
+        assert _elements_raw(stab) == o_stabilizer(elements, p0)
+
+
+@pytest.mark.parametrize("gens", PREFIX_GROUPS[:2] + [
+    [perm("(1 2 3 4 5 6)", 6), perm("(1 2)", 6)]])
+def test_stabilizer_of_stabilizer_matches_oracle(gens):
+    g = GeneratedGroup(gens[0].degree, gens)
+    h = point_stabilizer(g, 1)
+    elements = _elements_raw(g)
+    for p0 in range(1, g.degree):
+        expected = {e for e in elements if e[0] == 0 and e[p0] == p0}
+        assert _elements_raw(point_stabilizer(h, p0 + 1)) == expected
+
+
+def test_point_stabilizer_reads_the_chain(monkeypatch):
+    import ramify.perm as perm_module
+
+    rng = random.Random("stabilizer-suffix")
+    g = GeneratedGroup(9, braid_walk_tuple(rng, 9))
+    calls = []
+    for name in ("_extend", "_complete_level"):
+        def counted(*args, _inner=getattr(perm_module, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(perm_module, name, counted)
+    h = point_stabilizer(g, 1)
+    h2 = point_stabilizer(h, 2)
+    assert calls == []
+    assert (h.order, h2.order) == (math.factorial(8), math.factorial(7))
+    assert all(a is b for a, b in zip(h._levels[1:], g._levels[1:]))
+
+
+def _chain_snapshot(g):
+    return [(lev.point, list(lev.gens), list(lev.orbit), dict(lev.transversal),
+             dict(lev.inverses), dict(lev.sifted)) for lev in g._levels]
+
+
+@pytest.mark.parametrize("gens", [
+    braid_walk_tuple(random.Random("shared-suffix"), 7),
+    # S_3 x S_3: (2 4) fixes 1 but lies outside Stab(1), so joining it
+    # onto Stab(1) extends a level that is shared with the whole group
+    [perm("(1 2)", 6), perm("(1 2 3)", 6), perm("(4 5)", 6),
+     perm("(4 5 6)", 6)],
+])
+def test_shared_suffix_survives_closure_and_join(gens):
+    d = gens[0].degree
+    g = GeneratedGroup(d, gens)
+    h = point_stabilizer(g, 1)
+    h2 = point_stabilizer(h, 2)
+    outside = GeneratedGroup(d, [perm("(2 4)", d)])
+    groups = (g, h, h2)
+    before = [_chain_snapshot(x) for x in groups]
+    orders = [x.order for x in groups]
+    probes = [s.conjugate(t) for s in gens for t in gens[:3]] + [perm("(2 4)", d)]
+    members = [[p in x for p in probes] for x in groups]
+    n = normal_closure([perm("(2 3)", d)], h)
+    for a, b in ((h2, n), (n, h2), (h, n), (h2, h), (g, h),
+                 (h, outside), (h2, outside), (outside, g)):
+        joined_group(a, b)
+    normal_closure(gens[:1], g)
+    assert [_chain_snapshot(x) for x in groups] == before
+    assert [x.order for x in groups] == orders
+    assert [[p in x for p in probes] for x in groups] == members
+
+
+@pytest.mark.parametrize("d", [4, 7, 10])
+def test_build_sifts_each_schreier_generator_once(d, monkeypatch):
+    """Level i sifts its Schreier generators u_r^-1 g u_q from level i + 1
+    on; with no pair (q, g) sifted twice there are at most
+    |orbit| * |gens| - (|orbit| - 1) of them, the orbit's tree edges
+    giving the identity."""
+    import ramify.perm as perm_module
+
+    sifts = [0] * d
+    strip = perm_module._strip_from
+
+    def counted(h, levels, start=0):
+        if start:
+            sifts[start - 1] += 1
+        return strip(h, levels, start)
+
+    monkeypatch.setattr(perm_module, "_strip_from", counted)
+    rng = random.Random(f"sift-once/{d}")
+    g = GeneratedGroup(d, braid_walk_tuple(rng, d))
+    for i, lev in enumerate(g._levels):
+        size = len(lev.transversal)
+        n_gens = sum(len(deeper.gens) for deeper in g._levels[i:])
+        assert sifts[i] <= size * n_gens - (size - 1)
+
+
+@pytest.mark.parametrize("d", range(6, 13))
+def test_morse_braid_walk_group_is_symmetric(d):
+    rng = random.Random(f"symmetric/{d}")
+    g = GeneratedGroup(d, braid_walk_tuple(rng, d))
+    assert g.order == math.factorial(d)
 
 
 # -- normal closure ---------------------------------------------------------
@@ -296,25 +435,6 @@ def test_normal_closure_matches_oracle(g, data):
     raw_sub = [tuple(x - 1 for x in s.images) for s in sub]
     raw_all = {tuple(x - 1 for x in e.images) for e in elements}
     assert n.order == len(o_normal_closure(raw_sub, raw_all))
-
-
-def braid_walk_tuple(rng, d):
-    """Transpositions t_1..t_{d-1} of a random spanning tree, then the same
-    in reverse, mixed by Hurwitz moves: a Morse genus-0 tuple with group
-    S_d and product 1."""
-    points = list(range(1, d + 1))
-    rng.shuffle(points)
-    tree = [Permutation.from_cycle([points[i], points[rng.randrange(i)]], d)
-            for i in range(1, d)]
-    cycles = tree + tree[::-1]
-    for _ in range(10 * len(cycles)):
-        i = rng.randrange(len(cycles) - 1)
-        a, b = cycles[i], cycles[i + 1]
-        if rng.random() < 0.5:
-            cycles[i], cycles[i + 1] = a * b * a.inverse(), a
-        else:
-            cycles[i], cycles[i + 1] = b, b.inverse() * a * b
-    return cycles
 
 
 @pytest.mark.parametrize("d", range(6, 11))
