@@ -227,11 +227,6 @@ def is_morse(c: BranchedCover, checked: bool = True) -> bool:
     return all(cyc.is_transposition() for cyc in c.branch_cycles)
 
 
-def is_galois(c: BranchedCover, checked: bool = True) -> bool:
-    """Regular monodromy action: group order equals the degree."""
-    return monodromy_group(c, checked).order == c.degree
-
-
 # ---------------------------------------------------------------------------
 # cover file format (strict JSON)
 

@@ -325,6 +325,9 @@ class CoverContext:
 
     @cached_property
     def offdiag(self) -> ConnectivityFlag:
+        """Connectivity of the dual graph with the diagonal vertex (and
+        incident edges) removed.  Degree 1 leaves nothing: reported vacuous,
+        never silently true."""
         diag = next(o.id for o in self.orbitals if o.is_diagonal)
         verdict = is_connected(delete_vertex(self.dual_graph, diag))
         return ConnectivityFlag(connected=verdict.connected,
@@ -378,6 +381,10 @@ class CoverContext:
                                galois_closure_order=order)
 
     def component_cover(self, orbital: Orbital) -> BranchedCover:
+        """The cover of X given by the monodromy action on one orbital's
+        pairs, relabeled 1..|orbital|: the normalization of that component
+        over X.  The diagonal orbital gives back a cover equal to the
+        input."""
         c = self.cover
         pairs = self.pair_orbits[self.orbital_of[orbital.representative]]
         index = {pair: i + 1 for i, pair in enumerate(pairs)}
@@ -556,32 +563,11 @@ def genuinely_ramified(c: BranchedCover, checked: bool = True) -> GenuineRamific
     return CoverContext(c, checked).genuine
 
 
-def offdiag_closure_connected(c: BranchedCover,
-                              checked: bool = True) -> ConnectivityFlag:
-    """Connectivity of the dual graph with the diagonal vertex (and incident
-    edges) removed.  Degree 1 leaves nothing: reported vacuous, never
-    silently true."""
-    return CoverContext(c, checked).offdiag
-
-
-def galois_closure_order(c: BranchedCover, checked: bool = True) -> int:
-    """The Galois closure of the cover has group G and degree |G|."""
-    return CoverContext(c, checked).group.order
-
-
 def certify_sd(c: BranchedCover, checked: bool = True) -> SdCertification:
     """Certify that a Morse, genuinely ramified cover has full symmetric
     Galois closure, step by step.  Hypothesis failures return a refusal; a
     step failing under satisfied hypotheses raises TheoremViolationError."""
     return CoverContext(c, checked).sd_certificate
-
-
-def component_cover(c: BranchedCover, orbital: Orbital,
-                    checked: bool = True) -> BranchedCover:
-    """The cover of X given by the monodromy action on one orbital's pairs,
-    relabeled 1..|orbital|: the normalization of that component over X.  The
-    diagonal orbital gives back a cover equal to the input."""
-    return CoverContext(c, checked).component_cover(orbital)
 
 
 def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:

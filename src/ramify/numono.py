@@ -21,6 +21,12 @@ rotated slightly when needed.  With cycles listed in sweep order and the
 cycle at infinity tracked along a clockwise circle through the base point,
 the relation c_1 ... c_r . c_inf = id holds exactly by construction; it is
 verified on every run.
+
+Tracking runs in float64 (``WORKING_DIGITS``) and, when the relation fails,
+once more in mpmath at twice that.  Each step's root move must stay under
+the least root separation divided by ``SAFETY_FACTOR``; a failing step is
+bisected at most ``MAX_DEPTH`` times and never below ``STEP_TOLERANCE`` on
+the path parameter, which also bounds how close two critical values may be.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cover import BranchedCover, validate
-from .perm import Permutation, format_cycles
+from .cover import BranchedCover, cover_to_json_dict, validate
+from .fiber import CoverContext
+from .perm import Permutation, Transitivity, format_cycles, transitivity
 
 
 class PolyParseError(ValueError):
@@ -110,7 +117,7 @@ class PlanePolynomial:
 
     __slots__ = ("coeffs", "y_degree", "x_degree")
 
-    def __init__(self, coeffs: Coeffs, check_squarefree: bool = True):
+    def __init__(self, coeffs: Coeffs):
         clean = {k: Fraction(v) for k, v in coeffs.items() if v}
         if not clean:
             raise ValueError("zero polynomial")
@@ -119,8 +126,7 @@ class PlanePolynomial:
         self.x_degree = max(i for i, _ in clean)
         if self.y_degree < 2:
             raise ValueError(f"y-degree {self.y_degree} < 2")
-        if check_squarefree:
-            _check_squarefree_in_y(self)
+        _require_squarefree_in_y(self)
 
     # -- structure ---------------------------------------------------------
 
@@ -131,12 +137,6 @@ class PlanePolynomial:
 
     def leading_coefficient(self) -> Coeffs:
         return self.y_coefficient(self.y_degree)
-
-    def dy(self) -> Coeffs:
-        return {(i, j - 1): v * j for (i, j), v in self.coeffs.items() if j > 0}
-
-    def dx(self) -> Coeffs:
-        return {(i - 1, j): v * i for (i, j), v in self.coeffs.items() if i > 0}
 
     def shear(self, lam: Fraction) -> "PlanePolynomial":
         """Substitute x <- x + lam*y."""
@@ -195,6 +195,13 @@ def format_poly(coeffs: Coeffs) -> str:
 #: before expanding; degree 8 is the largest curve the tracker is used on.
 MAX_POLY_DEGREE = 100
 
+#: Longest digit run in a numeric literal (coefficient, denominator or
+#: exponent), checked before ``int()``, which refuses runs above 4,300.
+MAX_LITERAL_DIGITS = 1000
+
+#: Deepest parenthesis nesting; the parser recurses once per level.
+MAX_NESTING = 100
+
 
 def _total_degree(a: Coeffs) -> int:
     return max((i + j for i, j in a), default=0)
@@ -204,6 +211,7 @@ class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -215,6 +223,10 @@ class _Lexer:
             j = self.pos
             while j < len(self.text) and self.text[j].isdigit():
                 j += 1
+            if j - self.pos > MAX_LITERAL_DIGITS:
+                raise PolyParseError(
+                    f"numeric literal longer than {MAX_LITERAL_DIGITS} digits",
+                    self.pos)
             return ("num", int(self.text[self.pos:j]), self.pos)
         if ch in "xy":
             return ("var", ch, self.pos)
@@ -294,10 +306,15 @@ def _parse_atom(lx: _Lexer) -> Coeffs:
     if kind == "var":
         return {(1, 0) if value == "x" else (0, 1): Fraction(1)}
     if kind == "(":
+        lx.depth += 1
+        if lx.depth > MAX_NESTING:
+            raise PolyParseError(
+                f"parentheses nested deeper than {MAX_NESTING}", pos)
         inner = _parse_expr(lx)
         ckind, _, cpos = lx.take()
         if ckind != ")":
             raise PolyParseError("expected ')'", cpos)
+        lx.depth -= 1
         return inner
     raise PolyParseError("expected number, variable or '('", pos)
 
@@ -339,7 +356,7 @@ def _univariate_fractions(expr, var) -> list:
     return coeffs
 
 
-def _check_squarefree_in_y(p: PlanePolynomial) -> None:
+def _require_squarefree_in_y(p: PlanePolynomial) -> None:
     import sympy
 
     expr, x, y = _sympy_expr(p.coeffs)
@@ -387,9 +404,7 @@ def reject_singular(p: PlanePolynomial) -> None:
 def _sq_free_univariate(coeffs: list) -> bool:
     import sympy
 
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-               for i, c in enumerate(coeffs))
+    expr, x, _ = _sympy_expr({(i, 0): c for i, c in enumerate(coeffs) if c})
     poly = sympy.Poly(expr, x, domain="QQ")
     if poly.degree() <= 0:
         return True
@@ -421,27 +436,18 @@ def _polish(coeffs: Sequence[complex], z: complex, steps: int = 3) -> complex:
     return z
 
 
+def _min_sep(points: list) -> float:
+    return min((abs(a - b) for i, a in enumerate(points)
+                for b in points[i + 1:]), default=math.inf)
+
+
 # ---------------------------------------------------------------------------
-# configuration and results
+# tracking constants and results
 
-@dataclass(frozen=True)
-class TrackingConfig:
-    working_digits: int = 16       # float64 baseline; the retry doubles this
-    step_tolerance: float = 1e-10  # bisection floor on the path parameter
-    safety_factor: float = 3.0     # root move must stay under minsep/safety
-    max_depth: int = 40            # bisection depth per step
-    base_point_strategy: str = "right"   # "right" | "raised"
-
-    def __post_init__(self):
-        if self.step_tolerance <= 0:
-            raise ValueError("step tolerance must be positive")
-        if self.safety_factor <= 1:
-            raise ValueError("safety factor must exceed 1")
-        if self.max_depth < 1:
-            raise ValueError("max refinement depth must be positive")
-        if self.base_point_strategy not in ("right", "raised"):
-            raise ValueError(f"unknown base-point strategy "
-                             f"{self.base_point_strategy!r}")
+WORKING_DIGITS = 16       # float64 baseline; the retry doubles this
+STEP_TOLERANCE = 1e-10    # bisection floor on the path parameter
+SAFETY_FACTOR = 3.0       # root move must stay under minsep/safety
+MAX_DEPTH = 40            # bisection depth per step
 
 
 @dataclass(frozen=True)
@@ -459,7 +465,6 @@ class LoopTarget:
 
 @dataclass(frozen=True)
 class GenericityReport:
-    discriminant_squarefree: bool
     min_critical_separation: float | None
     leading_coefficient_constant: bool
     one_double_root_per_critical_fiber: bool
@@ -467,7 +472,8 @@ class GenericityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "discriminant_squarefree": self.discriminant_squarefree,
+            # critical_values refuses a discriminant that is not squarefree
+            "discriminant_squarefree": True,
             "min_critical_separation": self.min_critical_separation,
             "leading_coefficient_constant": self.leading_coefficient_constant,
             "one_double_root_per_critical_fiber":
@@ -516,14 +522,8 @@ class MonodromyResult:
             "infinity_cycle": format_cycles(self.infinity_cycle),
             "genericity": self.genericity.to_json_dict(),
             "used_precision_digits": self.used_precision_digits,
-            "assembled_cover": _cover_doc(self.cover),
+            "assembled_cover": cover_to_json_dict(self.cover),
         }
-
-
-def _cover_doc(cover: BranchedCover) -> dict:
-    from .cover import cover_to_json_dict
-
-    return cover_to_json_dict(cover)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +534,9 @@ class CriticalData:
     critical: tuple            # complex values, sorted by (re, im)
     residuals: tuple
     lc_roots: tuple
-    resultant: tuple           # ascending Fraction coefficients
-    discriminant_squarefree: bool
 
 
-def critical_values(p: PlanePolynomial,
-                    cfg: TrackingConfig = TrackingConfig()) -> CriticalData:
+def critical_values(p: PlanePolynomial) -> CriticalData:
     """Roots of the exact y-resultant of (p, dp/dy), found numerically and
     Newton-polished against the exact coefficients.
 
@@ -548,8 +545,7 @@ def critical_values(p: PlanePolynomial,
     tolerance, or the leading y-coefficient vanishing at a critical value.
     """
     res = y_resultant_with_dy(p)
-    squarefree = _sq_free_univariate(res)
-    if not squarefree:
+    if not _sq_free_univariate(res):
         raise NonGenericError(
             "discriminant has a multiple root: projection line is not "
             "transverse to the dual curve")
@@ -558,25 +554,21 @@ def critical_values(p: PlanePolynomial,
     roots = _np_roots_ascending(cres) if degree >= 1 else []
     roots = [_polish(cres, z) for z in roots]
     roots.sort(key=lambda z: (z.real, z.imag))
-    mins = min((abs(a - b) for i, a in enumerate(roots)
-                for b in roots[i + 1:]), default=None)
-    if mins is not None and mins <= cfg.step_tolerance:
+    mins = _min_sep(roots)
+    if mins <= STEP_TOLERANCE:
         raise NonGenericError(
             f"critical values within tolerance of each other "
             f"(separation {mins:g})")
     residuals = tuple(abs(_horner(cres, z)) for z in roots)
 
-    lc = p.leading_coefficient()
-    lc_list = [Fraction(0)] * (max(i for i, _ in lc) + 1)
-    for (i, _), v in lc.items():
-        lc_list[i] = v
+    lc_list = _coefficient_rows(p)[-1]
     lc_roots = []
     if len(lc_list) > 1:
         lc_roots = _np_roots_ascending([complex(c) for c in lc_list])
         lc_roots.sort(key=lambda z: (z.real, z.imag))
         scale = max([1.0] + [abs(z) for z in roots])
         for z in lc_roots:
-            if any(abs(z - c) <= 1e3 * cfg.step_tolerance * scale
+            if any(abs(z - c) <= 1e3 * STEP_TOLERANCE * scale
                    for c in roots):
                 raise NonGenericError(
                     "leading coefficient vanishes at a critical value: the "
@@ -585,8 +577,6 @@ def critical_values(p: PlanePolynomial,
         critical=tuple(roots),
         residuals=residuals,
         lc_roots=tuple(lc_roots),
-        resultant=tuple(res),
-        discriminant_squarefree=squarefree,
     )
 
 
@@ -657,19 +647,24 @@ def _infinity_pieces(x0: complex, targets: list, spread: float) -> list:
 # ---------------------------------------------------------------------------
 # numeric contexts
 
+def _coefficient_rows(p: PlanePolynomial) -> list:
+    """Row j: the ascending Fraction coefficients in x of y^j."""
+    rows = []
+    for j in range(p.y_degree + 1):
+        cj = p.y_coefficient(j)
+        row = [Fraction(0)] * (max((i for i, _ in cj), default=0) + 1)
+        for (i, _), v in cj.items():
+            row[i] = v
+        rows.append(row)
+    return rows
+
+
 class _Float64Context:
-    digits = 16
+    digits = WORKING_DIGITS
 
     def __init__(self, p: PlanePolynomial):
-        self.d = p.y_degree
-        self.coeff_polys = []
-        for j in range(p.y_degree + 1):
-            cj = p.y_coefficient(j)
-            n = max((i for i, _ in cj), default=0)
-            arr = [0j] * (n + 1)
-            for (i, _), v in cj.items():
-                arr[i] = complex(v)
-            self.coeff_polys.append(arr)
+        self.coeff_polys = [[complex(c) for c in row]
+                            for row in _coefficient_rows(p)]
 
     def fiber(self, z: complex) -> list:
         coeffs = [_horner(cp, z) for cp in self.coeff_polys]
@@ -688,15 +683,7 @@ class _MPContext:
 
         self.mp = mpmath
         self.digits = digits
-        self.d = p.y_degree
-        self.exact = []
-        for j in range(p.y_degree + 1):
-            cj = p.y_coefficient(j)
-            n = max((i for i, _ in cj), default=0)
-            arr = [Fraction(0)] * (n + 1)
-            for (i, _), v in cj.items():
-                arr[i] = v
-            self.exact.append(arr)
+        self.exact = _coefficient_rows(p)
 
     def fiber(self, z: complex) -> list:
         mp = self.mp
@@ -722,15 +709,10 @@ class _MPContext:
 # ---------------------------------------------------------------------------
 # tracking
 
-def _min_sep(points: list) -> float:
-    return min((abs(a - b) for i, a in enumerate(points)
-                for b in points[i + 1:]), default=math.inf)
-
-
-def _match(old: list, new: list, safety: float):
+def _match(old: list, new: list):
     """Nearest-neighbor matching: old[i] -> new[perm[i]].  Fails (returns
-    None) unless injective and every move is under minsep/safety."""
-    threshold = min(_min_sep(old), _min_sep(new)) / safety
+    None) unless injective and every move is under minsep/SAFETY_FACTOR."""
+    threshold = min(_min_sep(old), _min_sep(new)) / SAFETY_FACTOR
     assignment = []
     taken = set()
     for z in old:
@@ -742,32 +724,32 @@ def _match(old: list, new: list, safety: float):
     return assignment
 
 
-def _advance(piece, ta: float, tb: float, fiber: list, ctx, cfg,
+def _advance(piece, ta: float, tb: float, fiber: list, ctx,
              depth: int) -> list:
     new_roots = ctx.fiber(piece.at(tb))
-    assignment = _match(fiber, new_roots, cfg.safety_factor)
+    assignment = _match(fiber, new_roots)
     if assignment is not None:
         return [new_roots[j] for j in assignment]
-    if depth >= cfg.max_depth or (tb - ta) < cfg.step_tolerance:
+    if depth >= MAX_DEPTH or (tb - ta) < STEP_TOLERANCE:
         raise TrackingAmbiguityError(
             f"root matching failed near x = {piece.at(tb)} after "
             f"depth-{depth} refinement")
     tm = (ta + tb) / 2
-    mid = _advance(piece, ta, tm, fiber, ctx, cfg, depth + 1)
-    return _advance(piece, tm, tb, mid, ctx, cfg, depth + 1)
+    mid = _advance(piece, ta, tm, fiber, ctx, depth + 1)
+    return _advance(piece, tm, tb, mid, ctx, depth + 1)
 
 
-def _track_pieces(pieces: list, fiber: list, ctx, cfg) -> list:
+def _track_pieces(pieces: list, fiber: list, ctx) -> list:
     for piece in pieces:
         n = piece.initial_steps
         for k in range(n):
-            fiber = _advance(piece, k / n, (k + 1) / n, fiber, ctx, cfg, 0)
+            fiber = _advance(piece, k / n, (k + 1) / n, fiber, ctx, 0)
     return fiber
 
 
-def _loop_permutation(pieces: list, base_fiber: list, ctx, cfg) -> Permutation:
-    end = _track_pieces(pieces, list(base_fiber), ctx, cfg)
-    assignment = _match(end, base_fiber, cfg.safety_factor)
+def _loop_permutation(pieces: list, base_fiber: list, ctx) -> Permutation:
+    end = _track_pieces(pieces, list(base_fiber), ctx)
+    assignment = _match(end, base_fiber)
     if assignment is None:
         raise TrackingAmbiguityError(
             "could not identify the transported fiber with the base fiber")
@@ -799,7 +781,7 @@ def _choose_sweep(points: list, r: int) -> tuple:
     return psi, s
 
 
-def _fiber_pattern(ctx, value: complex, d: int) -> tuple:
+def _fiber_pattern(ctx, value: complex) -> tuple:
     """Cluster the fiber roots at a point into multiplicity groups (report
     only; the tracked cycles are the authoritative structure)."""
     try:
@@ -820,8 +802,7 @@ def _fiber_pattern(ctx, value: complex, d: int) -> tuple:
     return tuple(sorted((len(g) for g in groups), reverse=True))
 
 
-def track_monodromy(p: PlanePolynomial,
-                    cfg: TrackingConfig = TrackingConfig()) -> MonodromyResult:
+def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     """Track the fiber along one loop per critical value (plus any roots of
     the leading coefficient) and around a large clockwise circle, and
     assemble the branched cover over the line.
@@ -830,23 +811,21 @@ def track_monodromy(p: PlanePolynomial,
     whole tracking is retried once at doubled working precision (exact
     rational coefficients re-evaluated with mpmath), then raised."""
     reject_singular(p)
-    crit = critical_values(p, cfg)
+    crit = critical_values(p)
 
     try:
-        return _track_once(p, cfg, crit, _Float64Context(p))
-    except (RelationViolationError, TrackingAmbiguityError) as first:
-        if isinstance(first, TrackingAmbiguityError):
-            raise
-        retry = _MPContext(p, 2 * cfg.working_digits)
+        return _track_once(p, crit, _Float64Context(p))
+    except RelationViolationError as first:
+        retry = _MPContext(p, 2 * WORKING_DIGITS)
         try:
-            return _track_once(p, cfg, crit, retry)
+            return _track_once(p, crit, retry)
         except RelationViolationError:
             raise RelationViolationError(
                 f"cycle relation still violated at "
-                f"{2 * cfg.working_digits} digits") from first
+                f"{2 * WORKING_DIGITS} digits") from first
 
 
-def _track_once(p: PlanePolynomial, cfg: TrackingConfig, crit: CriticalData,
+def _track_once(p: PlanePolynomial, crit: CriticalData,
                 ctx) -> MonodromyResult:
     d = p.y_degree
     targets = [(z, "critical", res)
@@ -858,8 +837,6 @@ def _track_once(p: PlanePolynomial, cfg: TrackingConfig, crit: CriticalData,
                   for b in values[i + 1:]), default=0.0)
     max_re = max((z.real for z in values), default=0.0)
     x0 = complex(max_re + 1 + spread, 0.0)
-    if cfg.base_point_strategy == "raised":
-        x0 += 1j * (1 + spread) / 2
 
     psi, sweep = _choose_sweep(values + [x0], len(values))
     u = cmath.exp(1j * psi)
@@ -887,8 +864,8 @@ def _track_once(p: PlanePolynomial, cfg: TrackingConfig, crit: CriticalData,
     for i in order:
         z, kind, residual = targets[i]
         pieces = _loop_pieces(x0, z, radii[i], u, p_hat, h_rail)
-        cycle = _loop_permutation(pieces, base_fiber, ctx, cfg)
-        pattern = _fiber_pattern(ctx, z, d) if kind == "critical" else ()
+        cycle = _loop_permutation(pieces, base_fiber, ctx)
+        pattern = _fiber_pattern(ctx, z) if kind == "critical" else ()
         loops.append(LoopTarget(
             value=z,
             kind=kind,
@@ -903,7 +880,7 @@ def _track_once(p: PlanePolynomial, cfg: TrackingConfig, crit: CriticalData,
         ))
 
     inf_pieces = _infinity_pieces(x0, values, spread)
-    c_inf = _loop_permutation(inf_pieces, base_fiber, ctx, cfg)
+    c_inf = _loop_permutation(inf_pieces, base_fiber, ctx)
 
     product = Permutation.identity(d)
     for t in loops:
@@ -924,7 +901,6 @@ def _track_once(p: PlanePolynomial, cfg: TrackingConfig, crit: CriticalData,
     if not patterns_ok:
         issues.append("some critical fiber is not a simple double point")
     genericity = GenericityReport(
-        discriminant_squarefree=crit.discriminant_squarefree,
         min_critical_separation=(
             _min_sep(list(crit.critical)) if len(crit.critical) > 1 else None),
         leading_coefficient_constant=lc_constant,
@@ -962,7 +938,7 @@ def _track_once(p: PlanePolynomial, cfg: TrackingConfig, crit: CriticalData,
         infinity_cycle=c_inf,
         genericity=genericity,
         cover=cover,
-        used_precision_digits=getattr(ctx, "digits", cfg.working_digits),
+        used_precision_digits=ctx.digits,
     )
 
 
@@ -997,7 +973,6 @@ class ProjectionReport:
 
 
 def certify_projection(p: PlanePolynomial,
-                       cfg: TrackingConfig = TrackingConfig(),
                        result: MonodromyResult | None = None) -> ProjectionReport:
     """Morse and full-symmetric-group certification of the projection.
 
@@ -1006,13 +981,8 @@ def certify_projection(p: PlanePolynomial,
     tangents), the infinity cycle trivial or flagged, and the group order
     d!.  When the infinity cycle spoils Morse-ness the group facts are still
     reported (the S_d conclusion via the order check alone)."""
-    from math import factorial
-
-    from .fiber import CoverContext
-    from .perm import Transitivity, transitivity
-
     if result is None:
-        result = track_monodromy(p, cfg)
+        result = track_monodromy(p)
     finite = [t.cycle for t in result.loops]
     finite_morse = all(c.is_transposition() or c.is_identity() for c in finite)
     c_inf = result.infinity_cycle
@@ -1034,6 +1004,6 @@ def certify_projection(p: PlanePolynomial,
         genuinely_ramified=ctx.genuine.genuinely_ramified,
         two_transitive=transitivity(group) is Transitivity.TWO_TRANSITIVE,
         group_order=group.order,
-        is_full_symmetric=group.order == factorial(result.degree),
+        is_full_symmetric=group.order == math.factorial(result.degree),
         sd_certificate=ctx.sd_certificate,
     )

@@ -11,7 +11,6 @@ from ramify.cover import (
     InvalidCoverError,
     cover_from_json_dict,
     dumps_cover,
-    is_galois,
     is_morse,
     loads_cover,
     monodromy_group,
@@ -161,9 +160,9 @@ def test_is_morse():
 
 
 def test_is_galois():
-    assert is_galois(HYPERELLIPTIC6)
-    assert not is_galois(D4)
-    assert is_galois(mk(3, 0, ["(1 2 3)", "(1 3 2)"]))
+    assert validate(HYPERELLIPTIC6).is_galois
+    assert not validate(D4).is_galois
+    assert validate(mk(3, 0, ["(1 2 3)", "(1 3 2)"])).is_galois
 
 
 # -- properties ---------------------------------------------------------
@@ -199,7 +198,8 @@ def test_morse_parity_degree_two():
 def test_galois_regular_model_consistency():
     # the same tuple viewed through its regular action also validates
     cover = mk(3, 0, ["(1 2 3)", "(1 3 2)"])
-    assert validate(cover).valid and is_galois(cover)
+    report = validate(cover)
+    assert report.valid and report.is_galois
     # regular action of C_3 on itself is the same degree here; genus agrees
     assert total_space_genus(cover) == 0
 

@@ -8,16 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ramify.cover import BranchedCover, is_morse, relation_product, validate
 from ramify.fiber import (
+    CoverContext,
     TheoremViolationError,
     analyze,
     cayley_quotient_oracle,
     certify_sd,
-    component_cover,
     derived_cover_q1,
     dual_graph,
-    galois_closure_order,
     genuinely_ramified,
-    offdiag_closure_connected,
     orbitals,
     scheme_points,
 )
@@ -220,19 +218,19 @@ def test_fiber_verdicts_conjugation_invariant(cover, data):
 # -- off-diagonal closure -----------------------------------------------------
 
 def test_offdiag_two_transitive():
-    flag = offdiag_closure_connected(TREFOIL)
+    flag = CoverContext(TREFOIL).offdiag
     assert flag.connected and not flag.vacuous
 
 
 def test_offdiag_d4_connected_via_adjacent_opposite_edge():
-    flag = offdiag_closure_connected(D4)
+    flag = CoverContext(D4).offdiag
     assert flag.connected and not flag.vacuous
 
 
 def test_offdiag_etale_double_cover_connected():
     # the off-diagonal part of an etale double cover is the graph of the deck
     # involution, a single component isomorphic to Y
-    flag = offdiag_closure_connected(ETALE_G1)
+    flag = CoverContext(ETALE_G1).offdiag
     assert flag.connected and not flag.vacuous
     assert not genuinely_ramified(ETALE_G1).genuinely_ramified
 
@@ -241,23 +239,23 @@ def test_offdiag_etale_triple_cover_disconnected():
     # etale cyclic triple cover: two off-diagonal components, no edges
     cover = mk(3, 1, [], handle_strs=[("(1 2 3)", "id")])
     assert validate(cover).valid
-    flag = offdiag_closure_connected(cover)
+    flag = CoverContext(cover).offdiag
     assert not flag.connected
     assert len(orbitals(cover)) == 3
     assert not genuinely_ramified(cover).genuinely_ramified
 
 
 def test_offdiag_degree_one_vacuous():
-    flag = offdiag_closure_connected(IDENTITY_COVER)
+    flag = CoverContext(IDENTITY_COVER).offdiag
     assert flag.connected and flag.vacuous
 
 
 # -- galois closure order ------------------------------------------------------
 
 def test_galois_closure_orders():
-    assert galois_closure_order(D4) == 8
-    assert galois_closure_order(TREFOIL_MORSE) == 6
-    assert galois_closure_order(HYPERELLIPTIC6) == 2
+    assert CoverContext(D4).group.order == 8
+    assert CoverContext(TREFOIL_MORSE).group.order == 6
+    assert CoverContext(HYPERELLIPTIC6).group.order == 2
 
 
 # -- S_d certification ---------------------------------------------------------
@@ -291,20 +289,20 @@ def test_certify_refusal_degree_one():
 def test_component_cover_diagonal_is_same_cover():
     for cover in (TREFOIL, D4, HYPERELLIPTIC6):
         diag = next(o for o in orbitals(cover) if o.is_diagonal)
-        assert component_cover(cover, diag) == cover
+        assert CoverContext(cover).component_cover(diag) == cover
 
 
 def test_component_cover_trefoil_offdiag_genus_zero():
     from ramify.cover import total_space_genus
     off = next(o for o in orbitals(TREFOIL) if not o.is_diagonal)
-    comp = component_cover(TREFOIL, off)
+    comp = CoverContext(TREFOIL).component_cover(off)
     assert comp.degree == 6
     assert total_space_genus(comp) == 0
 
 
 def test_component_cover_d4_opposite_orbital():
     opp = next(o for o in orbitals(D4) if not o.is_diagonal and o.size == 4)
-    comp = component_cover(D4, opp)
+    comp = CoverContext(D4).component_cover(opp)
     assert comp.degree == 4
     assert validate(comp).valid
 
@@ -355,7 +353,7 @@ def test_derived_genus_agrees_with_component_cover():
     for cover in (TREFOIL, TREFOIL_MORSE):
         derived = derived_cover_q1(cover)
         off = next(o for o in orbitals(cover) if not o.is_diagonal)
-        comp = component_cover(cover, off)
+        comp = CoverContext(cover).component_cover(off)
         assert derived.total_space_genus == total_space_genus(comp)
 
 
@@ -423,8 +421,7 @@ def test_oracle_quotient_edges_within_dual(cover):
     report = cayley_quotient_oracle(cover)
     assume(not report.skipped)
     assert set(report.quotient.edges) <= set(dual_graph(cover).edges)
-    from ramify.cover import is_galois
-    if is_galois(cover):
+    if validate(cover).is_galois:
         assert report.matches_dual
 
 

@@ -1,14 +1,22 @@
 import functools
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
+from ramify import numono
 from ramify.cover import total_space_genus
 from ramify.numono import (
+    MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     MAX_POLY_DEGREE,
+    WORKING_DIGITS,
     NonGenericError,
     PolyParseError,
+    RelationViolationError,
     SingularCurveError,
+    TrackingAmbiguityError,
     certify_projection,
     parse_poly,
     track_monodromy,
@@ -100,3 +108,74 @@ def test_degree_bound_on_products_and_powers():
         parse_poly(f"2^{MAX_POLY_DEGREE + 1} + y^2")
     p = parse_poly(f"x^{half} * x^{MAX_POLY_DEGREE - half} + y^2")
     assert p.x_degree == MAX_POLY_DEGREE
+
+
+@pytest.mark.parametrize("prefix", ["y^2 + ", "y^2 + 1/", "y^2 + x^"])
+def test_overlong_literal_refused_at_its_position(prefix):
+    with pytest.raises(PolyParseError, match="numeric literal") as info:
+        parse_poly(prefix + "1" * 5000)
+    assert info.value.position == len(prefix)
+    parse_poly("y^2 + " + "1" * MAX_LITERAL_DIGITS)
+
+
+def test_nesting_bound():
+    def nested(depth):
+        return "(" * depth + "x" + ")" * depth + " + y^2"
+
+    with pytest.raises(PolyParseError, match="nested") as info:
+        parse_poly(nested(MAX_NESTING + 1))
+    assert info.value.position == MAX_NESTING
+    with pytest.raises(PolyParseError, match="nested"):
+        parse_poly(nested(300))
+    assert parse_poly(nested(MAX_NESTING)) == parse_poly("y^2 + x")
+
+
+def _fail_float64_pass(monkeypatch, error):
+    """Make the float64 tracking pass raise ``error``; later passes run the
+    real code.  Returns the list of contexts tracked with."""
+    real = numono._track_once
+    contexts = []
+
+    def track_once(p, crit, ctx):
+        contexts.append(ctx)
+        if isinstance(ctx, numono._Float64Context):
+            raise error("forced")
+        return real(p, crit, ctx)
+
+    monkeypatch.setattr(numono, "_track_once", track_once)
+    return contexts
+
+
+@pytest.mark.parametrize("text", ["y^2 - x^3 + x", "y^3 - 3*y - x"])
+def test_relation_failure_retries_at_doubled_precision(monkeypatch, text):
+    contexts = _fail_float64_pass(monkeypatch, RelationViolationError)
+    result = track_monodromy(parse_poly(text))
+    assert len(contexts) == 2
+    assert result.used_precision_digits == 2 * WORKING_DIGITS
+    baseline = tracked(text)
+    assert baseline.used_precision_digits == WORKING_DIGITS
+    assert result.branch_cycles == baseline.branch_cycles
+    assert result.infinity_cycle == baseline.infinity_cycle
+
+
+def test_tracking_ambiguity_is_not_retried(monkeypatch):
+    contexts = _fail_float64_pass(monkeypatch, TrackingAmbiguityError)
+    with pytest.raises(TrackingAmbiguityError, match="forced"):
+        track_monodromy(parse_poly("y^2 - x^3 + x"))
+    assert len(contexts) == 1
+
+
+# curves whose y-degree is their total degree, so a shear keeps the degree
+@pytest.mark.parametrize("text", ["y^4 + x^4 + x*y - 1",
+                                  "y^5 + x*y + x^5 + 3"])
+@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(2, 7)])
+def test_general_projection_after_shear(text, lam):
+    p = parse_poly(text)
+    d = p.y_degree
+    q = p.shear(lam)
+    assert q != p
+    report = certify_projection(q)
+    assert report.result.degree == q.y_degree == d
+    assert report.group_order == math.factorial(d)
+    assert report.is_full_symmetric
+    assert total_space_genus(report.result.cover) == (d - 1) * (d - 2) // 2
