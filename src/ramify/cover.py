@@ -21,8 +21,10 @@ from typing import Sequence
 from .perm import (
     GeneratedGroup,
     Permutation,
+    Transitivity,
     format_cycles,
     parse_cycles,
+    transitivity,
 )
 
 
@@ -117,6 +119,9 @@ def _structural_violations(c: BranchedCover) -> list:
         out.append(f"degree must be positive, got {c.degree}")
     if c.base_genus < 0:
         out.append(f"base genus must be non-negative, got {c.base_genus}")
+    elif len(c.handles) != c.base_genus:
+        out.append(f"base genus {c.base_genus} needs {c.base_genus} handle "
+                   f"pairs, got {len(c.handles)}")
     for i, (a, b) in enumerate(c.handles):
         for name, p in (("alpha", a), ("beta", b)):
             if p.degree != c.degree:
@@ -162,7 +167,7 @@ def _validate(c: BranchedCover) -> tuple:
         violations.append(
             f"surface relation fails: product is {format_cycles(prod)}")
     group = monodromy_group(c, checked=False)
-    connected = len(group.orbit_partition) == 1
+    connected = transitivity(group) is not Transitivity.INTRANSITIVE
     if not connected:
         violations.append(
             f"monodromy group is intransitive: orbits {group.orbit_partition}")

@@ -37,7 +37,8 @@ from .cover import (
     total_space_genus,
     validate,
 )
-from .graphs import Graph, delete_vertex, is_connected, quotient_by_partition
+from .graphs import (ConnectivityVerdict, Graph, delete_vertex, is_connected,
+                     quotient_by_partition)
 from .perm import (
     GeneratedGroup,
     Permutation,
@@ -117,15 +118,6 @@ class SdCertification:
         }
 
 
-@dataclass(frozen=True)
-class ConnectivityFlag:
-    connected: bool
-    vacuous: bool
-
-    def to_json_dict(self) -> dict:
-        return {"connected": self.connected, "vacuous": self.vacuous}
-
-
 @dataclass(frozen=True, eq=False)
 class FiberReport:
     degree: int
@@ -133,7 +125,7 @@ class FiberReport:
     scheme_points: tuple
     dual_graph: Graph
     fiber_connected: bool
-    offdiag_closure_connected: ConnectivityFlag
+    offdiag_closure_connected: ConnectivityVerdict
     offdiag_irreducible: bool
     genuinely_ramified: bool
     etale_subcover_degree: int
@@ -166,7 +158,7 @@ class FiberReport:
                 "edges": [list(e) for e in self.dual_graph.edges],
             },
             "fiber_connected": self.fiber_connected,
-            "offdiag_closure_connected": self.offdiag_closure_connected.to_json_dict(),
+            "offdiag_closure_connected": self.offdiag_closure_connected._asdict(),
             "offdiag_irreducible": self.offdiag_irreducible,
             "genuinely_ramified": self.genuinely_ramified,
             "etale_subcover_degree": self.etale_subcover_degree,
@@ -324,14 +316,12 @@ class CoverContext:
                                    etale_subcover_degree=index)
 
     @cached_property
-    def offdiag(self) -> ConnectivityFlag:
+    def offdiag(self) -> ConnectivityVerdict:
         """Connectivity of the dual graph with the diagonal vertex (and
         incident edges) removed.  Degree 1 leaves nothing: reported vacuous,
         never silently true."""
         diag = next(o.id for o in self.orbitals if o.is_diagonal)
-        verdict = is_connected(delete_vertex(self.dual_graph, diag))
-        return ConnectivityFlag(connected=verdict.connected,
-                                vacuous=verdict.vacuous)
+        return is_connected(delete_vertex(self.dual_graph, diag))
 
     @cached_property
     def sd_certificate(self) -> SdCertification:
@@ -361,7 +351,7 @@ class CoverContext:
                 f"Morse genuinely ramified cover with {len(orbs)} orbitals")
         steps.append("exactly 2 orbitals: the off-diagonal part is irreducible")
 
-        # transitivity computes its own orbits on pairs: an independent check
+        # transitivity reads the chain, the orbitals come from the pair BFS
         if transitivity(self.group) is not Transitivity.TWO_TRANSITIVE:
             raise TheoremViolationError(
                 "2 orbitals but the monodromy group is not two-transitive")
@@ -445,7 +435,9 @@ class CoverContext:
         nontrivial = [li.element for li in inertia if not li.element.is_identity()]
         morse = all(t.is_transposition() for t in nontrivial)
 
-        fiber_transitive = d == 2 or len(orbits(stab, range(2, d + 1))) == 1
+        # for a transitive G, Stab_G(1) is transitive on {2..d} iff G is
+        # two-transitive
+        fiber_transitive = transitivity(group) is Transitivity.TWO_TRANSITIVE
 
         stab2 = point_stabilizer(stab, 2)
         closure = normal_closure(nontrivial, stab)

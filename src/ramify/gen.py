@@ -10,6 +10,7 @@ counterexample (i.e. a bug) surfaces with full context at the end of the run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -366,20 +367,15 @@ def verify_corpus(spec: CorpusSpec, oracle_cap: int = 10080,
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.imap(_check_worker,
-                                ((c, oracle_cap) for c in covers),
-                                chunksize=16)
+            results = pool.imap(
+                functools.partial(check_cover, oracle_cap=oracle_cap),
+                covers, chunksize=16)
             for counters, vacuous, violations in results:
                 _fold(report, counters, vacuous, violations)
     else:
         for cover in covers:
             _fold(report, *check_cover(cover, oracle_cap))
     return report
-
-
-def _check_worker(args) -> tuple:
-    cover, oracle_cap = args
-    return check_cover(cover, oracle_cap)
 
 
 def _fold(report: VerificationReport, counters: dict, vacuous: int,

@@ -10,6 +10,11 @@ singularity test go through sympy); only root-finding and path tracking are
 floating point, and those produce discrete permutations whose defining
 relation is checked exactly -- a wrong track cannot pass silently.
 
+sympy is imported lazily, by the functions that use it: importing it takes
+about 0.4 s and doubles the resident memory, which a caller that only needs
+the group layer should not pay, and the parser refuses oversized input with
+bounded dict arithmetic before any of that cost.
+
 Path layout.  All loops share a base point to the right of every critical
 value.  Each loop descends to a rail far below the critical values, runs
 along the rail, ascends vertically to a small circle around its target,
@@ -113,11 +118,16 @@ def _p_pow(a: Coeffs, n: int) -> Coeffs:
 
 
 class PlanePolynomial:
-    """Exact bivariate polynomial, squarefree in y, with y-degree >= 2."""
+    """Exact bivariate polynomial, squarefree in y, with y-degree >= 2.
 
-    __slots__ = ("coeffs", "y_degree", "x_degree")
+    ``poly`` holds it as a sympy ``Poly`` in the generators (x, y) over QQ,
+    built once; every exact step reads it."""
+
+    __slots__ = ("coeffs", "y_degree", "x_degree", "poly")
 
     def __init__(self, coeffs: Coeffs):
+        import sympy
+
         clean = {k: Fraction(v) for k, v in coeffs.items() if v}
         if not clean:
             raise ValueError("zero polynomial")
@@ -126,7 +136,14 @@ class PlanePolynomial:
         self.x_degree = max(i for i, _ in clean)
         if self.y_degree < 2:
             raise ValueError(f"y-degree {self.y_degree} < 2")
-        _require_squarefree_in_y(self)
+        x, y = sympy.symbols("x y")
+        # from_dict converts the values of the dict it is given in place
+        self.poly = sympy.Poly.from_dict(dict(clean), x, y, domain="QQ")
+        common = sympy.gcd(self.poly, self.poly.diff(y)).degree(y)
+        if common > 0:
+            raise NonGenericError(
+                f"polynomial is not squarefree in y (gcd with dp/dy has "
+                f"y-degree {common})")
 
     # -- structure ---------------------------------------------------------
 
@@ -219,9 +236,9 @@ class _Lexer:
         if self.pos >= len(self.text):
             return ("end", None, self.pos)
         ch = self.text[self.pos]
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
+            while j < len(self.text) and "0" <= self.text[j] <= "9":
                 j += 1
             if j - self.pos > MAX_LITERAL_DIGITS:
                 raise PolyParseError(
@@ -237,7 +254,7 @@ class _Lexer:
     def take(self):
         kind, value, pos = self.peek()
         if kind == "num":
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
         elif kind != "end":
             self.pos += 1
@@ -336,47 +353,18 @@ def parse_poly(text: str) -> PlanePolynomial:
 # ---------------------------------------------------------------------------
 # exact elimination (sympy)
 
-def _sympy_expr(coeffs: Coeffs):
+def y_resultant_with_dy(p: PlanePolynomial) -> list:
+    """Exact Res_y(p, dp/dy) as an ascending Fraction coefficient list.  It
+    is never zero: p is squarefree in y and its leading y-coefficient is
+    nonzero."""
     import sympy
 
-    x, y = sympy.symbols("x y")
-    expr = sympy.Integer(0)
-    for (i, j), v in sorted(coeffs.items()):
-        expr += sympy.Rational(v.numerator, v.denominator) * x**i * y**j
-    return expr, x, y
-
-
-def _univariate_fractions(expr, var) -> list:
-    """Ascending coefficient list over Q of a sympy expression in one var."""
-    import sympy
-
-    poly = sympy.Poly(expr, var, domain="QQ")
-    coeffs = [Fraction(c.p, c.q) for c in poly.all_coeffs()]
+    x, y = p.poly.gens
+    res = sympy.Poly(sympy.resultant(p.poly, p.poly.diff(y), y), x,
+                     domain="QQ")
+    coeffs = [Fraction(c.p, c.q) for c in res.all_coeffs()]
     coeffs.reverse()
     return coeffs
-
-
-def _require_squarefree_in_y(p: PlanePolynomial) -> None:
-    import sympy
-
-    expr, x, y = _sympy_expr(p.coeffs)
-    g = sympy.gcd(sympy.Poly(expr, y, domain="QQ[x]"),
-                  sympy.Poly(expr.diff(y), y, domain="QQ[x]"))
-    if g.degree() > 0:
-        raise NonGenericError(
-            f"polynomial is not squarefree in y (gcd with dp/dy has "
-            f"y-degree {g.degree()})")
-
-
-def y_resultant_with_dy(p: PlanePolynomial) -> list:
-    """Exact Res_y(p, dp/dy) as an ascending Fraction coefficient list."""
-    import sympy
-
-    expr, x, y = _sympy_expr(p.coeffs)
-    res = sympy.resultant(expr, expr.diff(y), y)
-    if res == 0:
-        raise NonGenericError("resultant vanishes identically; not squarefree in y")
-    return _univariate_fractions(sympy.expand(res), x)
 
 
 def reject_singular(p: PlanePolynomial) -> None:
@@ -384,17 +372,13 @@ def reject_singular(p: PlanePolynomial) -> None:
     components."""
     import sympy
 
-    expr, x, y = _sympy_expr(p.coeffs)
-    content = sympy.Integer(0)
-    for j in range(p.y_degree + 1):
-        cj = p.y_coefficient(j)
-        if cj:
-            cexpr, _, _ = _sympy_expr(cj)
-            content = sympy.gcd(content, sympy.Poly(cexpr, x, domain="QQ"))
-    if sympy.Poly(content, x).degree() > 0:
+    x, y = p.poly.gens
+    # the content of p as a polynomial in y over QQ[x]
+    content = p.poly.eject(x).content()
+    if sympy.degree(content, x) > 0:
         raise SingularCurveError(
             "curve contains a vertical-line component (non-constant content)")
-    basis = sympy.groebner([expr, expr.diff(x), expr.diff(y)], x, y,
+    basis = sympy.groebner([p.poly, p.poly.diff(x), p.poly.diff(y)], x, y,
                            order="lex", domain="QQ")
     if list(basis.exprs) != [sympy.Integer(1)]:
         raise SingularCurveError(
@@ -404,8 +388,7 @@ def reject_singular(p: PlanePolynomial) -> None:
 def _sq_free_univariate(coeffs: list) -> bool:
     import sympy
 
-    expr, x, _ = _sympy_expr({(i, 0): c for i, c in enumerate(coeffs) if c})
-    poly = sympy.Poly(expr, x, domain="QQ")
+    poly = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), domain="QQ")
     if poly.degree() <= 0:
         return True
     return sympy.gcd(poly, poly.diff()).degree() == 0

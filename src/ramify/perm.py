@@ -12,7 +12,9 @@ sifts one element in and re-completes the levels it touched; a level
 keeps its transversal and the Schreier generators it has already sifted,
 so none is sifted twice.  A point stabilizer Stab(p) of a group fixing
 1..p-1 is the suffix of its chain after base point p, shared rather than
-rebuilt.
+rebuilt.  Nothing else is precomputed: transitivity and two-transitivity
+are the sizes of the first two basic orbits of the chain, and the point
+orbit partition is computed only when it is read.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
                 i += 1
                 break
             j = i
-            while j < n and s[j].isdigit():
+            while j < n and "0" <= s[j] <= "9":
                 j += 1
             if j == i:
                 raise CycleParseError(
@@ -361,11 +363,11 @@ class Transitivity(Enum):
 class GeneratedGroup:
     """Subgroup of S_d given by generators.
 
-    The stabilizer chain, exact order and point-orbit partition are built
-    at construction and never change.
+    The stabilizer chain and exact order are built at construction and
+    never change.
     """
 
-    __slots__ = ("degree", "generators", "_levels", "_order", "_orbit_partition")
+    __slots__ = ("degree", "generators", "_levels", "_order")
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         gens = tuple(generators)
@@ -395,7 +397,6 @@ class GeneratedGroup:
         self.generators = gens
         self._levels = levels
         self._order = math.prod(len(lev.orbit) for lev in levels)
-        self._orbit_partition = orbits(self)
 
     @classmethod
     def trivial(cls, degree: int) -> "GeneratedGroup":
@@ -408,7 +409,7 @@ class GeneratedGroup:
     @property
     def orbit_partition(self) -> tuple:
         """Orbits on {1..d}, each sorted, ordered by least element."""
-        return self._orbit_partition
+        return orbits(self)
 
     def __contains__(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
@@ -434,12 +435,6 @@ class GeneratedGroup:
         return f"GeneratedGroup(d={self.degree}, order={self._order}, <{gens}>)"
 
 
-def _act(p: Permutation, item):
-    if isinstance(item, int):
-        return p._raw[item - 1] + 1
-    return tuple(p._raw[x - 1] + 1 for x in item)
-
-
 def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
     """Orbit partition of the domain (points 1..d by default, or tuples of
     points under the diagonal action).  Deterministic: orbits are sorted and
@@ -448,6 +443,13 @@ def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
         items = list(range(1, g.degree + 1))
     else:
         items = sorted(set(domain))
+    images = [(0,) + gen.images for gen in g.generators]
+    if items and isinstance(items[0], tuple):
+        def moves(t: tuple) -> list:
+            return [tuple([img[x] for x in t]) for img in images]
+    else:
+        def moves(x: int) -> list:
+            return [img[x] for img in images]
     seen = set()
     parts = []
     for item in items:
@@ -458,8 +460,7 @@ def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
         while frontier:
             nxt = []
             for x in frontier:
-                for gen in g.generators:
-                    y = _act(gen, x)
+                for y in moves(x):
                     if y not in orbit:
                         orbit.add(y)
                         nxt.append(y)
@@ -531,12 +532,12 @@ def joined_group(a: GeneratedGroup, b: GeneratedGroup) -> GeneratedGroup:
 
 
 def transitivity(g: GeneratedGroup) -> Transitivity:
-    """Transitivity class: one point orbit; two-transitive additionally needs
-    a single orbit on ordered distinct pairs (d >= 2)."""
-    if len(g.orbit_partition) != 1:
+    """Transitivity class, read off the chain: transitive iff the orbit of
+    point 1 (level 0) has d points; two-transitive iff in addition the orbit
+    of point 2 under Stab(1) (level 1) has d - 1 points (d >= 2)."""
+    d = g.degree
+    if len(g._levels[0].orbit) != d:
         return Transitivity.INTRANSITIVE
-    if g.degree >= 2:
-        pairs = itertools.product(range(1, g.degree + 1), repeat=2)
-        if len(orbits(g, pairs)) == 2:
-            return Transitivity.TWO_TRANSITIVE
+    if d >= 2 and len(g._levels[1].orbit) == d - 1:
+        return Transitivity.TWO_TRANSITIVE
     return Transitivity.TRANSITIVE

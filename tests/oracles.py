@@ -78,6 +78,21 @@ def o_is_transitive(gens: list, n: int) -> bool:
     return len(o_point_orbits(gens, n)) == 1
 
 
+def o_transitivity(gens: list, n: int) -> str:
+    """"intransitive", "transitive" or "two_transitive": one orbit on
+    points, and for two-transitivity (n >= 2) exactly two orbits on ordered
+    pairs, the diagonal and the rest."""
+    if len(o_point_orbits(gens, n)) != 1:
+        return "intransitive"
+    seen: set = set()
+    pair_orbits = 0
+    for pair in itertools.product(range(n), repeat=2):
+        if pair not in seen:
+            seen |= o_orbit(gens, pair, lambda g, t: (g[t[0]], g[t[1]]))
+            pair_orbits += 1
+    return "two_transitive" if n >= 2 and pair_orbits == 2 else "transitive"
+
+
 def o_stabilizer(elements: set, point0: int) -> set:
     """Point stabilizer inside an explicitly enumerated group."""
     return {g for g in elements if g[point0] == point0}

@@ -18,7 +18,7 @@ from ramify.cover import (
     total_space_genus,
     validate,
 )
-from ramify.perm import Permutation, parse_cycles
+from ramify.perm import CycleParseError, Permutation, parse_cycles
 
 
 def mk(d, g, cycle_strs, handle_strs=()):
@@ -102,6 +102,23 @@ def test_validate_degree_mismatch():
     assert any("degree" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("genus, handle_strs", [
+    (1, []),
+    (0, [("id", "id")]),
+    (1, [("(1 2)", "id"), ("id", "id")]),
+])
+def test_validate_requires_one_handle_pair_per_base_genus(genus, handle_strs):
+    # the relation would run over len(handles) commutators while
+    # Riemann-Hurwitz counts base_genus of them
+    report = validate(mk(2, genus, ["(1 2)", "(1 2)"], handle_strs))
+    assert not report.valid
+    assert report.total_space_genus is None
+    assert any(f"base genus {genus} needs {genus} handle pairs, "
+               f"got {len(handle_strs)}" in v for v in report.violations)
+    with pytest.raises(InvalidCoverError):
+        total_space_genus(mk(2, genus, ["(1 2)", "(1 2)"], handle_strs))
+
+
 def test_validate_etale_and_identity_covers():
     assert validate(ETALE_G1).valid
     assert validate(IDENTITY_COVER).valid
@@ -145,7 +162,7 @@ def test_genus_etale_over_torus():
 
 def test_genus_identity_cover_matches_base():
     assert total_space_genus(IDENTITY_COVER) == 0
-    torus_id = mk(1, 1, [])
+    torus_id = mk(1, 1, [], handle_strs=[("id", "id")])
     assert total_space_genus(torus_id) == 1
 
 
@@ -248,6 +265,12 @@ def test_cover_file_rejects_non_string_handle():
     with pytest.raises(CoverFormatError, match="handle 1"):
         loads_cover('{"degree": 2, "base_genus": 1, "handles": [[1, 2]], '
                     '"branch_cycles": []}')
+
+
+def test_cover_file_refuses_non_ascii_digit_in_a_cycle():
+    with pytest.raises(CycleParseError, match="expected integer at position 3"):
+        loads_cover('{"degree": 3, "base_genus": 0, "handles": [], '
+                    '"branch_cycles": ["(1 \u00b2)", "(1 2)"]}')
 
 
 def test_cover_file_rejects_degree_above_bound():

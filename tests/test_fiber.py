@@ -481,3 +481,27 @@ def test_analyze_json_matches_recorded(name):
 def test_analyze_builds_the_monodromy_group_once(cover, monodromy_builds):
     analyze(cover)
     assert monodromy_builds == [cover.all_generators()]
+
+
+def test_the_orbitals_bfs_is_the_only_orbit_computation(monkeypatch):
+    """Transitivity is read off the chain, so analysing and checking a cover
+    run one orbit BFS, over pairs, for the orbitals."""
+    import ramify.fiber
+    import ramify.perm
+    from ramify.gen import check_cover
+
+    real = ramify.perm.orbits
+    domains = []
+
+    def counted(g, domain=None):
+        domains.append(domain is not None)
+        return real(g, domain)
+
+    monkeypatch.setattr(ramify.perm, "orbits", counted)
+    monkeypatch.setattr(ramify.fiber, "orbits", counted)
+    analyze(MORSE7)
+    assert domains == [True]
+    domains.clear()
+    counters, _, violations = check_cover(MORSE7)
+    assert counters["derived_cover"] == 1 and not violations
+    assert domains == [True]

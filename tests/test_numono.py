@@ -1,10 +1,15 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ramify
 from ramify import numono
 from ramify.cover import total_space_genus
 from ramify.numono import (
@@ -88,6 +93,17 @@ def test_non_generic_projection_refused(text):
 def test_malformed_polynomial_refused(text):
     with pytest.raises(PolyParseError):
         parse_poly(text)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("y\u00b2 + x", 1),          # superscript two
+    ("y^2 + \u0663*x", 6),       # Arabic-Indic three
+    ("y^\uff12 + x", 2),         # fullwidth two
+])
+def test_non_ascii_digit_refused_at_its_position(text, position):
+    with pytest.raises(PolyParseError, match="unexpected character") as err:
+        parse_poly(text)
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize("text", ["x^100000000 + y^2", "(x+y)^100000"])
@@ -179,3 +195,16 @@ def test_general_projection_after_shear(text, lam):
     assert report.group_order == math.factorial(d)
     assert report.is_full_symmetric
     assert total_space_genus(report.result.cover) == (d - 1) * (d - 2) // 2
+
+
+def test_package_import_leaves_sympy_unloaded():
+    """sympy is imported by the exact steps that use it, never at import:
+    loading it takes about 0.4 s and doubles the resident memory of a
+    process that only needs the group layer."""
+    code = ("import sys, ramify.cover, ramify.fiber, ramify.gen, ramify.numono; "
+            "print('sympy' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ramify.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"

@@ -27,6 +27,7 @@ from oracles import (
     o_normal_closure,
     o_point_orbits,
     o_stabilizer,
+    o_transitivity,
 )
 
 
@@ -114,6 +115,14 @@ def test_parse_malformed():
     for bad in ["(1 2", "1 2)", "()", "(1 2))", "(1 a)", ""]:
         with pytest.raises(CycleParseError):
             parse_cycles(bad, 4)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"])
+def test_parse_refuses_non_ascii_digits(digit):
+    # superscript two, Arabic-Indic three, fullwidth three: the grammar is
+    # ASCII, so none of them is read as a point
+    with pytest.raises(CycleParseError, match="expected integer at position 3"):
+        parse_cycles(f"(1 {digit})", 3)
 
 
 def test_parse_fixed_point_cycle_allowed():
@@ -476,6 +485,52 @@ def test_transitivity_conjugation_invariant(g, s):
         s = Permutation.identity(g.degree)
     conj = GeneratedGroup(g.degree, [p.conjugate(s) for p in g.generators])
     assert transitivity(conj) is transitivity(g)
+
+
+def _raws(g):
+    return [tuple(x - 1 for x in p.images) for p in g.generators]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups_st(max_degree=7), st.data())
+def test_transitivity_matches_brute_force_orbits(g, data):
+    d = g.degree
+    p = data.draw(st.integers(min_value=1, max_value=d))
+    word = data.draw(st.lists(st.sampled_from(g.generators), max_size=4))
+    w = Permutation.identity(d)
+    for x in word:
+        w = w * x
+    stab = point_stabilizer(g, p)
+    closure = normal_closure([w], g)
+    for h in (g, stab, closure, joined_group(stab, closure),
+              joined_group(point_stabilizer(g, d), closure)):
+        assert transitivity(h).value == o_transitivity(_raws(h), d)
+
+
+def test_transitivity_matches_brute_force_in_degree_one():
+    g = GeneratedGroup.trivial(1)
+    assert transitivity(g).value == o_transitivity(_raws(g), 1) == "transitive"
+
+
+def test_chain_reads_make_no_orbit_bfs(monkeypatch):
+    """Groups, their stabilizers, closures and joins, transitivity and the
+    validation of a valid cover read the stabilizer chain, never orbits."""
+    import ramify.perm
+    from ramify.cover import BranchedCover, validate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("perm.orbits was called")
+
+    monkeypatch.setattr(ramify.perm, "orbits", refuse)
+    cycles = braid_walk_tuple(random.Random("chain-reads"), 6)
+    g = GeneratedGroup(6, cycles)
+    stab = point_stabilizer(g, 1)
+    moved = point_stabilizer(g, 3)
+    closure = normal_closure(cycles[:1], g)
+    assert transitivity(g) is Transitivity.TWO_TRANSITIVE
+    assert transitivity(stab) is transitivity(moved) is Transitivity.INTRANSITIVE
+    assert transitivity(joined_group(stab, closure)) is Transitivity.TWO_TRANSITIVE
+    assert validate(BranchedCover(6, 0, (), tuple(cycles))).valid
 
 
 # -- misc -------------------------------------------------------------------
