@@ -16,16 +16,19 @@ the group layer should not pay, and the parser refuses oversized input with
 bounded dict arithmetic before any of that cost.
 
 Path layout.  All loops share a base point to the right of every critical
-value.  Each loop descends to a rail far below the critical values, runs
-along the rail, ascends vertically to a small circle around its target,
-walks the circle counterclockwise and retraces.  "Vertically" means along a
-sweep direction chosen deterministically so that no two targets (nor the
-base point) share a sweep coordinate -- real curves often have conjugate
-critical pairs with equal real parts, so the default upward direction is
-rotated slightly when needed.  With cycles listed in sweep order and the
-cycle at infinity tracked along a clockwise circle through the base point,
-the relation c_1 ... c_r . c_inf = id holds exactly by construction; it is
-verified on every run.
+value and a rail far below them.  Transport along a path is a groupoid, so
+no piece is tracked twice and nothing is retraced: the base fiber is
+tracked once down to the rail, the rail is walked once away from there
+keeping the fiber at each foot, and each target costs an ascent and a
+counterclockwise circle.  Matching the fiber after the circle against the
+fiber before it gives the loop's permutation, as both are labelled by the
+base fiber.  The ascents follow a sweep direction chosen so that no two
+targets (nor the base point) share a sweep coordinate -- real curves often
+have conjugate critical pairs with equal real parts, so the default upward
+direction is rotated slightly when needed.  With cycles in sweep order and
+the cycle at infinity read from one clockwise circle around every target,
+reached by a stub from the base point, the relation c_1 ... c_r . c_inf = id
+holds exactly by construction; it is verified on every run.
 
 Tracking runs in float64 (``WORKING_DIGITS``) and, when the relation fails,
 once more in mpmath at twice that.  Each step's root move must stay under
@@ -40,11 +43,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from string import whitespace
 from typing import Sequence
 
 import numpy as np
 
-from .cover import BranchedCover, cover_to_json_dict, validate
+from .cover import BranchedCover, InvalidCoverError, cover_to_json_dict
 from .fiber import CoverContext
 from .perm import Permutation, Transitivity, format_cycles, transitivity
 
@@ -231,7 +235,7 @@ class _Lexer:
         self.depth = 0
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in whitespace:
             self.pos += 1
         if self.pos >= len(self.text):
             return ("end", None, self.pos)
@@ -385,15 +389,6 @@ def reject_singular(p: PlanePolynomial) -> None:
             "curve has a singular affine point (p, dp/dx, dp/dy share a zero)")
 
 
-def _sq_free_univariate(coeffs: list) -> bool:
-    import sympy
-
-    poly = sympy.Poly(coeffs[::-1], sympy.Symbol("x"), domain="QQ")
-    if poly.degree() <= 0:
-        return True
-    return sympy.gcd(poly, poly.diff()).degree() == 0
-
-
 # ---------------------------------------------------------------------------
 # numeric helpers
 
@@ -474,8 +469,12 @@ class MonodromyResult:
     loops: tuple               # LoopTarget entries, in sweep order
     infinity_cycle: Permutation
     genericity: GenericityReport
-    cover: BranchedCover
+    context: CoverContext      # the assembled cover, validated once
     used_precision_digits: int
+
+    @property
+    def cover(self) -> BranchedCover:
+        return self.context.cover
 
     @property
     def branch_cycles(self) -> tuple:
@@ -520,21 +519,29 @@ class CriticalData:
 
 
 def critical_values(p: PlanePolynomial) -> CriticalData:
-    """Roots of the exact y-resultant of (p, dp/dy), found numerically and
-    Newton-polished against the exact coefficients.
+    """Roots of the y-discriminant of p, found numerically and
+    Newton-polished against its exact coefficients; the roots of the leading
+    y-coefficient lc are kept apart.
 
-    Non-generic inputs fail loudly: a non-squarefree resultant (the line is
-    not transverse to the dual curve), a pair of roots closer than the step
-    tolerance, or the leading y-coefficient vanishing at a critical value.
+    Res_y(p, dp/dy) = +-lc * Disc_y(p), so the resultant divided exactly by
+    lc made monic is a constant multiple of the discriminant (the resultant
+    itself when lc is constant).  Non-generic inputs fail loudly: a
+    discriminant that is not squarefree (the line is not transverse to the
+    dual curve), a pair of roots closer than the step tolerance, or lc
+    vanishing at a critical value.
     """
-    res = y_resultant_with_dy(p)
-    if not _sq_free_univariate(res):
+    import sympy
+
+    x = p.poly.gens[0]
+    lc_list = _coefficient_rows(p)[-1]
+    disc = sympy.Poly(y_resultant_with_dy(p)[::-1], x, domain="QQ").exquo(
+        sympy.Poly(lc_list[::-1], x, domain="QQ").monic())
+    if sympy.gcd(disc, disc.diff()).degree() > 0:
         raise NonGenericError(
             "discriminant has a multiple root: projection line is not "
             "transverse to the dual curve")
-    cres = [complex(c) for c in res]
-    degree = len(res) - 1
-    roots = _np_roots_ascending(cres) if degree >= 1 else []
+    cres = [complex(Fraction(c.p, c.q)) for c in reversed(disc.all_coeffs())]
+    roots = _np_roots_ascending(cres) if disc.degree() >= 1 else []
     roots = [_polish(cres, z) for z in roots]
     roots.sort(key=lambda z: (z.real, z.imag))
     mins = _min_sep(roots)
@@ -544,7 +551,6 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
             f"(separation {mins:g})")
     residuals = tuple(abs(_horner(cres, z)) for z in roots)
 
-    lc_list = _coefficient_rows(p)[-1]
     lc_roots = []
     if len(lc_list) > 1:
         lc_roots = _np_roots_ascending([complex(c) for c in lc_list])
@@ -570,13 +576,10 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
 class _Seg:
     a: complex
     b: complex
+    initial_steps = 8
 
     def at(self, t: float) -> complex:
         return self.a + (self.b - self.a) * t
-
-    @property
-    def initial_steps(self) -> int:
-        return 8
 
 
 @dataclass(frozen=True)
@@ -595,36 +598,16 @@ class _Arc:
         return max(8, int(abs(self.theta1 - self.theta0) / (math.pi / 16)) + 1)
 
 
-def _loop_pieces(x0: complex, target: complex, radius: float,
-                 u: complex, p_hat: complex, h_rail: float) -> list:
-    def at(s: float, h: float) -> complex:
-        return s * p_hat + h * u
-
-    s0 = (x0 * p_hat.conjugate()).real
-    st = (target * p_hat.conjugate()).real
-    p1 = at(s0, h_rail)
-    p2 = at(st, h_rail)
-    p3 = target - radius * u
-    theta3 = cmath.phase(-u)
-    return [_Seg(x0, p1), _Seg(p1, p2), _Seg(p2, p3),
-            _Arc(target, radius, theta3, theta3 + 2 * math.pi),
-            _Seg(p3, p2), _Seg(p2, p1), _Seg(p1, x0)]
-
-
-def _infinity_pieces(x0: complex, targets: list, spread: float) -> list:
-    if targets:
-        center = sum(targets) / len(targets)
-    else:
-        center = 0j
+def _infinity_pieces(x0: complex, targets: list, spread: float) -> tuple:
+    """The stub from the base point to a circle around every target, and
+    that circle, walked clockwise from the stub's end."""
+    center = sum(targets) / len(targets) if targets else 0j
     reach = max([abs(t - center) for t in targets] + [0.0])
     radius = max(abs(x0 - center), reach + 1 + spread)
     direction = (x0 - center) / abs(x0 - center)
     q = center + radius * direction
     theta_q = cmath.phase(direction)
-    # clockwise full turn through q; the stub connects the base point
-    return [_Seg(x0, q),
-            _Arc(center, radius, theta_q, theta_q - 2 * math.pi),
-            _Seg(q, x0)]
+    return _Seg(x0, q), _Arc(center, radius, theta_q, theta_q - 2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -722,20 +705,24 @@ def _advance(piece, ta: float, tb: float, fiber: list, ctx,
     return _advance(piece, tm, tb, mid, ctx, depth + 1)
 
 
-def _track_pieces(pieces: list, fiber: list, ctx) -> list:
-    for piece in pieces:
-        n = piece.initial_steps
-        for k in range(n):
-            fiber = _advance(piece, k / n, (k + 1) / n, fiber, ctx, 0)
+def _track(piece, fiber: list, ctx) -> list:
+    """Transport ``fiber`` along ``piece``: entry k of the result continues
+    entry k of ``fiber``."""
+    n = piece.initial_steps
+    for k in range(n):
+        fiber = _advance(piece, k / n, (k + 1) / n, fiber, ctx, 0)
     return fiber
 
 
-def _loop_permutation(pieces: list, base_fiber: list, ctx) -> Permutation:
-    end = _track_pieces(pieces, list(base_fiber), ctx)
-    assignment = _match(end, base_fiber)
+def _circle_permutation(fiber: list, circle: _Arc, ctx) -> Permutation:
+    """Track ``fiber`` once around the closed ``circle``; entry k ends on
+    entry perm(k)."""
+    end = _track(circle, fiber, ctx)
+    assignment = _match(end, fiber)
     if assignment is None:
         raise TrackingAmbiguityError(
-            "could not identify the transported fiber with the base fiber")
+            "could not identify the fiber after a circle with the fiber "
+            "before it")
     return Permutation([j + 1 for j in assignment])
 
 
@@ -842,12 +829,22 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
     if len(base_fiber) != d:
         raise TrackingAmbiguityError("base fiber does not have d points")
 
-    order = sorted(range(len(targets)), key=lambda i: sweep[i])
+    # The rail is walked once, foot by foot in decreasing sweep order from
+    # where the base fiber meets it.  Every foot lies on one side of that
+    # point: the targets of a rational p are closed under conjugation and
+    # the sweep tilts by less than pi/4.
+    point = s_x0 * p_hat + h_rail * u
+    fiber = _track(_Seg(x0, point), base_fiber, ctx)
+    theta = cmath.phase(-u)
     loops = []
-    for i in order:
+    for i in sorted(range(len(targets)), key=lambda i: sweep[i], reverse=True):
         z, kind, residual = targets[i]
-        pieces = _loop_pieces(x0, z, radii[i], u, p_hat, h_rail)
-        cycle = _loop_permutation(pieces, base_fiber, ctx)
+        foot = sweep[i] * p_hat + h_rail * u
+        fiber = _track(_Seg(point, foot), fiber, ctx)
+        point = foot
+        cycle = _circle_permutation(
+            _track(_Seg(foot, z - radii[i] * u), fiber, ctx),
+            _Arc(z, radii[i], theta, theta + 2 * math.pi), ctx)
         pattern = _fiber_pattern(ctx, z) if kind == "critical" else ()
         loops.append(LoopTarget(
             value=z,
@@ -861,9 +858,10 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
             ordinary=(pattern.count(2) == 1 and pattern.count(1) == len(pattern) - 1
                       if pattern else None),
         ))
+    loops.reverse()
 
-    inf_pieces = _infinity_pieces(x0, values, spread)
-    c_inf = _loop_permutation(inf_pieces, base_fiber, ctx)
+    stub, circle = _infinity_pieces(x0, values, spread)
+    c_inf = _circle_permutation(_track(stub, base_fiber, ctx), circle, ctx)
 
     product = Permutation.identity(d)
     for t in loops:
@@ -904,13 +902,14 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
     cover = BranchedCover(degree=d, base_genus=0,
                           branch_cycles=tuple(branch_cycles),
                           labels=tuple(labels))
-    report = validate(cover)
-    if not report.valid:
-        if any("intransitive" in v for v in report.violations):
+    try:
+        context = CoverContext(cover)
+    except InvalidCoverError as exc:
+        if any("intransitive" in v for v in exc.violations):
             raise NonGenericError(
                 "monodromy group is intransitive: the curve is reducible")
         raise RelationViolationError(
-            f"assembled cover is invalid: {report.violations}")
+            f"assembled cover is invalid: {exc.violations}")
 
     return MonodromyResult(
         polynomial=str(p),
@@ -920,7 +919,7 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
         loops=tuple(loops),
         infinity_cycle=c_inf,
         genericity=genericity,
-        cover=cover,
+        context=context,
         used_precision_digits=ctx.digits,
     )
 
@@ -977,7 +976,7 @@ def certify_projection(p: PlanePolynomial,
         infinity_kind = "cycle type " + str(c_inf.cycle_type())
     full_morse = finite_morse and infinity_kind in ("unramified",
                                                     "transposition")
-    ctx = CoverContext(result.cover, checked=False)
+    ctx = result.context
     group = ctx.group
     return ProjectionReport(
         result=result,

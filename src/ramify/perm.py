@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from enum import Enum
+from string import whitespace
 from typing import Iterable, Sequence
 
 
@@ -199,43 +200,44 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation over points 1..degree.
 
     Grammar (ASCII): ``perm := "id" | cycle+ ; cycle := "(" int (ws int)* ")"``.
-    Cycles must be disjoint.  Round-trips with :func:`format_cycles`.
+    Cycles must be disjoint.  Whitespace is ASCII (``string.whitespace``);
+    any other character outside the grammar raises at its position.
+    Round-trips with :func:`format_cycles`.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
-    s = text.strip()
-    if s == "id":
+    if text.strip(whitespace) == "id":
         return Permutation.identity(degree)
-    if not s:
+    if not text.strip(whitespace):
         raise CycleParseError("empty permutation text")
     raw = list(range(degree))
     used: set = set()
     i = 0
-    n = len(s)
+    n = len(text)
     saw_cycle = False
     while i < n:
-        if s[i].isspace():
+        if text[i] in whitespace:
             i += 1
             continue
-        if s[i] != "(":
+        if text[i] != "(":
             raise CycleParseError(f"expected '(' at position {i} in {text!r}")
         i += 1
         points = []
         while True:
-            while i < n and s[i].isspace():
+            while i < n and text[i] in whitespace:
                 i += 1
             if i >= n:
                 raise CycleParseError(f"unclosed cycle in {text!r}")
-            if s[i] == ")":
+            if text[i] == ")":
                 i += 1
                 break
             j = i
-            while j < n and "0" <= s[j] <= "9":
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == i:
                 raise CycleParseError(
                     f"expected integer at position {i} in {text!r}")
-            pt = int(s[i:j])
+            pt = int(text[i:j])
             if not 1 <= pt <= degree:
                 raise CycleParseError(
                     f"point {pt} out of range 1..{degree} in {text!r}")

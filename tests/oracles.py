@@ -3,14 +3,19 @@
 Everything here is deliberately naive and self-contained: plain image
 tuples, breadth-first closures, full product-space scans.  Nothing uses
 the package's group machinery (at most its permutation type and its
-graphs), so these stay valid checks of it.
+graphs), so these stay valid checks of it.  The exception is the
+full-loop tracker at the end: a reference for numono's path layout, not for
+its stepper, which it shares.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from collections import deque
 
+from ramify import numono
 from ramify.graphs import Graph
 from ramify.perm import Permutation
 
@@ -173,3 +178,64 @@ def diameter_endpoint(g: Graph):
             best_d = ecc
             best_v = v
     return best_v
+
+
+# -- numono's loops, each tracked as a closed path -----------------------------
+
+def loop_pieces(x0: complex, target: complex, radius: float,
+                u: complex, p_hat: complex, h_rail: float) -> list:
+    """One closed loop from the base point: down to the rail, along it, up
+    to the target's circle, around it, and back the same way."""
+    def at(s: float, h: float) -> complex:
+        return s * p_hat + h * u
+
+    s0 = (x0 * p_hat.conjugate()).real
+    st = (target * p_hat.conjugate()).real
+    p1 = at(s0, h_rail)
+    p2 = at(st, h_rail)
+    p3 = target - radius * u
+    theta3 = cmath.phase(-u)
+    return [numono._Seg(x0, p1), numono._Seg(p1, p2), numono._Seg(p2, p3),
+            numono._Arc(target, radius, theta3, theta3 + 2 * math.pi),
+            numono._Seg(p3, p2), numono._Seg(p2, p1), numono._Seg(p1, x0)]
+
+
+def loop_permutation(pieces: list, base_fiber: list, ctx) -> Permutation:
+    fiber = list(base_fiber)
+    for piece in pieces:
+        fiber = numono._track(piece, fiber, ctx)
+    assignment = numono._match(fiber, base_fiber)
+    if assignment is None:
+        raise numono.TrackingAmbiguityError(
+            "could not identify the transported fiber with the base fiber")
+    return Permutation([j + 1 for j in assignment])
+
+
+def full_loop_cycles(p, result) -> tuple:
+    """(branch cycles in sweep order, infinity cycle) of a
+    ``numono.MonodromyResult``, with every loop tracked in float64 as a
+    closed path from the base point and no transport shared between loops.
+    The geometry is the one ``result`` records."""
+    ctx = numono._Float64Context(p)
+    x0 = result.base_point
+    u = cmath.exp(1j * result.sweep_angle)
+    p_hat = cmath.exp(1j * (result.sweep_angle - math.pi / 2))
+    # the targets in numono's order: critical values, then the roots of the
+    # leading coefficient, each sorted by (re, im)
+    values = [t.value for kind in ("critical", "lc_root")
+              for t in sorted(result.loops,
+                              key=lambda t: (t.value.real, t.value.imag))
+              if t.kind == kind]
+    spread = max((abs(a - b) for i, a in enumerate(values)
+                  for b in values[i + 1:]), default=0.0)
+    h_rail = min(((z * u.conjugate()).real for z in values),
+                 default=0.0) - (1 + spread)
+    base_fiber = sorted(ctx.fiber(x0), key=lambda z: (z.real, z.imag))
+    cycles = tuple(
+        loop_permutation(loop_pieces(x0, t.value, t.radius, u, p_hat, h_rail),
+                         base_fiber, ctx)
+        for t in result.loops)
+    stub, circle = numono._infinity_pieces(x0, values, spread)
+    infinity = loop_permutation([stub, circle, numono._Seg(stub.b, stub.a)],
+                                base_fiber, ctx)
+    return cycles, infinity

@@ -11,7 +11,7 @@ import pytest
 
 import ramify
 from ramify import numono
-from ramify.cover import total_space_genus
+from ramify.cover import InvalidCoverError, total_space_genus
 from ramify.numono import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
@@ -26,7 +26,9 @@ from ramify.numono import (
     parse_poly,
     track_monodromy,
 )
-from ramify.perm import format_cycles
+from ramify.perm import Permutation, format_cycles
+
+from oracles import full_loop_cycles
 
 
 # curve -> (finite branch cycles in sweep order, infinity cycle, genus)
@@ -39,6 +41,14 @@ KNOWN = {
     # x = y^3 - 3y: simple critical values at x = -2, 2, a 3-cycle at infinity
     "y^3 - 3*y - x": (["(2 3)", "(1 2)"], "(1 2 3)", 0),
 }
+
+
+# the curves of the bench workload ``curves`` of degree at most 5
+BENCH_SMALL = ["y^2 - x^3 + x", "y^4 + x^4 + x*y - 1", "y^3 - x^2*y + x^4 - 2",
+               "y^5 + x*y + x^5 + 3", "y^2 - x^5 + 2*x - 1", "y^3 + y - x^7"]
+
+# curves whose leading y-coefficient has roots, none of them critical
+NON_MONIC = ["x*y^2 + y + x^2 - 3", "(x^2+1)*y^2 + x*y + 1"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,6 +97,71 @@ def test_non_generic_projection_refused(text):
         track_monodromy(parse_poly(text))
 
 
+@pytest.mark.parametrize("text", NON_MONIC)
+def test_non_monic_projection_certifies(text):
+    p = parse_poly(text)
+    report = certify_projection(p, result=tracked(text))
+    loops = report.result.loops
+    assert report.group_order == 2 and report.is_full_symmetric
+    lc_degree = max(i for i, _ in p.leading_coefficient())
+    assert sum(t.kind == "lc_root" for t in loops) == lc_degree > 0
+    # one sheet goes through infinity over a root of the leading coefficient
+    assert all(t.cycle.is_identity() for t in loops if t.kind == "lc_root")
+    genericity = report.to_json_dict()["monodromy"]["genericity"]
+    assert genericity["leading_coefficient_constant"] is False
+
+
+@pytest.mark.parametrize("text", [
+    # two sheets go to infinity over x = 2 and x = 0, ramified there
+    "(x-2)*y^3 + y - x",
+    "x*y^2 - 1 - x^3",
+])
+def test_leading_coefficient_at_a_critical_value_refused(text):
+    with pytest.raises(NonGenericError, match="leading coefficient vanishes "
+                                              "at a critical value"):
+        track_monodromy(parse_poly(text))
+
+
+@pytest.mark.parametrize("text", ["y^2 - 1", "(y - x)*(y - x - 1)"])
+def test_reducible_curve_refused(text):
+    with pytest.raises(NonGenericError, match="intransitive"):
+        track_monodromy(parse_poly(text))
+
+
+@pytest.mark.parametrize("text", sorted(set(KNOWN) | set(BENCH_SMALL))
+                         + NON_MONIC)
+def test_transport_matches_full_loops(text):
+    result = tracked(text)
+    cycles, infinity = full_loop_cycles(parse_poly(text), result)
+    assert cycles == result.branch_cycles
+    assert infinity == result.infinity_cycle
+
+
+@pytest.mark.parametrize("text", ["y^4 + x^4 + x*y - 1"] + NON_MONIC)
+def test_transport_tracks_each_piece_once(monkeypatch, text):
+    """One stub down to the rail, one rail segment, one ascent and one circle
+    per target, and the stub and circle at infinity: no piece twice and no
+    segment both ways."""
+    real = numono._advance
+    pieces = []
+
+    def advance(piece, ta, tb, fiber, ctx, depth):
+        if ta == 0 and depth == 0:
+            pieces.append(piece)
+        return real(piece, ta, tb, fiber, ctx, depth)
+
+    monkeypatch.setattr(numono, "_advance", advance)
+    result = track_monodromy(parse_poly(text))
+    assert len(pieces) == len(set(pieces)) == 3 * len(result.loops) + 3
+    segments = {(s.a, s.b) for s in pieces if isinstance(s, numono._Seg)}
+    assert not [(a, b) for a, b in segments if a != b and (b, a) in segments]
+
+
+def test_certify_projection_builds_the_monodromy_group_once(monodromy_builds):
+    report = certify_projection(parse_poly("y^4 + x^4 + x*y - 1"))
+    assert monodromy_builds == [report.result.cover.all_generators()]
+
+
 @pytest.mark.parametrize("text", [
     "y^2 +", "y^2 + (x", "y^2 + x)", "y^2 + 3/0", "y^2 + x^y", "y^2 $ x", "",
 ])
@@ -104,6 +179,18 @@ def test_non_ascii_digit_refused_at_its_position(text, position):
     with pytest.raises(PolyParseError, match="unexpected character") as err:
         parse_poly(text)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    # ideographic space, no-break space: whitespace is ASCII only
+    ("y^2 +\u3000x", 5),
+    ("y^2\u00a0+ x", 3),
+])
+def test_non_ascii_whitespace_refused_at_its_position(text, position):
+    with pytest.raises(PolyParseError, match="unexpected character") as err:
+        parse_poly(text)
+    assert err.value.position == position
+    assert parse_poly(" y^2\t+\r\nx\f\v") == parse_poly("y^2 + x")
 
 
 @pytest.mark.parametrize("text", ["x^100000000 + y^2", "(x+y)^100000"])
@@ -146,16 +233,17 @@ def test_nesting_bound():
     assert parse_poly(nested(MAX_NESTING)) == parse_poly("y^2 + x")
 
 
-def _fail_float64_pass(monkeypatch, error):
-    """Make the float64 tracking pass raise ``error``; later passes run the
-    real code.  Returns the list of contexts tracked with."""
+def _tracking_passes(monkeypatch, float64_error=None):
+    """The list of contexts tracked with, one per pass.  With
+    ``float64_error`` the float64 pass raises it; later passes run the real
+    code."""
     real = numono._track_once
     contexts = []
 
     def track_once(p, crit, ctx):
         contexts.append(ctx)
-        if isinstance(ctx, numono._Float64Context):
-            raise error("forced")
+        if float64_error and isinstance(ctx, numono._Float64Context):
+            raise float64_error("forced")
         return real(p, crit, ctx)
 
     monkeypatch.setattr(numono, "_track_once", track_once)
@@ -164,7 +252,7 @@ def _fail_float64_pass(monkeypatch, error):
 
 @pytest.mark.parametrize("text", ["y^2 - x^3 + x", "y^3 - 3*y - x"])
 def test_relation_failure_retries_at_doubled_precision(monkeypatch, text):
-    contexts = _fail_float64_pass(monkeypatch, RelationViolationError)
+    contexts = _tracking_passes(monkeypatch, RelationViolationError)
     result = track_monodromy(parse_poly(text))
     assert len(contexts) == 2
     assert result.used_precision_digits == 2 * WORKING_DIGITS
@@ -175,10 +263,77 @@ def test_relation_failure_retries_at_doubled_precision(monkeypatch, text):
 
 
 def test_tracking_ambiguity_is_not_retried(monkeypatch):
-    contexts = _fail_float64_pass(monkeypatch, TrackingAmbiguityError)
+    contexts = _tracking_passes(monkeypatch, TrackingAmbiguityError)
     with pytest.raises(TrackingAmbiguityError, match="forced"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
     assert len(contexts) == 1
+
+
+@pytest.mark.parametrize("context", [
+    numono._Float64Context,
+    lambda p: numono._MPContext(p, 2 * WORKING_DIGITS),
+])
+def test_fiber_refused_where_the_leading_coefficient_vanishes(context):
+    ctx = context(parse_poly("x*y^2 + y + x^2 - 3"))
+    with pytest.raises(TrackingAmbiguityError, match="leading coefficient"):
+        ctx.fiber(0j)
+    assert len(ctx.fiber(1j)) == 2
+
+
+def test_step_that_never_matches_is_refused(monkeypatch):
+    contexts = _tracking_passes(monkeypatch)
+    monkeypatch.setattr(numono, "SAFETY_FACTOR", 1e12)
+    with pytest.raises(TrackingAmbiguityError, match="root matching failed"):
+        track_monodromy(parse_poly("y^2 - x^3 + x"))
+    assert len(contexts) == 1
+
+
+def test_circle_whose_end_cannot_be_matched_is_refused(monkeypatch):
+    real = numono._track
+
+    def track(piece, fiber, ctx):
+        end = real(piece, fiber, ctx)
+        return [end[0]] * len(end) if isinstance(piece, numono._Arc) else end
+
+    monkeypatch.setattr(numono, "_track", track)
+    with pytest.raises(TrackingAmbiguityError, match="after a circle"):
+        track_monodromy(parse_poly("y^2 - x^3 + x"))
+
+
+def test_short_base_fiber_is_refused(monkeypatch):
+    real = numono._Float64Context.fiber
+    monkeypatch.setattr(numono._Float64Context, "fiber",
+                        lambda self, z: real(self, z)[1:])
+    with pytest.raises(TrackingAmbiguityError, match="base fiber"):
+        track_monodromy(parse_poly("y^2 - x^3 + x"))
+
+
+def test_relation_failure_at_both_precisions_is_raised(monkeypatch):
+    """A wrong cycle at infinity breaks the relation in float64 and again in
+    mpmath: the error says so and chains the first failure."""
+    real = numono._circle_permutation
+    contexts = _tracking_passes(monkeypatch)
+
+    def circle_permutation(fiber, circle, ctx):
+        perm = real(fiber, circle, ctx)
+        clockwise = circle.theta1 < circle.theta0
+        return Permutation.identity(len(fiber)) if clockwise else perm
+
+    monkeypatch.setattr(numono, "_circle_permutation", circle_permutation)
+    with pytest.raises(RelationViolationError, match="still violated") as err:
+        track_monodromy(parse_poly("y^2 - x^3 + x"))
+    assert "c_inf = (1 2) != id" in str(err.value.__cause__)
+    assert [c.digits for c in contexts] == [WORKING_DIGITS, 2 * WORKING_DIGITS]
+
+
+def test_invalid_assembled_cover_is_a_relation_violation(monkeypatch):
+    def refuse(cover):
+        raise InvalidCoverError(["forced"])
+
+    monkeypatch.setattr(numono, "CoverContext", refuse)
+    with pytest.raises(RelationViolationError, match="still violated") as err:
+        track_monodromy(parse_poly("y^2 - x^3 + x"))
+    assert "assembled cover is invalid: ('forced',)" in str(err.value.__cause__)
 
 
 # curves whose y-degree is their total degree, so a shear keeps the degree

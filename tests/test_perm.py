@@ -132,6 +132,23 @@ def test_parse_fixed_point_cycle_allowed():
 
 def test_parse_accepts_whitespace_between_cycles():
     assert parse_cycles("(1 2) (3 4)", 4) == parse_cycles("(1 2)(3 4)", 4)
+    assert (parse_cycles(" \t(1 2)\n(3\r4)\f\v", 4)
+            == parse_cycles("(1 2)(3 4)", 4))
+    assert parse_cycles("\t id \n", 3).is_identity()
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\u00a0"])
+@pytest.mark.parametrize("text, message", [
+    # ideographic space, no-break space: the grammar's whitespace is ASCII
+    ("(1 2){}(3 4)", "expected '\\(' at position 5"),
+    ("(1 2) (3{}4)", "expected integer at position 8"),
+    ("{}(1 2)", "expected '\\(' at position 0"),
+    ("{}id", "expected '\\(' at position 0"),
+])
+def test_parse_refuses_non_ascii_whitespace_at_its_position(space, text,
+                                                            message):
+    with pytest.raises(CycleParseError, match=message):
+        parse_cycles(text.format(space), 4)
 
 
 @given(permutations_st())
