@@ -319,8 +319,10 @@ def _parse_entry(text, degree: int, where: str) -> Permutation:
 
 
 def loads_cover(text: str) -> BranchedCover:
+    # besides JSONDecodeError: int()'s digit limit on a long integer literal
+    # (a ValueError) and the decoder's recursion on deep nesting
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CoverFormatError(f"not valid JSON: {exc}") from exc
     return cover_from_json_dict(doc)

@@ -5,7 +5,10 @@ irreducible components indexed by the G-orbits on ordered pairs of fiber
 points (the orbitals).  Over each branch point, pairs of local points carry
 local branches (orbits of the cyclic group generated by the branch cycle),
 and components intersect exactly where one such point carries branches from
-two of them.  That intersection pattern is the dual graph.
+two of them.  That intersection pattern is the dual graph.  The branches
+are read off cycle positions, not walked: over a pair of cycles of lengths
+(e, e') they are the gcd(e, e') residue classes of the position difference,
+each of lcm(e, e') pairs.
 
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
@@ -265,34 +268,18 @@ class CoverContext:
         lookup = self.orbital_of
         points = []
         for j, cj in enumerate(self.cover.branch_cycles, start=1):
-            step = (0,) + cj.images
             cycles = cj.cycles(include_fixed=True)
             for kappa, kappa2 in itertools.product(cycles, repeat=2):
-                e, e2 = len(kappa), len(kappa2)
-                branches = []
-                seen: set = set()
-                for a, b in itertools.product(kappa, kappa2):
-                    if (a, b) in seen:
-                        continue
-                    orbit = [(a, b)]
-                    x, y = step[a], step[b]
-                    while (x, y) != (a, b):
-                        orbit.append((x, y))
-                        x, y = step[x], step[y]
-                    seen.update(orbit)
-                    rep = min(orbit)
-                    branches.append(LocalBranch(
-                        orbital_id=lookup[rep],
-                        size=len(orbit),
-                        representative=rep,
-                    ))
-                assert len(branches) == math.gcd(e, e2)
-                assert all(b.size == math.lcm(e, e2) for b in branches)
-                branches.sort(key=lambda b: b.representative)
+                g = math.gcd(len(kappa), len(kappa2))
+                size = math.lcm(len(kappa), len(kappa2))
+                # residue class r has least pair (kappa[0], min kappa2[r::g])
+                reps = sorted((kappa[0], min(kappa2[r::g])) for r in range(g))
                 points.append(SchemePoint(
                     branch_index=j,
                     cycle_pair=(kappa, kappa2),
-                    branches=tuple(branches),
+                    branches=tuple(LocalBranch(orbital_id=lookup[rep],
+                                               size=size, representative=rep)
+                                   for rep in reps),
                 ))
         return tuple(points)
 
@@ -537,8 +524,11 @@ def orbitals(c: BranchedCover, checked: bool = True) -> tuple:
 
 def scheme_points(c: BranchedCover, checked: bool = True) -> tuple:
     """All points of the fiber square over branch points, with their local
-    branches.  A pair of cycles of lengths (e, e') carries gcd(e, e')
-    branches, each an orbit of size lcm(e, e')."""
+    branches.  c_j maps (kappa[i], kappa'[k]) to (kappa[i+1], kappa'[k+1]),
+    so on a pair of cycles of lengths (e, e') the class of k - i mod g, for
+    g = gcd(e, e'), is invariant; its g classes are the local branches, each
+    of lcm(e, e') pairs.  Class r has least pair (kappa[0], min kappa'[r::g]),
+    as every cycle lists its least point first."""
     return CoverContext(c, checked).scheme_points
 
 

@@ -109,31 +109,12 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
         for g in range(g_lo, g_hi + 1):
             for handles in itertools.product(
                     itertools.product(all_perms, repeat=2), repeat=g):
-                commutators = Permutation.identity(d)
-                for a, b in handles:
-                    commutators = commutators * (a * b * a.inverse() * b.inverse())
                 for r in range(r_lo, r_hi + 1):
-                    if r == 0:
-                        if not commutators.is_identity():
-                            continue
-                        tuples: Iterator = iter([()])
-                    else:
-                        def forced(free, prod=commutators):
-                            for c in free:
-                                prod = prod * c
-                            return free + (prod.inverse(),)
-
-                        tuples = (forced(free) for free in
-                                  itertools.product(cycle_pool, repeat=r - 1))
-                    for cycles in tuples:
-                        if cycles:
-                            last = cycles[-1]
-                            if last.is_identity():
-                                continue
-                            if spec.morse_only and not last.is_transposition():
-                                continue
-                        cover = BranchedCover(d, g, handles, cycles)
-                        if not validate(cover).valid:
+                    for frees in itertools.product(cycle_pool,
+                                                   repeat=max(r - 1, 0)):
+                        cover = _completed(BranchedCover(d, g, handles, frees),
+                                           r, spec.morse_only)
+                        if cover is None:
                             continue
                         if spec.dedup:
                             key = canonical_form(cover)
@@ -141,6 +122,21 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
                                 continue
                             seen.add(key)
                         yield cover
+
+
+def _completed(prefix: BranchedCover, r: int,
+               morse: bool) -> BranchedCover | None:
+    """``prefix`` followed by the branch cycle the surface relation forces
+    (none when r = 0).  None when that cycle is the identity, or in Morse
+    mode not a transposition, or the cover is invalid."""
+    cover = prefix
+    if r > 0:
+        last = relation_product(prefix).inverse()
+        if last.is_identity() or (morse and not last.is_transposition()):
+            return None
+        cover = BranchedCover(prefix.degree, prefix.base_genus, prefix.handles,
+                              prefix.branch_cycles + (last,))
+    return cover if validate(cover).valid else None
 
 
 def random_cover(spec: CorpusSpec, seed: int | None = None) -> BranchedCover:
@@ -181,7 +177,6 @@ def _sample_cover(rng: random.Random, d: int, g: int, r: int,
             im2 = list(range(1, d + 1))
             rng.shuffle(im2)
             handles.append((Permutation(im1), Permutation(im2)))
-        handles = tuple(handles)
         frees = []
         for _ in range(max(r - 1, 0)):
             if morse:
@@ -194,19 +189,8 @@ def _sample_cover(rng: random.Random, d: int, g: int, r: int,
                     if any(v != i + 1 for i, v in enumerate(im)):
                         break
                 frees.append(Permutation(im))
-        frees = tuple(frees)
-        if r > 0:
-            prefix = BranchedCover(d, g, handles, frees)
-            last = relation_product(prefix).inverse()
-            if last.is_identity():
-                continue
-            if morse and not last.is_transposition():
-                continue
-            cycles = frees + (last,)
-        else:
-            cycles = ()
-        cover = BranchedCover(d, g, handles, cycles)
-        if validate(cover).valid:
+        cover = _completed(BranchedCover(d, g, handles, frees), r, morse)
+        if cover is not None:
             return cover
     raise InfeasibleParametersError(
         f"no valid cover found for d={d} g={g} r={r} morse={morse} within "

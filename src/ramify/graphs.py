@@ -43,20 +43,6 @@ class Graph:
             adj[b].append(a)
         self._adj = adj
 
-    @classmethod
-    def _trusted(cls, labels: tuple, edges: tuple) -> "Graph":
-        """Construction without validation; labels and normalized edges must
-        already be sorted."""
-        g = object.__new__(cls)
-        g.labels = labels
-        g.edges = edges
-        adj = {v: [] for v in labels}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        g._adj = adj
-        return g
-
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -97,9 +83,8 @@ def delete_vertex(g: Graph, v) -> Graph:
     """Remove v and every incident edge."""
     if v not in g._adj:
         raise ValueError(f"unknown vertex {v!r}")
-    labels = tuple(x for x in g.labels if x != v)
-    edges = tuple(e for e in g.edges if v not in e)
-    return Graph._trusted(labels, edges)
+    return Graph((x for x in g.labels if x != v),
+                 (e for e in g.edges if v not in e))
 
 
 def quotient_by_partition(g: Graph, parts: Sequence[Iterable],

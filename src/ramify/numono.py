@@ -124,10 +124,12 @@ def _p_pow(a: Coeffs, n: int) -> Coeffs:
 class PlanePolynomial:
     """Exact bivariate polynomial, squarefree in y, with y-degree >= 2.
 
-    ``poly`` holds it as a sympy ``Poly`` in the generators (x, y) over QQ,
-    built once; every exact step reads it."""
+    ``rows[j]`` holds the ascending Fraction coefficients in x of y^j, so
+    ``rows[-1]`` is the leading y-coefficient; the numeric steps read them.
+    ``poly`` holds the polynomial as a sympy ``Poly`` in the generators
+    (x, y) over QQ; every exact step reads it.  Both are built once."""
 
-    __slots__ = ("coeffs", "y_degree", "x_degree", "poly")
+    __slots__ = ("coeffs", "y_degree", "x_degree", "rows", "poly")
 
     def __init__(self, coeffs: Coeffs):
         import sympy
@@ -140,6 +142,12 @@ class PlanePolynomial:
         self.x_degree = max(i for i, _ in clean)
         if self.y_degree < 2:
             raise ValueError(f"y-degree {self.y_degree} < 2")
+        rows = [[Fraction(0)] * (max((i for i, j in clean if j == k),
+                                     default=0) + 1)
+                for k in range(self.y_degree + 1)]
+        for (i, j), v in clean.items():
+            rows[j][i] = v
+        self.rows = tuple(tuple(row) for row in rows)
         x, y = sympy.symbols("x y")
         # from_dict converts the values of the dict it is given in place
         self.poly = sympy.Poly.from_dict(dict(clean), x, y, domain="QQ")
@@ -148,16 +156,6 @@ class PlanePolynomial:
             raise NonGenericError(
                 f"polynomial is not squarefree in y (gcd with dp/dy has "
                 f"y-degree {common})")
-
-    # -- structure ---------------------------------------------------------
-
-    def y_coefficient(self, j: int) -> Coeffs:
-        """Coefficient of y^j, as a univariate polynomial in x (same dict
-        encoding with y-power 0)."""
-        return {(i, 0): v for (i, jj), v in self.coeffs.items() if jj == j}
-
-    def leading_coefficient(self) -> Coeffs:
-        return self.y_coefficient(self.y_degree)
 
     def shear(self, lam: Fraction) -> "PlanePolynomial":
         """Substitute x <- x + lam*y."""
@@ -516,12 +514,13 @@ class CriticalData:
     critical: tuple            # complex values, sorted by (re, im)
     residuals: tuple
     lc_roots: tuple
+    min_separation: float | None   # None below two critical values
 
 
 def critical_values(p: PlanePolynomial) -> CriticalData:
-    """Roots of the y-discriminant of p, found numerically and
-    Newton-polished against its exact coefficients; the roots of the leading
-    y-coefficient lc are kept apart.
+    """Roots of the y-discriminant of p and, kept apart, of the leading
+    y-coefficient lc, each found numerically and Newton-polished against
+    its exact coefficients.
 
     Res_y(p, dp/dy) = +-lc * Disc_y(p), so the resultant divided exactly by
     lc made monic is a constant multiple of the discriminant (the resultant
@@ -533,7 +532,7 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
     import sympy
 
     x = p.poly.gens[0]
-    lc_list = _coefficient_rows(p)[-1]
+    lc_list = p.rows[-1]
     disc = sympy.Poly(y_resultant_with_dy(p)[::-1], x, domain="QQ").exquo(
         sympy.Poly(lc_list[::-1], x, domain="QQ").monic())
     if sympy.gcd(disc, disc.diff()).degree() > 0:
@@ -553,7 +552,8 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
 
     lc_roots = []
     if len(lc_list) > 1:
-        lc_roots = _np_roots_ascending([complex(c) for c in lc_list])
+        lc = [complex(c) for c in lc_list]
+        lc_roots = [_polish(lc, z) for z in _np_roots_ascending(lc)]
         lc_roots.sort(key=lambda z: (z.real, z.imag))
         scale = max([1.0] + [abs(z) for z in roots])
         for z in lc_roots:
@@ -566,6 +566,7 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
         critical=tuple(roots),
         residuals=residuals,
         lc_roots=tuple(lc_roots),
+        min_separation=mins if len(roots) > 1 else None,
     )
 
 
@@ -613,24 +614,11 @@ def _infinity_pieces(x0: complex, targets: list, spread: float) -> tuple:
 # ---------------------------------------------------------------------------
 # numeric contexts
 
-def _coefficient_rows(p: PlanePolynomial) -> list:
-    """Row j: the ascending Fraction coefficients in x of y^j."""
-    rows = []
-    for j in range(p.y_degree + 1):
-        cj = p.y_coefficient(j)
-        row = [Fraction(0)] * (max((i for i, _ in cj), default=0) + 1)
-        for (i, _), v in cj.items():
-            row[i] = v
-        rows.append(row)
-    return rows
-
-
 class _Float64Context:
     digits = WORKING_DIGITS
 
     def __init__(self, p: PlanePolynomial):
-        self.coeff_polys = [[complex(c) for c in row]
-                            for row in _coefficient_rows(p)]
+        self.coeff_polys = [[complex(c) for c in row] for row in p.rows]
 
     def fiber(self, z: complex) -> list:
         coeffs = [_horner(cp, z) for cp in self.coeff_polys]
@@ -649,7 +637,7 @@ class _MPContext:
 
         self.mp = mpmath
         self.digits = digits
-        self.exact = _coefficient_rows(p)
+        self.exact = p.rows
 
     def fiber(self, z: complex) -> list:
         mp = self.mp
@@ -872,7 +860,6 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
             f"c_1 ... c_r . c_inf = {format_cycles(product)} != id")
 
     issues = []
-    lc_constant = all(i == 0 for i, _ in p.leading_coefficient())
     if crit.lc_roots:
         issues.append("leading coefficient vanishes at "
                       f"{len(crit.lc_roots)} point(s): the projection center "
@@ -882,9 +869,8 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
     if not patterns_ok:
         issues.append("some critical fiber is not a simple double point")
     genericity = GenericityReport(
-        min_critical_separation=(
-            _min_sep(list(crit.critical)) if len(crit.critical) > 1 else None),
-        leading_coefficient_constant=lc_constant,
+        min_critical_separation=crit.min_separation,
+        leading_coefficient_constant=len(p.rows[-1]) == 1,
         one_double_root_per_critical_fiber=patterns_ok,
         issues=tuple(issues),
     )

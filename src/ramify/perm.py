@@ -237,7 +237,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             if j == i:
                 raise CycleParseError(
                     f"expected integer at position {i} in {text!r}")
-            pt = int(text[i:j])
+            digits = text[i:j].lstrip("0")
+            if len(digits) > len(str(degree)):
+                raise CycleParseError(f"point at position {i} out of range "
+                                      f"1..{degree} in {text!r}")
+            pt = int(digits or "0")
             if not 1 <= pt <= degree:
                 raise CycleParseError(
                     f"point {pt} out of range 1..{degree} in {text!r}")

@@ -132,6 +132,32 @@ def o_count_valid_tuples(d: int, r: int) -> int:
     return count
 
 
+def o_local_branches(cover) -> list:
+    """Local branches over every branch point by walking orbits: for each
+    branch index j and ordered pair (kappa, kappa') of cycles of c_j (fixed
+    points included, in ``Permutation.cycles`` order), the orbits of <c_j>
+    on kappa x kappa' as (least pair, size), sorted by least pair."""
+    out = []
+    for j, cj in enumerate(cover.branch_cycles, start=1):
+        step = (0,) + cj.images
+        cycles = cj.cycles(include_fixed=True)
+        for kappa, kappa2 in itertools.product(cycles, repeat=2):
+            branches = []
+            seen: set = set()
+            for a, b in itertools.product(kappa, kappa2):
+                if (a, b) in seen:
+                    continue
+                orbit = [(a, b)]
+                x, y = step[a], step[b]
+                while (x, y) != (a, b):
+                    orbit.append((x, y))
+                    x, y = step[x], step[y]
+                seen.update(orbit)
+                branches.append((min(orbit), len(orbit)))
+            out.append((j, (kappa, kappa2), tuple(sorted(branches))))
+    return out
+
+
 def naive_closure(generators: list, cap: int = 10080) -> frozenset:
     """Product closure of Permutations by breadth-first multiplication.
     Raises ValueError beyond the cap."""

@@ -273,6 +273,25 @@ def test_cover_file_refuses_non_ascii_digit_in_a_cycle():
                     '"branch_cycles": ["(1 \u00b2)", "(1 2)"]}')
 
 
+def test_cover_file_refuses_a_long_digit_run_in_a_cycle():
+    with pytest.raises(CycleParseError, match="position 3 out of range"):
+        loads_cover('{"degree": 3, "base_genus": 0, "handles": [], '
+                    '"branch_cycles": ["(1 ' + "1" * 5000 + ')", "(1 2)"]}')
+
+
+def test_cover_file_rejects_a_long_integer_literal():
+    # json.loads meets int()'s 4,300-digit limit with a plain ValueError
+    with pytest.raises(CoverFormatError, match="not valid JSON"):
+        loads_cover('{"degree": ' + "1" * 5001 + ', "base_genus": 0, '
+                    '"handles": [], "branch_cycles": []}')
+
+
+def test_cover_file_rejects_deep_nesting():
+    # json.loads recurses once per level and raises RecursionError
+    with pytest.raises(CoverFormatError, match="not valid JSON"):
+        loads_cover("[" * 100_000)
+
+
 def test_cover_file_rejects_degree_above_bound():
     with pytest.raises(CoverFormatError, match="exceeds"):
         cover_from_json_dict({"degree": MAX_FILE_DEGREE + 1, "base_genus": 0,

@@ -19,8 +19,11 @@ from ramify.fiber import (
     orbitals,
     scheme_points,
 )
+from ramify.gen import CorpusSpec, enumerate_covers
 from ramify.graphs import is_connected
 from ramify.perm import Permutation, parse_cycles
+
+from oracles import o_local_branches
 
 from test_cover import (
     D4,
@@ -34,6 +37,7 @@ from test_cover import (
     mk,
     valid_covers_st,
 )
+from test_perm import braid_walk_tuple
 
 #: A Morse genus-0 cover of degree 7 with group S_7, made by a braid walk.
 MORSE7 = mk(7, 0, ["(4 6)", "(1 3)", "(2 7)", "(4 5)", "(1 2)", "(3 6)",
@@ -147,6 +151,56 @@ def test_morse_branching(d, seed):
         if len(sp.branches) == 2:
             diag = [b for b in sp.branches if orbs[b.orbital_id].is_diagonal]
             assert len(diag) == 1
+
+
+def assert_branches_match_walk(cover):
+    """Every scheme point's local branches, as read off cycle positions,
+    against the orbits of <c_j> walked pair by pair; ``cover`` is valid."""
+    ctx = CoverContext(cover, checked=False)
+    got = [(sp.branch_index, sp.cycle_pair,
+            tuple((b.representative, b.size) for b in sp.branches))
+           for sp in ctx.scheme_points]
+    assert got == o_local_branches(cover)
+    assert all(b.orbital_id == ctx.orbital_of[b.representative]
+               for sp in ctx.scheme_points for b in sp.branches)
+
+
+@pytest.mark.parametrize("corpus", [
+    CorpusSpec(degrees=(1, 4), base_genera=(0, 0), branch_counts=(0, 4)),
+    CorpusSpec(degrees=(1, 3), base_genera=(1, 1), branch_counts=(0, 2)),
+], ids=["genus0", "genus1"])
+def test_local_branches_match_the_orbit_walk(corpus):
+    for cover in enumerate_covers(corpus):
+        assert_branches_match_walk(cover)
+
+
+@pytest.mark.parametrize("d", [9, 10, 11, 12])
+def test_local_branches_match_the_orbit_walk_on_braid_walks(d):
+    import random
+    rng = random.Random(d)
+    for _ in range(3):
+        cover = BranchedCover(d, 0, (), braid_walk_tuple(rng, d))
+        assert validate(cover).valid
+        assert_branches_match_walk(cover)
+
+
+def test_local_branches_match_the_orbit_walk_on_long_cycles():
+    """Cycles of lengths 2, 3, 4 and 6, so that gcd(e, e') takes the values
+    1, 2, 3, 4 and 6.  Where 1 < gcd(e, e') < e', a residue class holds
+    several positions of kappa', and cycles that do not ascend make its
+    least pair differ from the pair at its first position."""
+    gcds = set()
+    for d, texts in ((6, ["(1 4 2 6 3 5)", "(1 3 2)(4 6 5)"]),
+                     (6, ["(1 2 3 4 5 6)", "(1 4 2 3)(5 6)"]),
+                     (6, ["(1 4 2 3)(5 6)", "(1 5)(2 6)(3 4)", "(1 2 3 4 5 6)"]),
+                     (8, ["(1 2)(3 8 4 7 5 6)", "(1 2 3 4 5 6 7 8)"])):
+        frees = BranchedCover(d, 0, (), [parse_cycles(t, d) for t in texts])
+        cover = BranchedCover(d, 0, (), frees.branch_cycles
+                              + (relation_product(frees).inverse(),))
+        assert validate(cover).valid
+        assert_branches_match_walk(cover)
+        gcds |= {len(sp.branches) for sp in scheme_points(cover)}
+    assert {1, 2, 3, 4, 6} <= gcds
 
 
 # -- dual graph -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -89,6 +90,50 @@ def test_enumerate_deterministic_order():
     a = [dumps_cover(c) for c in enumerate_covers(spec(3, 0, 3))]
     b = [dumps_cover(c) for c in enumerate_covers(spec(3, 0, 3))]
     assert a == b
+
+
+#: SHA-256 of the concatenated ``dumps_cover`` texts, recorded from the
+#: implementation that restated the surface relation inline in
+#: ``enumerate_covers`` and in the sampler.
+GOLDEN_ENUMERATION = {
+    "genus0": (CorpusSpec((1, 4), (0, 0), (0, 3)), 438,
+               "3b12285f8b4ead2d6a908627ab138f8cc1e635a3d80c65640a9f9ac7a73f408f"),
+    "genus1_morse": (CorpusSpec((2, 3), (1, 1), (0, 2), morse_only=True), 111,
+                     "dcf1adfbf3321f4b58798b9bd55e3c0a35e84681a4bb014df4214a368d321638"),
+}
+
+#: The same over ``random_cover(spec, seed)`` for seeds 0..7.
+GOLDEN_SAMPLES = {
+    "genus0": (CorpusSpec((3, 6), (0, 0), (2, 5), samples=1, seed=0),
+               "8f31fac88322dfc4f54611f9157b14bdaf9b311ce6d3c267911ab3be4d0636d5"),
+    "genus0_morse": (CorpusSpec((3, 4), (0, 0), (6, 8), morse_only=True,
+                                samples=1, seed=0),
+                     "e40c6cecfcf95b42573d1efb189b8097324574c91691be70d1e223a173acfab0"),
+    "genus1": (CorpusSpec((3, 5), (1, 1), (1, 3), samples=1, seed=0),
+               "1744feb858db38c96657d24edae93d2fac55830f0a66280984d17f33144c7c54"),
+    "genus1_morse": (CorpusSpec((3, 5), (1, 1), (2, 4), morse_only=True,
+                                samples=1, seed=0),
+                     "d1024f02b74432e2f07aee7ddee0c90fe3f5adba7fe4d862847c77b91ece4550"),
+}
+
+
+def cover_digest(covers) -> str:
+    return hashlib.sha256("".join(map(dumps_cover, covers)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENUMERATION))
+def test_enumeration_matches_recorded(name):
+    corpus, count, digest = GOLDEN_ENUMERATION[name]
+    covers = list(enumerate_covers(corpus))
+    assert len(covers) == count
+    assert cover_digest(covers) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
+def test_random_covers_match_recorded(name):
+    corpus, digest = GOLDEN_SAMPLES[name]
+    assert cover_digest(random_cover(corpus, seed) for seed in range(8)) \
+        == digest
 
 
 # -- dedup canonical form ---------------------------------------------------

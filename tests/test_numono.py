@@ -103,12 +103,19 @@ def test_non_monic_projection_certifies(text):
     report = certify_projection(p, result=tracked(text))
     loops = report.result.loops
     assert report.group_order == 2 and report.is_full_symmetric
-    lc_degree = max(i for i, _ in p.leading_coefficient())
+    lc_degree = len(p.rows[-1]) - 1
     assert sum(t.kind == "lc_root" for t in loops) == lc_degree > 0
     # one sheet goes through infinity over a root of the leading coefficient
     assert all(t.cycle.is_identity() for t in loops if t.kind == "lc_root")
     genericity = report.to_json_dict()["monodromy"]["genericity"]
     assert genericity["leading_coefficient_constant"] is False
+
+
+def test_leading_coefficient_roots_are_newton_polished():
+    # raw np.roots gives 2.78e-17 - 1i and 0.9999999999999997i here
+    loops = tracked("(x^2+1)*y^2 + x*y + 1").to_json_dict()["loops"]
+    assert [t["value"] for t in loops if t["kind"] == "lc_root"] == \
+        [[0.0, -1.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("text", [

@@ -111,6 +111,17 @@ def test_parse_out_of_range():
         parse_cycles("(1 5)", 4)
 
 
+def test_parse_refuses_a_digit_run_longer_than_the_degree_at_its_position():
+    # int() refuses a run above 4,300 digits with a plain ValueError
+    with pytest.raises(CycleParseError, match="position 3 out of range 1..3"):
+        parse_cycles("(1 " + "1" * 5000 + ")", 3)
+    with pytest.raises(CycleParseError, match="position 3 out of range 1..9"):
+        parse_cycles("(1 10)", 9)
+    # leading zeros are not significant
+    assert parse_cycles("(1 0002)", 3) == perm("(1 2)", 3)
+    assert parse_cycles("(1 " + "0" * 5000 + "2)", 3) == perm("(1 2)", 3)
+
+
 def test_parse_malformed():
     for bad in ["(1 2", "1 2)", "()", "(1 2))", "(1 a)", ""]:
         with pytest.raises(CycleParseError):
