@@ -18,14 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import (
-    GeneratedGroup,
-    Permutation,
-    Transitivity,
-    format_cycles,
-    parse_cycles,
-    transitivity,
-)
+from .perm import (GeneratedGroup, Permutation, _orbits, format_cycles,
+                   parse_cycles)
 
 
 class InvalidCoverError(ValueError):
@@ -148,34 +142,14 @@ def relation_product(c: BranchedCover) -> Permutation:
 
 
 def validate(c: BranchedCover) -> CoverReport:
-    """Check every invariant and report all violations, not only the first."""
-    return _validate(c)[0]
-
-
-def _validate(c: BranchedCover) -> tuple:
-    """The report, and the monodromy group once the structure checks pass
-    (None before)."""
-    violations = _structural_violations(c)
+    """Check every invariant and report all violations, not only the first.
+    Validity is read off the generators; only a valid cover's report
+    builds the monodromy group, for its order."""
+    violations, connected = _violations(c)
     if violations:
         return CoverReport(False, tuple(violations), c.degree, c.base_genus,
-                           c.branch_count), None
-    for j, cyc in enumerate(c.branch_cycles):
-        if cyc.is_identity():
-            violations.append(f"branch cycle {j + 1} is the identity")
-    prod = relation_product(c)
-    if not prod.is_identity():
-        violations.append(
-            f"surface relation fails: product is {format_cycles(prod)}")
-    group = monodromy_group(c, checked=False)
-    connected = transitivity(group) is not Transitivity.INTRANSITIVE
-    if not connected:
-        violations.append(
-            f"monodromy group is intransitive: orbits {group.orbit_partition}")
-    if violations:
-        return CoverReport(False, tuple(violations), c.degree, c.base_genus,
-                           c.branch_count, is_connected=connected), group
-    genus = total_space_genus(c, checked=False)
-    order = group.order
+                           c.branch_count, is_connected=connected)
+    order = monodromy_group(c, checked=False).order
     return CoverReport(
         valid=True,
         violations=(),
@@ -183,26 +157,45 @@ def _validate(c: BranchedCover) -> tuple:
         base_genus=c.base_genus,
         branch_count=c.branch_count,
         is_connected=True,
-        total_space_genus=genus,
+        total_space_genus=total_space_genus(c, checked=False),
         monodromy_order=order,
         is_morse=is_morse(c, checked=False),
         is_galois=order == c.degree,
-    ), group
+    )
 
 
-def require_valid(c: BranchedCover) -> GeneratedGroup:
-    """Raise InvalidCoverError unless c is valid; return the monodromy group
-    that validation built."""
-    report, group = _validate(c)
-    if not report.valid:
-        raise InvalidCoverError(report.violations)
-    return group
+def _violations(c: BranchedCover) -> tuple:
+    """The violations of c, and whether its generators act transitively
+    (None when the structure checks fail): the structure, no identity
+    branch cycle, the surface relation, and one point orbit of the
+    generators."""
+    violations = _structural_violations(c)
+    if violations:
+        return violations, None
+    for j, cyc in enumerate(c.branch_cycles):
+        if cyc.is_identity():
+            violations.append(f"branch cycle {j + 1} is the identity")
+    prod = relation_product(c)
+    if not prod.is_identity():
+        violations.append(
+            f"surface relation fails: product is {format_cycles(prod)}")
+    parts = _orbits(c.degree, c.all_generators())
+    if len(parts) > 1:
+        violations.append(f"monodromy group is intransitive: orbits {parts}")
+    return violations, len(parts) == 1
+
+
+def require_valid(c: BranchedCover) -> None:
+    """Raise InvalidCoverError unless c is valid.  Builds no group."""
+    violations, _ = _violations(c)
+    if violations:
+        raise InvalidCoverError(violations)
 
 
 def monodromy_group(c: BranchedCover, checked: bool = True) -> GeneratedGroup:
     """Group generated by all handles and branch cycles."""
     if checked:
-        return require_valid(c)
+        require_valid(c)
     gens = c.all_generators()
     if not gens:
         gens = (Permutation.identity(c.degree),)

@@ -16,13 +16,13 @@ cycles) and by connectivity of the dual graph; their agreement is a test in
 the suite, never an assumption here.
 
 All of these live on a CoverContext, which builds each on first use and at
-most once: the monodromy group G (kept from validation when the context
-validates), the orbits on pairs with the orbitals and the pair -> orbital
-lookup, the scheme points, the dual graph, Stab_G(1), the HN test, the
-off-diagonal flag, the S_d certificate and the derived cover.  Each public
-function below is a view of a fresh context; ``gen.check_cover`` and
-``numono.certify_projection`` keep one context for all their checks.
-Nothing is cached across covers.
+most once: the monodromy group G, the orbits on pairs with the orbitals and
+the pair -> orbital lookup, the scheme points, the dual graph, Stab_G(1),
+the HN test, the off-diagonal flag, the S_d certificate and the derived
+cover.  G is the one group built per cover: validation reads the
+generators and builds none.  Each public function below is a view of a
+fresh context; ``gen.check_cover`` and ``numono.certify_projection`` keep
+one context for all their checks.  Nothing is cached across covers.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .cover import (
     monodromy_group,
     require_valid,
     total_space_genus,
-    validate,
 )
 from .graphs import (ConnectivityVerdict, Graph, delete_vertex, is_connected,
                      quotient_by_partition)
@@ -184,7 +183,6 @@ class DerivedCover:
     No surface presentation of Y is reconstructed; every verdict below only
     needs the stabilizer group and the inertia elements.
     """
-    base: BranchedCover
     degree: int                  # d - 1
     group: GeneratedGroup        # Stab_G(1), permuting {2..d}, fixing 1
     local_inertia: tuple         # LocalInertia entries, one per (j, cycle)
@@ -193,22 +191,6 @@ class DerivedCover:
     genuinely_ramified: bool
     total_space_genus: int | None   # genus of Y' by Riemann-Hurwitz over Y
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "derived-cover/1",
-            "degree": self.degree,
-            "group_order": self.group.order,
-            "local_inertia": [
-                {"branch_index": li.branch_index, "cycle": list(li.cycle),
-                 "element": format_cycles(li.element)}
-                for li in self.local_inertia
-            ],
-            "fiber_transitive": self.fiber_transitive,
-            "morse": self.morse,
-            "genuinely_ramified": self.genuinely_ramified,
-            "total_space_genus": self.total_space_genus,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
@@ -216,8 +198,7 @@ class OracleReport:
 
     For Galois covers the quotient must coincide with the dual graph; for
     non-Galois covers only quotient-connected => dual-connected is backed by
-    the construction, so a strict edge inclusion is flagged for study rather
-    than treated as an error.
+    the construction, so a strict edge inclusion is not an error.
     """
     skipped: bool
     reason: str | None
@@ -225,22 +206,20 @@ class OracleReport:
     quotient: Graph | None
     quotient_connected: bool | None
     matches_dual: bool | None
-    quotient_edges_strict_subset: bool | None
 
 
 # ---------------------------------------------------------------------------
 
 class CoverContext:
     """One cover and the objects derived from it, each built at most once,
-    on first use.  With ``checked`` the cover is validated first and the
-    monodromy group that validation built is kept.  A context serves one
-    call; nothing is shared between covers."""
+    on first use, the monodromy group included.  With ``checked`` the cover
+    is validated first, which builds nothing.  A context serves one call;
+    nothing is shared between covers."""
 
     def __init__(self, c: BranchedCover, checked: bool = True):
         self.cover = c
         if checked:
-            # shadows the lazy property below
-            self.group = require_valid(c)
+            require_valid(c)
 
     @cached_property
     def group(self) -> GeneratedGroup:
@@ -379,8 +358,7 @@ class CoverContext:
             branch_cycles=tuple(induced(cyc) for cyc in c.branch_cycles),
             labels=c.labels,
         )
-        report = validate(result)
-        assert report.valid, f"orbital action produced an invalid cover: {report.violations}"
+        require_valid(result)
         return result
 
     @cached_property
@@ -439,7 +417,6 @@ class CoverContext:
             genus = (doubled + 2) // 2
 
         return DerivedCover(
-            base=c,
             degree=d - 1,
             group=stab,
             local_inertia=tuple(inertia),
@@ -454,7 +431,7 @@ class CoverContext:
         group = self.group
         if group.order > cap:
             return OracleReport(True, f"group order {group.order} exceeds cap {cap}",
-                                None, None, None, None, None)
+                                None, None, None, None)
         elements = group.elements(cap=cap)
 
         connection: set = set()
@@ -491,8 +468,6 @@ class CoverContext:
             quotient=quotient,
             quotient_connected=is_connected(quotient).connected,
             matches_dual=quotient == self.dual_graph,
-            quotient_edges_strict_subset=(set(quotient.edges)
-                                          < set(self.dual_graph.edges)),
         )
 
     @cached_property

@@ -19,11 +19,12 @@ from typing import Iterator
 
 from .cover import (
     BranchedCover,
+    InvalidCoverError,
     dumps_cover,
     is_morse,
     relation_product,
+    require_valid,
     total_space_genus,
-    validate,
 )
 from .fiber import CoverContext
 from .graphs import is_connected
@@ -41,7 +42,8 @@ class CapExceededError(ValueError):
 
 
 class InfeasibleParametersError(ValueError):
-    """Rejection sampling exhausted its budget; carries a diagnosis."""
+    """No cover has the drawn parameters, or rejection sampling exhausted
+    its budget; carries a diagnosis."""
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,13 @@ class CorpusSpec:
     dedup: bool = False      # conjugation-canonical dedup (exhaustive mode)
 
     def __post_init__(self):
-        for name in ("degrees", "base_genera", "branch_counts"):
+        for name, least in (("degrees", 1), ("base_genera", 0),
+                            ("branch_counts", 0)):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"empty {name} range {lo}:{hi}")
+            if lo < least:
+                raise ValueError(f"{name} start at {least}, got {lo}")
         if self.samples and self.seed is None:
             raise ValueError("random mode requires a seed")
 
@@ -128,7 +133,8 @@ def _completed(prefix: BranchedCover, r: int,
                morse: bool) -> BranchedCover | None:
     """``prefix`` followed by the branch cycle the surface relation forces
     (none when r = 0).  None when that cycle is the identity, or in Morse
-    mode not a transposition, or the cover is invalid."""
+    mode not a transposition, or the cover is invalid.  Validity is read off
+    the generators: no group is built here."""
     cover = prefix
     if r > 0:
         last = relation_product(prefix).inverse()
@@ -136,7 +142,11 @@ def _completed(prefix: BranchedCover, r: int,
             return None
         cover = BranchedCover(prefix.degree, prefix.base_genus, prefix.handles,
                               prefix.branch_cycles + (last,))
-    return cover if validate(cover).valid else None
+    try:
+        require_valid(cover)
+    except InvalidCoverError:
+        return None
+    return cover
 
 
 def random_cover(spec: CorpusSpec, seed: int | None = None) -> BranchedCover:
@@ -150,20 +160,35 @@ def random_cover(spec: CorpusSpec, seed: int | None = None) -> BranchedCover:
 
 
 def _draw_parameters(rng: random.Random, spec: CorpusSpec) -> tuple:
-    """Degree, base genus and branch count of one random cover.  Morse mode
-    draws only even branch counts: commutators are even and a product of an
-    odd number of transpositions is odd, so no odd count is feasible."""
+    """Degree, base genus and branch count of one random cover.  The count
+    is drawn among those that some cover of the drawn degree and genus has,
+    so no draw is spent on an empty stratum; when the whole range is
+    feasible the draw is that of ``randint``."""
     d = rng.randint(*spec.degrees)
     g = rng.randint(*spec.base_genera)
-    if not spec.morse_only:
-        return d, g, rng.randint(*spec.branch_counts)
     lo, hi = spec.branch_counts
-    evens = range(lo + lo % 2, hi + 1, 2)
-    if not evens:
-        raise InfeasibleParametersError(
-            f"no Morse cover has r in {lo}:{hi} (parity: a product of an odd "
-            f"number of transpositions is odd and never the identity)")
-    return d, g, rng.choice(evens)
+    counts = range(lo, hi + 1)
+    for applies, allowed, reason in (
+            (spec.morse_only or d == 2, lambda r: r % 2 == 0,
+             "parity: commutators are even, every branch cycle is a "
+             "transposition, and a product of an odd number of "
+             "transpositions is odd and never the identity"),
+            (d == 1, lambda r: r == 0,
+             "degree 1: every branch cycle is the identity"),
+            (d > 1 and g == 0, lambda r: r >= 2,
+             "genus 0: r = 0 gives the trivial group and r = 1 forces "
+             "c_1 = id"),
+            (spec.morse_only and g == 0, lambda r: r >= 2 * d - 2,
+             "Riemann-Hurwitz: a Morse cover of the line has "
+             "2g_Y - 2 = r - 2d >= -2")):
+        if applies:
+            counts = [r for r in counts if allowed(r)]
+        if not counts:
+            kind = "Morse cover" if spec.morse_only else "cover"
+            raise InfeasibleParametersError(
+                f"no {kind} of degree {d} over base genus {g} has r in "
+                f"{lo}:{hi} ({reason})")
+    return d, g, rng.choice(counts)
 
 
 def _sample_cover(rng: random.Random, d: int, g: int, r: int,

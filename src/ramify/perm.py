@@ -13,8 +13,8 @@ keeps its transversal and the Schreier generators it has already sifted,
 so none is sifted twice.  A point stabilizer Stab(p) of a group fixing
 1..p-1 is the suffix of its chain after base point p, shared rather than
 rebuilt.  Nothing else is precomputed: transitivity and two-transitivity
-are the sizes of the first two basic orbits of the chain, and the point
-orbit partition is computed only when it is read.
+are the sizes of the first two basic orbits of the chain, and orbits are
+a breadth-first search along the generators, which needs no chain at all.
 """
 
 from __future__ import annotations
@@ -166,10 +166,6 @@ class Permutation:
     def is_transposition(self) -> bool:
         cyc = self.cycles()
         return len(cyc) == 1 and len(cyc[0]) == 2
-
-    def sign(self) -> int:
-        swaps = sum(len(c) - 1 for c in self.cycles())
-        return -1 if swaps % 2 else 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._raw == other._raw
@@ -404,18 +400,9 @@ class GeneratedGroup:
         self._levels = levels
         self._order = math.prod(len(lev.orbit) for lev in levels)
 
-    @classmethod
-    def trivial(cls, degree: int) -> "GeneratedGroup":
-        return cls(degree, [Permutation.identity(degree)])
-
     @property
     def order(self) -> int:
         return self._order
-
-    @property
-    def orbit_partition(self) -> tuple:
-        """Orbits on {1..d}, each sorted, ordered by least element."""
-        return orbits(self)
 
     def __contains__(self, p: Permutation) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
@@ -445,11 +432,18 @@ def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
     """Orbit partition of the domain (points 1..d by default, or tuples of
     points under the diagonal action).  Deterministic: orbits are sorted and
     ordered by least element."""
+    return _orbits(g.degree, g.generators, domain)
+
+
+def _orbits(degree: int, generators: Sequence[Permutation],
+            domain: Iterable | None = None) -> tuple:
+    """``orbits`` of the group the generators generate, which is not built:
+    a breadth-first search along the generators themselves."""
     if domain is None:
-        items = list(range(1, g.degree + 1))
+        items = list(range(1, degree + 1))
     else:
         items = sorted(set(domain))
-    images = [(0,) + gen.images for gen in g.generators]
+    images = [(0,) + gen.images for gen in generators]
     if items and isinstance(items[0], tuple):
         def moves(t: tuple) -> list:
             return [tuple([img[x] for x in t]) for img in images]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -122,6 +124,43 @@ def test_validate_requires_one_handle_pair_per_base_genus(genus, handle_strs):
 def test_validate_etale_and_identity_covers():
     assert validate(ETALE_G1).valid
     assert validate(IDENTITY_COVER).valid
+
+
+@pytest.mark.parametrize("bad", [
+    mk(3, 0, ["(1 2)", "(1 2)"]),
+    mk(3, 0, ["(1 2)", "(2 3)"]),
+], ids=["intransitive", "relation_fails"])
+def test_validate_builds_no_group_on_an_invalid_cover(bad, monodromy_builds):
+    assert not validate(bad).valid
+    with pytest.raises(InvalidCoverError):
+        monodromy_group(bad)
+    assert monodromy_builds == []
+
+
+def test_validate_builds_one_group_on_a_valid_cover(monodromy_builds):
+    assert validate(D4).monodromy_order == 8
+    assert total_space_genus(D4) == 0
+    assert monodromy_builds == [D4.all_generators()]
+
+
+#: SHA-256 of the validation reports, one JSON text a line, of every
+#: genus-0 tuple with d <= 4 and r <= 2 (654 tuples, most of them invalid),
+#: recorded when validation still built the group of every cover.
+VALIDATE_DIGEST = \
+    "8a8f735ba11e2d104eaef16629c6065350b32824c42acfc1a04ea672c4697a0f"
+
+
+def test_validate_reports_match_recorded():
+    docs = []
+    for d in range(1, 5):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
+        for r in range(3):
+            for cycles in itertools.product(perms, repeat=r):
+                report = validate(BranchedCover(d, 0, (), cycles))
+                docs.append(json.dumps(report.to_json_dict()))
+    assert len(docs) == 654
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() \
+        == VALIDATE_DIGEST
 
 
 def test_operations_reject_invalid_cover():

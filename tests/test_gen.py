@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ramify.gen
 from ramify.cover import dumps_cover, is_morse, loads_cover, validate
 from ramify.gen import (
     _sample_cover,
@@ -178,6 +179,46 @@ def test_random_morse_odd_branch_count_infeasible():
         random_cover(s)
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampling reached with infeasible parameters")
+    monkeypatch.setattr(ramify.gen, "_sample_cover", refuse)
+
+
+@pytest.mark.parametrize("corpus, rule", [
+    (CorpusSpec((1, 1), (0, 0), (2, 2), samples=1, seed=0), "degree 1"),
+    (CorpusSpec((1, 1), (1, 1), (2, 2), morse_only=True, samples=1, seed=0),
+     "degree 1"),
+    (CorpusSpec((3, 3), (0, 0), (0, 1), samples=1, seed=0), "genus 0"),
+    (CorpusSpec((5, 5), (0, 0), (4, 6), morse_only=True, samples=1, seed=0),
+     "Riemann-Hurwitz"),
+    (CorpusSpec((2, 2), (1, 1), (1, 1), samples=1, seed=0), "parity"),
+], ids=["degree1", "degree1_morse", "genus0_r1", "morse_below_2d-2",
+        "degree2_odd"])
+def test_infeasible_parameters_refused_before_sampling(no_sampling, corpus,
+                                                       rule):
+    with pytest.raises(InfeasibleParametersError, match=rule):
+        random_cover(corpus)
+
+
+@pytest.mark.parametrize("ranges", [
+    ((0, 2), (0, 0), (2, 2)),
+    ((2, 2), (-1, 0), (2, 2)),
+    ((2, 2), (0, 0), (-2, 2)),
+])
+def test_spec_refuses_ranges_below_their_least_value(ranges):
+    with pytest.raises(ValueError, match="start at"):
+        CorpusSpec(*ranges, samples=1, seed=0)
+
+
+def test_mixed_feasibility_range_draws_only_feasible_counts():
+    # genus 0 with r = 1 is infeasible, the rest of the range is not
+    report = verify_corpus(CorpusSpec((3, 5), (0, 1), (1, 4), samples=30,
+                                      seed=7))
+    assert report.ok and report.covers_checked == 30
+
+
 def test_random_morse_mixed_parity_range_verifies():
     report = verify_corpus(CorpusSpec((4, 4), (0, 0), (5, 6), morse_only=True,
                                       samples=4, seed=3))
@@ -258,6 +299,16 @@ def test_check_cover_builds_the_monodromy_group_once(monodromy_builds):
     from test_fiber import MORSE7
     counters, _, violations = check_cover(MORSE7)
     assert not violations and counters["derived_cover"] == 1
-    # the component cover's own validation builds the only other group
-    assert monodromy_builds.count(MORSE7.all_generators()) == 1
-    assert len(monodromy_builds) == 2
+    # validating the component cover builds no group
+    assert monodromy_builds == [MORSE7.all_generators()]
+
+
+@pytest.mark.parametrize("corpus", [
+    spec(3, 0, 3),
+    spec(5, 0, 8, morse_only=True, samples=3, seed=4),
+], ids=["genus0_d3_r3", "morse_d5"])
+def test_verify_corpus_builds_one_group_per_checked_cover(corpus,
+                                                         monodromy_builds):
+    report = verify_corpus(corpus)
+    assert report.ok and report.covers_checked > 0
+    assert len(monodromy_builds) == report.covers_checked
