@@ -30,11 +30,24 @@ the cycle at infinity read from one clockwise circle around every target,
 reached by a stub from the base point, the relation c_1 ... c_r . c_inf = id
 holds exactly by construction; it is verified on every run.
 
+Tracking.  Each path piece has a fixed grid of initial steps, and its
+fibers are solved together: ``_Float64Context.fibers`` stacks the companion
+matrices that ``np.roots`` would build at the grid points into one
+``eigvals`` call, so the roots are exactly those of ``np.roots``, and
+computes the least root separation of every grid fiber in one array
+operation.  A step matches the fiber it holds to the next grid fiber by
+nearest neighbours on a d x d distance array; every root's move must stay
+under the lesser of the two separations divided by ``SAFETY_FACTOR``, and
+the separation of the accepted fiber is carried into the next step, so no
+separation is computed twice along a piece.  A failing step is bisected,
+solving one midpoint at a time, at most ``MAX_DEPTH`` times and never below
+``STEP_TOLERANCE`` on the path parameter, which also bounds how close two
+critical values may be.  A grid point where the leading coefficient
+vanishes is refused when the walk reaches it, not before.
+
 Tracking runs in float64 (``WORKING_DIGITS``) and, when the relation fails,
-once more in mpmath at twice that.  Each step's root move must stay under
-the least root separation divided by ``SAFETY_FACTOR``; a failing step is
-bisected at most ``MAX_DEPTH`` times and never below ``STEP_TOLERANCE`` on
-the path parameter, which also bounds how close two critical values may be.
+once more in mpmath at twice that, one point at a time; a root solve that
+does not converge there is a ``TrackingAmbiguityError``.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from string import whitespace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -620,15 +633,41 @@ class _Float64Context:
     def __init__(self, p: PlanePolynomial):
         self.coeff_polys = [[complex(c) for c in row] for row in p.rows]
 
-    def fiber(self, z: complex) -> list:
-        coeffs = [_horner(cp, z) for cp in self.coeff_polys]
-        lead = coeffs[-1]
-        scale = max(abs(c) for c in coeffs)
-        if scale == 0 or abs(lead) < 1e-13 * scale:
-            raise TrackingAmbiguityError(
-                f"leading coefficient numerically vanishes on the path at "
-                f"x = {z}")
-        return _np_roots_ascending(coeffs)
+    def fiber(self, z: complex) -> np.ndarray:
+        return next(self.fibers([z]))[0]
+
+    def fibers(self, zs: Sequence[complex]) -> Iterator[tuple]:
+        """Yield the roots over each point of ``zs``, in order, with their
+        least separation.  The companion matrices ``np.roots`` would build
+        are solved in one ``eigvals`` call, so the roots are its roots; a
+        point where the leading coefficient numerically vanishes raises only
+        when it is reached."""
+        rows, refused = [], []
+        for z in zs:
+            coeffs = [_horner(cp, z) for cp in self.coeff_polys]
+            scale = max(abs(c) for c in coeffs)
+            refused.append(scale == 0 or abs(coeffs[-1]) < 1e-13 * scale)
+            rows.append(coeffs[::-1])
+        desc = np.array(rows, dtype=complex)
+        d = desc.shape[1] - 1
+        roots = np.zeros((len(rows), d), dtype=complex)
+        solved = ~np.array(refused)
+        # np.roots strips a zero constant coefficient, so it solves a smaller
+        # companion matrix and appends the root 0; it solves such points
+        batch = solved & (desc[:, -1] != 0)
+        companion = np.zeros((np.count_nonzero(batch), d, d), dtype=complex)
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1
+        companion[:, 0, :] = -desc[batch, 1:] / desc[batch, :1]
+        roots[batch] = np.linalg.eigvals(companion)
+        for k in np.flatnonzero(solved & ~batch):
+            roots[k] = np.roots(desc[k])
+        seps = _separations(roots)
+        for k, z in enumerate(zs):
+            if refused[k]:
+                raise TrackingAmbiguityError(
+                    f"leading coefficient numerically vanishes on the path "
+                    f"at x = {z}")
+            yield roots[k], seps[k]
 
 
 class _MPContext:
@@ -655,67 +694,107 @@ class _MPContext:
                 raise TrackingAmbiguityError(
                     f"leading coefficient numerically vanishes on the path "
                     f"at x = {z}")
-            roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200,
-                                 extraprec=self.digits * 4)
+            try:
+                roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200,
+                                     extraprec=self.digits * 4)
+            except mp.libmp.NoConvergence as exc:
+                raise TrackingAmbiguityError(
+                    f"fiber roots did not converge at {self.digits} digits "
+                    f"at x = {z}") from exc
             return [complex(r) for r in roots]
+
+    def fibers(self, zs: Sequence[complex]) -> Iterator[tuple]:
+        for z in zs:
+            roots = np.array(self.fiber(z), dtype=complex)
+            yield roots, _separations(roots[None])[0]
 
 
 # ---------------------------------------------------------------------------
 # tracking
 
-def _match(old: list, new: list):
-    """Nearest-neighbor matching: old[i] -> new[perm[i]].  Fails (returns
-    None) unless injective and every move is under minsep/SAFETY_FACTOR."""
-    threshold = min(_min_sep(old), _min_sep(new)) / SAFETY_FACTOR
-    assignment = []
-    taken = set()
-    for z in old:
-        best_j = min(range(len(new)), key=lambda j: abs(z - new[j]))
-        if abs(z - new[best_j]) >= threshold or best_j in taken:
-            return None
-        taken.add(best_j)
-        assignment.append(best_j)
-    return assignment
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a[..., i] - b[..., j]| at [..., i, j], by ``hypot`` as Python's
+    ``abs(complex)`` computes it (``np.abs`` may differ in the last bit)."""
+    diff = a[..., :, None] - b[..., None, :]
+    return np.hypot(diff.real, diff.imag)
 
 
-def _advance(piece, ta: float, tb: float, fiber: list, ctx,
-             depth: int) -> list:
-    new_roots = ctx.fiber(piece.at(tb))
-    assignment = _match(fiber, new_roots)
+def _separations(fibers: np.ndarray) -> np.ndarray:
+    """The least distance between two roots in each row of ``fibers``."""
+    gaps = _distances(fibers, fibers)
+    diagonal = np.arange(fibers.shape[-1])
+    gaps[..., diagonal, diagonal] = math.inf
+    return gaps.min(axis=(-2, -1))
+
+
+def _match(old: np.ndarray, new: np.ndarray, old_sep: float,
+           new_sep: float):
+    """Nearest-neighbor matching: old[i] -> new[perm[i]], as an index
+    array.  Fails (returns None) unless injective and every move is under
+    the lesser separation divided by SAFETY_FACTOR."""
+    dist = _distances(old, new)
+    best = dist.argmin(axis=1)
+    moves = dist[np.arange(len(old)), best]
+    if (moves >= min(old_sep, new_sep) / SAFETY_FACTOR).any() \
+            or len(set(best.tolist())) < len(best):
+        return None
+    return best
+
+
+def _advance(piece, ta: float, tb: float, old: tuple, new: tuple, ctx,
+             depth: int) -> tuple:
+    """Continue ``old``, the labelled fiber at ``ta`` and its separation,
+    to ``new``, the fiber solved at ``tb`` and its separation; a failing
+    step is bisected."""
+    assignment = _match(old[0], new[0], old[1], new[1])
     if assignment is not None:
-        return [new_roots[j] for j in assignment]
+        return new[0][assignment], new[1]
     if depth >= MAX_DEPTH or (tb - ta) < STEP_TOLERANCE:
         raise TrackingAmbiguityError(
             f"root matching failed near x = {piece.at(tb)} after "
             f"depth-{depth} refinement")
     tm = (ta + tb) / 2
-    mid = _advance(piece, ta, tm, fiber, ctx, depth + 1)
-    return _advance(piece, tm, tb, mid, ctx, depth + 1)
+    mid = _advance(piece, ta, tm, old, next(ctx.fibers([piece.at(tm)])),
+                   ctx, depth + 1)
+    return _advance(piece, tm, tb, mid, new, ctx, depth + 1)
 
 
-def _track(piece, fiber: list, ctx) -> list:
+def _track(piece, fiber, ctx) -> np.ndarray:
     """Transport ``fiber`` along ``piece``: entry k of the result continues
-    entry k of ``fiber``."""
+    entry k of ``fiber``.  The fibers over the piece's grid are solved
+    together, and each step carries the separation of the fiber it
+    accepts to the next."""
     n = piece.initial_steps
-    for k in range(n):
-        fiber = _advance(piece, k / n, (k + 1) / n, fiber, ctx, 0)
-    return fiber
+    fiber = np.asarray(fiber, dtype=complex)
+    state = fiber, _separations(fiber[None])[0]
+    grid = ctx.fibers([piece.at((k + 1) / n) for k in range(n)])
+    for k, new in enumerate(grid):
+        state = _advance(piece, k / n, (k + 1) / n, state, new, ctx, 0)
+    return state[0]
 
 
-def _circle_permutation(fiber: list, circle: _Arc, ctx) -> Permutation:
+def _circle_permutation(fiber, circle: _Arc, ctx) -> Permutation:
     """Track ``fiber`` once around the closed ``circle``; entry k ends on
     entry perm(k)."""
-    end = _track(circle, fiber, ctx)
-    assignment = _match(end, fiber)
+    ends = np.array([_track(circle, fiber, ctx), fiber], dtype=complex)
+    assignment = _match(*ends, *_separations(ends))
     if assignment is None:
         raise TrackingAmbiguityError(
             "could not identify the fiber after a circle with the fiber "
             "before it")
-    return Permutation([j + 1 for j in assignment])
+    return Permutation([j + 1 for j in assignment.tolist()])
 
 
 # ---------------------------------------------------------------------------
 # the pipeline
+
+def _least_gap(values: list) -> float:
+    """The least |a - b| over pairs of the reals ``values``: the least gap
+    between neighbours once sorted, since rounded subtraction is monotone."""
+    ordered = sorted(values)
+    return min((b - a for a, b in zip(ordered, ordered[1:])),
+               default=math.inf)
+
 
 def _choose_sweep(points: list, r: int) -> tuple:
     """Deterministic sweep direction: candidate angles around pi/2, scored
@@ -729,7 +808,7 @@ def _choose_sweep(points: list, r: int) -> tuple:
         psi = math.pi / 2 + j * math.pi / (2 * count)
         p_hat = cmath.exp(1j * (psi - math.pi / 2))
         s = [(z * p_hat.conjugate()).real for z in points]
-        score = _min_sep([complex(v, 0) for v in s])
+        score = _least_gap(s)
         if best is None or score > best[0]:
             best = (score, psi, s)
     score, psi, s = best
@@ -812,8 +891,7 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
                      if j != i), default=abs(s_x0 - sweep[i]))
         radii[i] = min(near, s_gap) / 2
 
-    base_fiber = ctx.fiber(x0)
-    base_fiber.sort(key=lambda z: (z.real, z.imag))
+    base_fiber = sorted(ctx.fiber(x0), key=lambda z: (z.real, z.imag))
     if len(base_fiber) != d:
         raise TrackingAmbiguityError("base fiber does not have d points")
 

@@ -3,9 +3,9 @@
 Everything here is deliberately naive and self-contained: plain image
 tuples, breadth-first closures, full product-space scans.  Nothing uses
 the package's group machinery (at most its permutation type and its
-graphs), so these stay valid checks of it.  The exception is the
-full-loop tracker at the end: a reference for numono's path layout, not for
-its stepper, which it shares.
+graphs), so these stay valid checks of it.  The full-loop tracker at the
+end shares numono's path pieces and constants but has its own stepper: one
+``np.roots`` per point, pairwise separations in Python, solve then match.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import cmath
 import itertools
 import math
 from collections import deque
+
+import numpy as np
 
 from ramify import numono
 from ramify.graphs import Graph
@@ -226,11 +228,81 @@ def loop_pieces(x0: complex, target: complex, radius: float,
             numono._Seg(p3, p2), numono._Seg(p2, p1), numono._Seg(p1, x0)]
 
 
+class ScalarFloat64:
+    """numono's float64 fiber, one point at a time: Horner evaluation of the
+    y-coefficients, the leading-coefficient refusal, then ``np.roots``."""
+
+    def __init__(self, p):
+        self.coeff_polys = [[complex(c) for c in row] for row in p.rows]
+
+    def fiber(self, z: complex) -> list:
+        coeffs = [_horner(cp, z) for cp in self.coeff_polys]
+        lead = coeffs[-1]
+        scale = max(abs(c) for c in coeffs)
+        if scale == 0 or abs(lead) < 1e-13 * scale:
+            raise numono.TrackingAmbiguityError(
+                f"leading coefficient numerically vanishes on the path at "
+                f"x = {z}")
+        arr = np.array(list(reversed(coeffs)), dtype=complex)
+        return [complex(r) for r in np.roots(arr)]
+
+
+def _horner(coeffs, z: complex) -> complex:
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def min_sep(points: list) -> float:
+    return min((abs(a - b) for i, a in enumerate(points)
+                for b in points[i + 1:]), default=math.inf)
+
+
+def scalar_match(old: list, new: list):
+    """Nearest-neighbor matching: old[i] -> new[perm[i]].  Fails (returns
+    None) unless injective and every move is under minsep/SAFETY_FACTOR."""
+    threshold = min(min_sep(old), min_sep(new)) / numono.SAFETY_FACTOR
+    assignment = []
+    taken = set()
+    for z in old:
+        best_j = min(range(len(new)), key=lambda j: abs(z - new[j]))
+        if abs(z - new[best_j]) >= threshold or best_j in taken:
+            return None
+        taken.add(best_j)
+        assignment.append(best_j)
+    return assignment
+
+
+def scalar_advance(piece, ta: float, tb: float, fiber: list, ctx,
+                   depth: int) -> list:
+    new_roots = ctx.fiber(piece.at(tb))
+    assignment = scalar_match(fiber, new_roots)
+    if assignment is not None:
+        return [new_roots[j] for j in assignment]
+    if depth >= numono.MAX_DEPTH or (tb - ta) < numono.STEP_TOLERANCE:
+        raise numono.TrackingAmbiguityError(
+            f"root matching failed near x = {piece.at(tb)} after "
+            f"depth-{depth} refinement")
+    tm = (ta + tb) / 2
+    mid = scalar_advance(piece, ta, tm, fiber, ctx, depth + 1)
+    return scalar_advance(piece, tm, tb, mid, ctx, depth + 1)
+
+
+def scalar_track(piece, fiber: list, ctx) -> list:
+    """Transport ``fiber`` along ``piece``: entry k of the result continues
+    entry k of ``fiber``."""
+    n = piece.initial_steps
+    for k in range(n):
+        fiber = scalar_advance(piece, k / n, (k + 1) / n, fiber, ctx, 0)
+    return fiber
+
+
 def loop_permutation(pieces: list, base_fiber: list, ctx) -> Permutation:
     fiber = list(base_fiber)
     for piece in pieces:
-        fiber = numono._track(piece, fiber, ctx)
-    assignment = numono._match(fiber, base_fiber)
+        fiber = scalar_track(piece, fiber, ctx)
+    assignment = scalar_match(fiber, base_fiber)
     if assignment is None:
         raise numono.TrackingAmbiguityError(
             "could not identify the transported fiber with the base fiber")
@@ -240,9 +312,10 @@ def loop_permutation(pieces: list, base_fiber: list, ctx) -> Permutation:
 def full_loop_cycles(p, result) -> tuple:
     """(branch cycles in sweep order, infinity cycle) of a
     ``numono.MonodromyResult``, with every loop tracked in float64 as a
-    closed path from the base point and no transport shared between loops.
-    The geometry is the one ``result`` records."""
-    ctx = numono._Float64Context(p)
+    closed path from the base point and no transport shared between loops,
+    by the scalar stepper above.  The geometry is the one ``result``
+    records."""
+    ctx = ScalarFloat64(p)
     x0 = result.base_point
     u = cmath.exp(1j * result.sweep_angle)
     p_hat = cmath.exp(1j * (result.sweep_angle - math.pi / 2))

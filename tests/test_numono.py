@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ramify
 from ramify import numono
@@ -28,7 +31,7 @@ from ramify.numono import (
 )
 from ramify.perm import Permutation, format_cycles
 
-from oracles import full_loop_cycles
+from oracles import ScalarFloat64, full_loop_cycles, min_sep
 
 
 # curve -> (finite branch cycles in sweep order, infinity cycle, genus)
@@ -152,16 +155,126 @@ def test_transport_tracks_each_piece_once(monkeypatch, text):
     real = numono._advance
     pieces = []
 
-    def advance(piece, ta, tb, fiber, ctx, depth):
+    def advance(piece, ta, tb, old, new, ctx, depth):
         if ta == 0 and depth == 0:
             pieces.append(piece)
-        return real(piece, ta, tb, fiber, ctx, depth)
+        return real(piece, ta, tb, old, new, ctx, depth)
 
     monkeypatch.setattr(numono, "_advance", advance)
     result = track_monodromy(parse_poly(text))
     assert len(pieces) == len(set(pieces)) == 3 * len(result.loops) + 3
     segments = {(s.a, s.b) for s in pieces if isinstance(s, numono._Seg)}
     assert not [(a, b) for a, b in segments if a != b and (b, a) in segments]
+
+
+def _bits(roots) -> bytes:
+    return np.asarray(roots, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("text", BENCH_SMALL + ["y^8 + x*y + x^3 - 1"]
+                         + NON_MONIC)
+def test_batched_fibers_equal_per_point_roots(monkeypatch, text):
+    """Every fiber the tracker solves, on a grid or at a midpoint, is bit
+    for bit the ``np.roots`` of that point's coefficients, and comes with
+    its least root separation."""
+    p = parse_poly(text)
+    scalar = ScalarFloat64(p)
+    real = numono._Float64Context.fibers
+    solved = []
+
+    def fibers(self, zs):
+        for z, (roots, sep) in zip(zs, real(self, zs)):
+            solved.append((z, roots, sep))
+            yield roots, sep
+
+    monkeypatch.setattr(numono._Float64Context, "fibers", fibers)
+    track_monodromy(p)
+    assert len(solved) > 100
+    for z, roots, sep in solved:
+        expected = scalar.fiber(z)
+        assert _bits(roots) == _bits(expected)
+        assert sep == min_sep(expected)
+
+
+@pytest.mark.parametrize("text, zs", [
+    # the constant y-coefficient -x^3 + x vanishes at 0 and 1
+    ("y^2 - x^3 + x", [2j, 0j, 1 + 0j, 0.5 - 1j]),
+    # at x = 0 the fiber is y^3 - 3*y, so one root is exactly 0
+    ("y^3 - 3*y - x", [0j, 1 + 1j, 0j]),
+])
+def test_batched_fibers_keep_np_roots_at_a_zero_constant_term(text, zs):
+    p = parse_poly(text)
+    scalar = ScalarFloat64(p)
+    fibers = list(numono._Float64Context(p).fibers(zs))
+    assert [_bits(roots) for roots, _ in fibers] == \
+        [_bits(scalar.fiber(z)) for z in zs]
+    assert [sep for _, sep in fibers] == [min_sep(scalar.fiber(z))
+                                          for z in zs]
+    assert 0 in fibers[zs.index(0j)][0]
+    assert _bits(numono._Float64Context(p).fiber(0j)) == \
+        _bits(scalar.fiber(0j))
+
+
+def test_refused_grid_point_raises_only_when_reached():
+    """A point where the leading coefficient vanishes does not stop the
+    points before it, so the order of errors along a path is kept."""
+    ctx = numono._Float64Context(parse_poly("x*y^2 + y + x^2 - 3"))
+    fibers = ctx.fibers([1 + 0j, 1j, 0j, 2 + 0j])
+    assert len(next(fibers)[0]) == len(next(fibers)[0]) == 2
+    with pytest.raises(TrackingAmbiguityError, match="at x = 0j"):
+        next(fibers)
+
+
+@pytest.mark.parametrize("text", ["y^4 + x^4 + x*y - 1",
+                                  "y^8 + x*y + x^3 - 1"])
+def test_each_tracked_fiber_is_separated_once(monkeypatch, text):
+    """Each solved fiber's separation is computed once, with its roots: a
+    step reuses the separation of the fiber it accepted last.  Beyond that,
+    each piece computes its start fiber's and each circle its two end
+    fibers'; ``_min_sep`` runs only on the critical values."""
+    counts = Counter()
+
+    def count(owner, name, size=lambda *args: 1):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += size(*args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(numono._Float64Context, "fibers", lambda self, zs: len(zs))
+    count(numono, "_separations", len)
+    for name in ("_track", "_circle_permutation", "_min_sep", "_match"):
+        count(numono, name)
+    track_monodromy(parse_poly(text))
+    assert counts["_match"] > 100
+    assert counts["_separations"] == (counts["fibers"] + counts["_track"]
+                                      + 2 * counts["_circle_permutation"])
+    assert counts["_min_sep"] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2 ** -52, 1e300, -1e300]),
+), min_size=2, max_size=12))
+def test_least_gap_is_the_least_pairwise_distance(values):
+    brute = min(abs(a - b) for i, a in enumerate(values)
+                for b in values[i + 1:])
+    assert numono._least_gap(values) == brute
+
+
+def test_least_gap_on_ties_and_conjugate_pairs():
+    assert numono._least_gap([3.0, 1.0, 3.0, 2.0]) == 0.0
+    assert numono._least_gap([0.5, -0.25, 0.5 + 2 ** -53, 7.0]) == 2 ** -53
+    assert numono._least_gap([1.0]) == math.inf
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        values = list(rng.integers(-5, 5, 6) * 0.1 + rng.normal(size=6)
+                      * rng.integers(0, 2, 6))
+        assert numono._least_gap(values) == min_sep(
+            [complex(v, 0) for v in values])
 
 
 def test_certify_projection_builds_the_monodromy_group_once(monodromy_builds):
@@ -305,6 +418,26 @@ def test_circle_whose_end_cannot_be_matched_is_refused(monkeypatch):
     monkeypatch.setattr(numono, "_track", track)
     with pytest.raises(TrackingAmbiguityError, match="after a circle"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
+
+
+def test_retry_that_does_not_converge_is_a_tracking_ambiguity(monkeypatch):
+    """mpmath's ``NoConvergence`` derives from ``Exception`` only; the retry
+    turns it into the documented ``TrackingAmbiguityError``."""
+    import mpmath
+
+    def polyroots(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("forced")
+
+    monkeypatch.setattr(mpmath, "polyroots", polyroots)
+    ctx = numono._MPContext(parse_poly("y^2 - x^3 + x"), 2 * WORKING_DIGITS)
+    with pytest.raises(TrackingAmbiguityError, match="did not converge") \
+            as err:
+        ctx.fiber(1j)
+    assert isinstance(err.value.__cause__, mpmath.libmp.NoConvergence)
+    contexts = _tracking_passes(monkeypatch, RelationViolationError)
+    with pytest.raises(TrackingAmbiguityError, match="did not converge"):
+        track_monodromy(parse_poly("y^2 - x^3 + x"))
+    assert [c.digits for c in contexts] == [WORKING_DIGITS, 2 * WORKING_DIGITS]
 
 
 def test_short_base_fiber_is_refused(monkeypatch):
