@@ -13,7 +13,9 @@ each of lcm(e, e') pairs.
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
 cycles) and by connectivity of the dual graph; their agreement is a test in
-the suite, never an assumption here.
+the suite, never an assumption here.  HN is never built: |HN| = |H| |N.1|
+for H = Stab_G(1), so [G : HN] = |G.1| / |N.1|, read off the chains of G
+and N; the derived cover's test is the same identity at point 2.
 
 All of these live on a CoverContext, which builds each on first use and at
 most once: the monodromy group G, the orbits on pairs with the orbitals and
@@ -46,11 +48,11 @@ from .perm import (
     Permutation,
     Transitivity,
     format_cycles,
-    joined_group,
     normal_closure,
     orbits,
     point_stabilizer,
     transitivity,
+    transversal,
 )
 
 
@@ -277,7 +279,7 @@ class CoverContext:
     @cached_property
     def genuine(self) -> GenuineRamification:
         closure = normal_closure(self.cover.branch_cycles, self.group)
-        index = self.group.order // joined_group(self.stabilizer, closure).order
+        index = len(transversal(self.group, 1)) // len(transversal(closure, 1))
         return GenuineRamification(genuinely_ramified=index == 1,
                                    etale_subcover_degree=index)
 
@@ -369,29 +371,13 @@ class CoverContext:
             raise ValueError("derived cover needs degree >= 2")
         group = self.group
         stab = self.stabilizer
-
-        # breadth-first transversal from point 1: v[p] maps 1 to p
-        v = {1: Permutation.identity(d)}
-        frontier = [1]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for gen in group.generators:
-                    r = gen(q)
-                    if r not in v:
-                        v[r] = gen * v[q]
-                        nxt.append(r)
-            nxt.sort()
-            frontier = nxt
-        assert len(v) == d
+        v = transversal(group, 1)  # v[p] maps 1 to p
 
         inertia = []
         for j, cj in enumerate(c.branch_cycles, start=1):
             for kappa in cj.cycles(include_fixed=True):
-                i = kappa[0]
-                e = len(kappa)
-                u = v[i].inverse()
-                element = u * (cj ** e) * u.inverse()
+                u = v[kappa[0]]
+                element = u.inverse() * (cj ** len(kappa)) * u
                 assert element(1) == 1
                 assert element in stab
                 inertia.append(LocalInertia(branch_index=j, cycle=kappa,
@@ -404,9 +390,9 @@ class CoverContext:
         # two-transitive
         fiber_transitive = transitivity(group) is Transitivity.TWO_TRANSITIVE
 
-        stab2 = point_stabilizer(stab, 2)
+        # H'N' = Stab_G(1) iff |N'.2| = |Stab_G(1).2|, transitive or not
         closure = normal_closure(nontrivial, stab)
-        gr = joined_group(stab2, closure).order == stab.order
+        gr = len(transversal(closure, 2)) == len(transversal(stab, 2))
 
         genus = None
         if fiber_transitive:
@@ -530,9 +516,10 @@ def certify_sd(c: BranchedCover, checked: bool = True) -> SdCertification:
 def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:
     """The restriction of the first projection to the off-diagonal closure,
     as the point stabilizer H = Stab_G(1) acting on {2..d} with local inertia
-    u c_j^e u^-1 at the point of Y given by a length-e cycle of c_j (u from
-    the breadth-first orbit transversal, mapping the cycle's least point
-    to 1)."""
+    u c_j^e u^-1 at the point of Y given by a length-e cycle of c_j (u^-1
+    from the first level of G's chain, mapping 1 to the cycle's least point).
+    Genuinely ramified iff H'N' = H for H' = Stab_H(2) and N' the normal
+    closure of the nontrivial inertia in H, that is iff |N'.2| = |H.2|."""
     return CoverContext(c, checked).derived_cover
 
 

@@ -64,8 +64,12 @@ class CorpusSpec:
                 raise ValueError(f"empty {name} range {lo}:{hi}")
             if lo < least:
                 raise ValueError(f"{name} start at {least}, got {lo}")
+        if self.samples < 0:
+            raise ValueError(f"samples must be 0 or positive, got {self.samples}")
         if self.samples and self.seed is None:
             raise ValueError("random mode requires a seed")
+        if self.samples and self.dedup:
+            raise ValueError("dedup applies to exhaustive mode only")
 
     @property
     def random_mode(self) -> bool:

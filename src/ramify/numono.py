@@ -30,6 +30,11 @@ the cycle at infinity read from one clockwise circle around every target,
 reached by a stub from the base point, the relation c_1 ... c_r . c_inf = id
 holds exactly by construction; it is verified on every run.
 
+Critical fibers are not solved: over a critical value of a smooth affine
+curve where the leading coefficient does not vanish (``reject_singular``
+and ``critical_values`` ensure both), the root multiplicities are the
+ramification indices, so a loop's ``fiber_pattern`` is its cycle type.
+
 Tracking.  Each path piece has a fixed grid of initial steps, and its
 fibers are solved together: ``_Float64Context.fibers`` stacks the companion
 matrices that ``np.roots`` would build at the grid points into one
@@ -448,7 +453,7 @@ class LoopTarget:
     argument: float            # arg(value - base point), reported
     radius: float
     cycle: Permutation | None = None
-    fiber_pattern: tuple = ()  # root multiplicity pattern at the value
+    fiber_pattern: tuple = ()  # critical value: the cycle type of ``cycle``
     ordinary: bool | None = None
 
 
@@ -818,27 +823,6 @@ def _choose_sweep(points: list, r: int) -> tuple:
     return psi, s
 
 
-def _fiber_pattern(ctx, value: complex) -> tuple:
-    """Cluster the fiber roots at a point into multiplicity groups (report
-    only; the tracked cycles are the authoritative structure)."""
-    try:
-        roots = ctx.fiber(value)
-    except TrackingAmbiguityError:
-        return ()
-    scale = max([1.0] + [abs(r) for r in roots])
-    tol = 1e-5 * scale
-    roots = sorted(roots, key=lambda z: (z.real, z.imag))
-    groups = []
-    for z in roots:
-        for g in groups:
-            if abs(z - g[0]) < tol:
-                g.append(z)
-                break
-        else:
-            groups.append([z])
-    return tuple(sorted((len(g) for g in groups), reverse=True))
-
-
 def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     """Track the fiber along one loop per critical value (plus any roots of
     the leading coefficient) and around a large clockwise circle, and
@@ -911,7 +895,7 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
         cycle = _circle_permutation(
             _track(_Seg(foot, z - radii[i] * u), fiber, ctx),
             _Arc(z, radii[i], theta, theta + 2 * math.pi), ctx)
-        pattern = _fiber_pattern(ctx, z) if kind == "critical" else ()
+        pattern = cycle.cycle_type() if kind == "critical" else ()
         loops.append(LoopTarget(
             value=z,
             kind=kind,
@@ -942,8 +926,7 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
         issues.append("leading coefficient vanishes at "
                       f"{len(crit.lc_roots)} point(s): the projection center "
                       "lies on the curve closure")
-    patterns_ok = all(
-        t.ordinary for t in loops if t.kind == "critical" and t.fiber_pattern)
+    patterns_ok = all(t.ordinary for t in loops if t.kind == "critical")
     if not patterns_ok:
         issues.append("some critical fiber is not a simple double point")
     genericity = GenericityReport(

@@ -12,7 +12,9 @@ sifts one element in and re-completes the levels it touched; a level
 keeps its transversal and the Schreier generators it has already sifted,
 so none is sifted twice.  A point stabilizer Stab(p) of a group fixing
 1..p-1 is the suffix of its chain after base point p, shared rather than
-rebuilt.  Nothing else is precomputed: transitivity and two-transitivity
+rebuilt, and no chain is copied or joined: for G fixing 1..p-1, H =
+Stab_G(p) and N normal in G, [G : HN] is |G.p| / |N.p|, two basic orbit
+lengths.  Nothing else is precomputed: transitivity and two-transitivity
 are the sizes of the first two basic orbits of the chain, and orbits are
 a breadth-first search along the generators, which needs no chain at all.
 """
@@ -281,13 +283,6 @@ class _Level:
         self.transversal, self.inverses = {point: ident}, {point: ident}
         self.sifted: dict = {}
 
-    def copy(self) -> "_Level":
-        new = object.__new__(_Level)
-        new.point, new.gens, new.orbit = self.point, list(self.gens), list(self.orbit)
-        new.transversal, new.inverses, new.sifted = (
-            dict(self.transversal), dict(self.inverses), dict(self.sifted))
-        return new
-
 
 def _gens_at(levels: list, i: int) -> list:
     return [g for lev in levels[i:] for g in lev.gens]
@@ -470,6 +465,18 @@ def _orbits(degree: int, generators: Sequence[Permutation],
     return tuple(parts)
 
 
+def transversal(g: GeneratedGroup, p: int) -> dict:
+    """For a group g fixing 1..p-1, whose chain level at base point p then
+    holds the whole orbit g.p: each point q of it -> the element of g
+    mapping p to q stored there.  Its size is |g.p|."""
+    if not 1 <= p <= g.degree:
+        raise ValueError(f"point {p} out of range 1..{g.degree}")
+    if any(len(lev.orbit) > 1 for lev in g._levels[:p - 1]):
+        raise ValueError(f"the group moves a point before {p}")
+    return {q + 1: Permutation._from_raw(u)
+            for q, u in g._levels[p - 1].transversal.items()}
+
+
 def point_stabilizer(g: GeneratedGroup, p: int) -> GeneratedGroup:
     """Stab_g(p), satisfying order(result) * |orbit(p)| == order(g).
 
@@ -516,19 +523,6 @@ def normal_closure(sub: Iterable[Permutation], g: GeneratedGroup) -> GeneratedGr
     return GeneratedGroup._from_chain(
         g.degree, tuple(Permutation._from_raw(w) for w in gens)
         or (Permutation.identity(g.degree),), levels)
-
-
-def joined_group(a: GeneratedGroup, b: GeneratedGroup) -> GeneratedGroup:
-    """The subgroup generated by the generators of both groups: a copy of
-    the chain of the larger one, extended by the generators of the other."""
-    if a.degree != b.degree:
-        raise DegreeMismatchError("cannot join groups of different degree")
-    big, small = (a, b) if a.order >= b.order else (b, a)
-    levels = [lev.copy() for lev in big._levels]
-    for h in small.generators:
-        _extend(levels, h._raw)
-    return GeneratedGroup._from_chain(a.degree, a.generators + b.generators,
-                                      levels)
 
 
 def transitivity(g: GeneratedGroup) -> Transitivity:

@@ -23,7 +23,14 @@ from ramify.gen import CorpusSpec, enumerate_covers
 from ramify.graphs import is_connected
 from ramify.perm import Permutation, parse_cycles
 
-from oracles import o_local_branches
+from oracles import (
+    o_closure,
+    o_compose,
+    o_inverse,
+    o_local_branches,
+    o_normal_closure,
+    o_stabilizer,
+)
 
 from test_cover import (
     D4,
@@ -427,6 +434,84 @@ def test_derived_inertia_fixes_point_one():
     for cover in (TREFOIL, TREFOIL_MORSE, D4, HYPERELLIPTIC6):
         for li in derived_cover_q1(cover).local_inertia:
             assert li.element(1) == 1
+
+
+def _raw(p):
+    return tuple(x - 1 for x in p.images)
+
+
+def _hn_tests_by_elements(c):
+    """[G : HN], and whether H'N' = Stab_G(1) for the derived cover, from
+    element sets: G by closure, H = Stab(1) and H' = Stab_H(2) by filtering,
+    N and N' by brute-force normal closure, and the inertia at a cycle of
+    c_j from the least element of G that maps the cycle's least point to 1."""
+    group = o_closure([_raw(p) for p in c.all_generators()]
+                      or [tuple(range(c.degree))])
+    stab = o_stabilizer(group, 0)
+    closure = o_normal_closure([_raw(s) for s in c.branch_cycles], group)
+    index = len(group) // len({o_compose(h, n) for h in stab for n in closure})
+    if c.degree < 2:
+        return index, None
+    inertia = []
+    for cj in c.branch_cycles:
+        for kappa in cj.cycles(include_fixed=True):
+            u = min(g for g in group if g[kappa[0] - 1] == 0)
+            power = _raw(cj ** len(kappa))
+            element = o_compose(o_compose(u, power), o_inverse(u))
+            if element != tuple(range(c.degree)):
+                inertia.append(element)
+    closure2 = o_normal_closure(inertia, stab)
+    products = {o_compose(h, n) for h in o_stabilizer(stab, 1)
+                for n in closure2}
+    return index, len(products) == len(stab)
+
+
+@pytest.mark.parametrize("corpus", [
+    CorpusSpec(degrees=(1, 4), base_genera=(0, 0), branch_counts=(0, 3)),
+    CorpusSpec(degrees=(1, 3), base_genera=(1, 1), branch_counts=(0, 2)),
+])
+def test_hn_tests_match_element_set_oracle(corpus):
+    covers = list(enumerate_covers(corpus)) + [D4, ETALE_G1]
+    for cover in covers:
+        ctx = CoverContext(cover)
+        index, derived_gr = _hn_tests_by_elements(cover)
+        assert ctx.genuine.etale_subcover_degree == index
+        assert ctx.genuine.genuinely_ramified == (index == 1)
+        if cover.degree >= 2:
+            assert ctx.derived_cover.genuinely_ramified == derived_gr
+
+
+@pytest.mark.parametrize("cover", [MORSE7, D4, ETALE_G1, TREFOIL])
+def test_hn_tests_build_only_the_two_normal_closures(cover, monkeypatch):
+    """With G and Stab_G(1) built, the HN test and the derived cover's test
+    read basic orbit lengths: the two normal closures are the only groups
+    they build, with no point stabilizer and no GeneratedGroup(...)."""
+    import ramify.fiber
+    import ramify.perm
+    from ramify.perm import GeneratedGroup
+
+    ctx = CoverContext(cover)
+    assert ctx.group.order and ctx.stabilizer.order
+    calls = []
+    real_closure, real_set = ramify.fiber.normal_closure, GeneratedGroup._set
+
+    def closure(*args):
+        calls.append("normal_closure")
+        return real_closure(*args)
+
+    def counted_set(self, *args):
+        calls.append("group")
+        real_set(self, *args)
+
+    def refuse(*args):
+        raise AssertionError("point_stabilizer was called")
+
+    monkeypatch.setattr(ramify.fiber, "normal_closure", closure)
+    monkeypatch.setattr(ramify.fiber, "point_stabilizer", refuse)
+    monkeypatch.setattr(ramify.perm, "point_stabilizer", refuse)
+    monkeypatch.setattr(GeneratedGroup, "_set", counted_set)
+    assert ctx.genuine and ctx.derived_cover
+    assert calls == ["normal_closure", "group"] * 2
 
 
 # -- cayley quotient oracle ---------------------------------------------------------

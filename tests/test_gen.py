@@ -247,6 +247,20 @@ def test_random_mode_requires_seed():
         CorpusSpec((2, 2), (0, 0), (2, 2), samples=3)
 
 
+@pytest.mark.parametrize("samples, seed", [(-5, 1), (-1, None)])
+def test_negative_samples_refused(samples, seed):
+    # a negative count would otherwise run the exhaustive mode
+    with pytest.raises(ValueError, match="samples must be 0 or positive"):
+        CorpusSpec((3, 3), (0, 0), (2, 2), samples=samples, seed=seed)
+
+
+def test_dedup_in_random_mode_refused():
+    # the sampler never deduplicates, so the flag would be dropped
+    with pytest.raises(ValueError, match="dedup applies to exhaustive mode"):
+        CorpusSpec((3, 3), (0, 0), (2, 2), samples=4, seed=1, dedup=True)
+    assert CorpusSpec((3, 3), (0, 0), (2, 2), dedup=True).dedup
+
+
 # -- corpus verification -------------------------------------------------------
 
 def test_verify_small_exhaustive_corpus():

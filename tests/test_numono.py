@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -275,6 +277,46 @@ def test_least_gap_on_ties_and_conjugate_pairs():
                       * rng.integers(0, 2, 6))
         assert numono._least_gap(values) == min_sep(
             [complex(v, 0) for v in values])
+
+
+#: SHA-256 of ``json.dumps(certify_projection(parse_poly(t)).to_json_dict())``
+#: for the bench curves that certify and the non-monic curves, recorded from
+#: the implementation that re-solved and clustered each critical fiber.
+GOLDEN_CERTIFY = {
+    "y^2 - x^3 + x":
+        "d5a93530349959f52e71ad0a50d1362ee819275ab11d64625ca5df4be68881ad",
+    "y^4 + x^4 + x*y - 1":
+        "17c845dd05193867be87cfddbae7483c2619910fc0f0111f31dfc8c8285b3594",
+    "y^6 + x^3*y - x + 1":
+        "e21db7f1583bb6c77b82806137e14276800a303c8e15e9ce71233f57140ab06f",
+    "y^3 - x^2*y + x^4 - 2":
+        "2b09a4d964293418048204d634b011cec26d9aa4f8f97a734530c9677aac7c79",
+    "y^5 + x*y + x^5 + 3":
+        "69ea52215c9fa353f845a20a9d5c43b6b2edcbbcc0234ce6f645bc9c080a7144",
+    "y^2 - x^5 + 2*x - 1":
+        "7362e792765a390d1b02296eabebabc67b3ef5874be5f57dfeb0bda67932f7c4",
+    "y^3 + y - x^7":
+        "d8a1b0c9bf4954bd0073c7b23e455c696e1b0c0eab5c8e89280a6216cccec950",
+    "y^7 + x^2*y + x - 1":
+        "85c1ce4c95f897851dfe89c913542ef6c34a472e812959f60e06d053d428a10f",
+    "y^8 + x*y + x^3 - 1":
+        "9af961fa45fe7eaabff373ed0ccc54c949d704147e63b605d907a743e9f5b779",
+    "x*y^2 + y + x^2 - 3":
+        "197f4a5472033c9738ca9dff1ab34d07ff69eba087c168f535ae7a5ce9ced5d5",
+    "(x^2+1)*y^2 + x*y + 1":
+        "8343825daa06f82bb77109e3d4b9139f62cca8646088a449d551c41532bac5a2",
+}
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_CERTIFY))
+def test_certify_projection_json_matches_recorded(text):
+    doc = json.dumps(certify_projection(parse_poly(text)).to_json_dict())
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_CERTIFY[text]
+    # each critical fiber's pattern is its loop's cycle type
+    for loop in json.loads(doc)["monodromy"]["loops"]:
+        if loop["kind"] == "critical":
+            assert loop["fiber_pattern"] == [2] + [1] * (len(
+                loop["fiber_pattern"]) - 1) and loop["ordinary"]
 
 
 def test_certify_projection_builds_the_monodromy_group_once(monodromy_builds):

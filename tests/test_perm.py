@@ -13,12 +13,12 @@ from ramify.perm import (
     Permutation,
     Transitivity,
     format_cycles,
-    joined_group,
     normal_closure,
     orbits,
     parse_cycles,
     point_stabilizer,
     transitivity,
+    transversal,
 )
 
 from oracles import (
@@ -365,6 +365,46 @@ def test_point_stabilizer_reads_the_chain(monkeypatch):
     assert all(a is b for a, b in zip(h._levels[1:], g._levels[1:]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_groups_st(max_degree=6))
+def test_transversals_match_oracle(g):
+    """Up to the first point a group moves, the transversal at p covers the
+    orbit of p and maps p onto each of its points; past that point, and
+    outside 1..d, it is refused."""
+    d = g.degree
+    h = point_stabilizer(g, 1)
+    for x in (g, h, point_stabilizer(h, min(2, d))):
+        raw = [tuple(i - 1 for i in s.images) for s in x.generators]
+        orbit_of = {i + 1: part for part in o_point_orbits(raw, d)
+                    for i in part}
+        for p in range(1, d + 1):
+            if any(len(orbit_of[q]) > 1 for q in range(1, p)):
+                with pytest.raises(ValueError, match="moves a point"):
+                    transversal(x, p)
+                continue
+            reps = transversal(x, p)
+            assert sorted(reps) == [i + 1 for i in orbit_of[p]]
+            assert all(u(p) == q and u in x for q, u in reps.items())
+        for p in (0, d + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                transversal(x, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups_st(max_degree=5), st.data())
+def test_stabilizer_times_normal_subgroup_by_orbit_lengths(g, data):
+    """|HN| = |H| |N.1| for H = Stab_g(1) and N normal in g, checked on
+    the element sets."""
+    word = data.draw(st.lists(st.sampled_from(g.generators), max_size=3))
+    n = normal_closure([math.prod(word, start=Permutation.identity(g.degree))],
+                       g)
+    h = point_stabilizer(g, 1)
+    products = {a * b for a in h.elements() for b in n.elements()}
+    assert len(products) == h.order * len(transversal(n, 1))
+    assert g.order // len(products) == (len(transversal(g, 1))
+                                        // len(transversal(n, 1)))
+
+
 def _chain_snapshot(g):
     return [(lev.point, list(lev.gens), list(lev.orbit), dict(lev.transversal),
              dict(lev.inverses), dict(lev.sifted)) for lev in g._levels]
@@ -372,8 +412,8 @@ def _chain_snapshot(g):
 
 @pytest.mark.parametrize("gens", [
     braid_walk_tuple(random.Random("shared-suffix"), 7),
-    # S_3 x S_3: (2 4) fixes 1 but lies outside Stab(1), so joining it
-    # onto Stab(1) extends a level that is shared with the whole group
+    # S_3 x S_3: (2 4) fixes 1 but lies outside Stab(1), so it probes the
+    # levels that Stab(1) shares with the whole group
     [perm("(1 2)", 6), perm("(1 2 3)", 6), perm("(4 5)", 6),
      perm("(4 5 6)", 6)],
 ])
@@ -382,16 +422,12 @@ def test_shared_suffix_survives_closure_and_join(gens):
     g = GeneratedGroup(d, gens)
     h = point_stabilizer(g, 1)
     h2 = point_stabilizer(h, 2)
-    outside = GeneratedGroup(d, [perm("(2 4)", d)])
     groups = (g, h, h2)
     before = [_chain_snapshot(x) for x in groups]
     orders = [x.order for x in groups]
     probes = [s.conjugate(t) for s in gens for t in gens[:3]] + [perm("(2 4)", d)]
     members = [[p in x for p in probes] for x in groups]
-    n = normal_closure([perm("(2 3)", d)], h)
-    for a, b in ((h2, n), (n, h2), (h, n), (h2, h), (g, h),
-                 (h, outside), (h2, outside), (outside, g)):
-        joined_group(a, b)
+    normal_closure([perm("(2 3)", d)], h)
     normal_closure(gens[:1], g)
     assert [_chain_snapshot(x) for x in groups] == before
     assert [x.order for x in groups] == orders
@@ -530,8 +566,10 @@ def test_transitivity_matches_brute_force_orbits(g, data):
         w = w * x
     stab = point_stabilizer(g, p)
     closure = normal_closure([w], g)
-    for h in (g, stab, closure, joined_group(stab, closure),
-              joined_group(point_stabilizer(g, d), closure)):
+    for h in (g, stab, closure,
+              GeneratedGroup(d, stab.generators + closure.generators),
+              GeneratedGroup(d, point_stabilizer(g, d).generators
+                             + closure.generators)):
         assert transitivity(h).value == o_transitivity(_raws(h), d)
 
 
@@ -557,7 +595,8 @@ def test_chain_reads_make_no_orbit_bfs(monkeypatch):
     closure = normal_closure(cycles[:1], g)
     assert transitivity(g) is Transitivity.TWO_TRANSITIVE
     assert transitivity(stab) is transitivity(moved) is Transitivity.INTRANSITIVE
-    assert transitivity(joined_group(stab, closure)) is Transitivity.TWO_TRANSITIVE
+    joined = GeneratedGroup(6, stab.generators + closure.generators)
+    assert transitivity(joined) is Transitivity.TWO_TRANSITIVE
     assert validate(BranchedCover(6, 0, (), tuple(cycles))).valid
 
 
@@ -572,12 +611,6 @@ def test_naive_closure_cap():
     gens = [perm("(1 2 3 4 5 6 7 8)", 8), perm("(1 2)", 8)]
     with pytest.raises(ValueError):
         naive_closure(gens, cap=100)
-
-
-def test_joined_group():
-    a = GeneratedGroup(3, [perm("(1 2)", 3)])
-    b = GeneratedGroup(3, [perm("(2 3)", 3)])
-    assert joined_group(a, b).order == 6
 
 
 def test_cycle_type_and_transposition():
