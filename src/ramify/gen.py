@@ -10,7 +10,6 @@ counterexample (i.e. a bug) surfaces with full context at the end of the run.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -26,7 +25,7 @@ from .cover import (
     require_valid,
     total_space_genus,
 )
-from .fiber import CoverContext
+from .fiber import CoverContext, TheoremViolationError
 from .graphs import is_connected
 from .perm import Permutation, Transitivity, transitivity
 
@@ -328,10 +327,14 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
             violation("sd_cover_order",
                       f"order {group.order} != {cover.degree}!")
         else:
-            cert = ctx.sd_certificate
-            if not cert.certified:
-                violation("sd_cover_order",
-                          f"certification refused: {cert.failed_hypothesis}")
+            try:
+                cert = ctx.sd_certificate
+            except TheoremViolationError as exc:
+                violation("sd_cover_order", f"certification step failed: {exc}")
+            else:
+                if not cert.certified:
+                    violation("sd_cover_order", "certification refused: "
+                              f"{cert.failed_hypothesis}")
 
     # derived cover invariants for Morse genuinely ramified covers, d >= 3
     if morse and gr.genuinely_ramified and cover.degree >= 3:
@@ -363,8 +366,8 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     return counters, vacuous_main, violations
 
 
-def verify_corpus(spec: CorpusSpec, oracle_cap: int = 10080,
-                  jobs: int = 1) -> VerificationReport:
+def verify_corpus(spec: CorpusSpec,
+                  oracle_cap: int = 10080) -> VerificationReport:
     """Run every check over the corpus the spec describes.  Violations are
     collected, never raised mid-stream."""
     report = VerificationReport()
@@ -376,25 +379,11 @@ def verify_corpus(spec: CorpusSpec, oracle_cap: int = 10080,
     else:
         covers = enumerate_covers(spec)
 
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.imap(
-                functools.partial(check_cover, oracle_cap=oracle_cap),
-                covers, chunksize=16)
-            for counters, vacuous, violations in results:
-                _fold(report, counters, vacuous, violations)
-    else:
-        for cover in covers:
-            _fold(report, *check_cover(cover, oracle_cap))
+    for cover in covers:
+        counters, vacuous, violations = check_cover(cover, oracle_cap)
+        report.covers_checked += 1
+        for name, v in counters.items():
+            report.checks_run[name] += v
+        report.vacuous_theorem_main += vacuous
+        report.violations.extend(violations)
     return report
-
-
-def _fold(report: VerificationReport, counters: dict, vacuous: int,
-          violations: list) -> None:
-    report.covers_checked += 1
-    for name, v in counters.items():
-        report.checks_run[name] += v
-    report.vacuous_theorem_main += vacuous
-    report.violations.extend(violations)

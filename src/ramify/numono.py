@@ -50,9 +50,9 @@ solving one midpoint at a time, at most ``MAX_DEPTH`` times and never below
 critical values may be.  A grid point where the leading coefficient
 vanishes is refused when the walk reaches it, not before.
 
-Tracking runs in float64 (``WORKING_DIGITS``) and, when the relation fails,
-once more in mpmath at twice that, one point at a time; a root solve that
-does not converge there is a ``TrackingAmbiguityError``.
+Tracking runs once, in float64 (``WORKING_DIGITS``).  A failed relation is
+a ``RelationViolationError``: the step rule accepted a step it should not
+have, and more digits in the root solves cannot undo that.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class TrackingAmbiguityError(RuntimeError):
 
 
 class RelationViolationError(RuntimeError):
-    """The tracked cycles do not satisfy c_1 ... c_r . c_inf = id, even
-    after the doubled-precision retry."""
+    """The tracked cycles do not satisfy c_1 ... c_r . c_inf = id, or do not
+    assemble into a valid cover: some accepted step matched roots wrongly."""
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +373,14 @@ def parse_poly(text: str) -> PlanePolynomial:
 # ---------------------------------------------------------------------------
 # exact elimination (sympy)
 
-def y_resultant_with_dy(p: PlanePolynomial) -> list:
-    """Exact Res_y(p, dp/dy) as an ascending Fraction coefficient list.  It
-    is never zero: p is squarefree in y and its leading y-coefficient is
-    nonzero."""
+def y_resultant_with_dy(p: PlanePolynomial):
+    """Exact Res_y(p, dp/dy) as a sympy ``Poly`` in x over QQ.  It is never
+    zero: p is squarefree in y and its leading y-coefficient is nonzero."""
     import sympy
 
     x, y = p.poly.gens
-    res = sympy.Poly(sympy.resultant(p.poly, p.poly.diff(y), y), x,
-                     domain="QQ")
-    coeffs = [Fraction(c.p, c.q) for c in res.all_coeffs()]
-    coeffs.reverse()
-    return coeffs
+    return sympy.Poly(sympy.resultant(p.poly, p.poly.diff(y), y), x,
+                      domain="QQ")
 
 
 def reject_singular(p: PlanePolynomial) -> None:
@@ -438,7 +434,7 @@ def _min_sep(points: list) -> float:
 # ---------------------------------------------------------------------------
 # tracking constants and results
 
-WORKING_DIGITS = 16       # float64 baseline; the retry doubles this
+WORKING_DIGITS = 16       # float64, the one precision tracking uses
 STEP_TOLERANCE = 1e-10    # bisection floor on the path parameter
 SAFETY_FACTOR = 3.0       # root move must stay under minsep/safety
 MAX_DEPTH = 40            # bisection depth per step
@@ -551,7 +547,7 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
 
     x = p.poly.gens[0]
     lc_list = p.rows[-1]
-    disc = sympy.Poly(y_resultant_with_dy(p)[::-1], x, domain="QQ").exquo(
+    disc = y_resultant_with_dy(p).exquo(
         sympy.Poly(lc_list[::-1], x, domain="QQ").monic())
     if sympy.gcd(disc, disc.diff()).degree() > 0:
         raise NonGenericError(
@@ -630,11 +626,9 @@ def _infinity_pieces(x0: complex, targets: list, spread: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# numeric contexts
+# the numeric context
 
 class _Float64Context:
-    digits = WORKING_DIGITS
-
     def __init__(self, p: PlanePolynomial):
         self.coeff_polys = [[complex(c) for c in row] for row in p.rows]
 
@@ -673,45 +667,6 @@ class _Float64Context:
                     f"leading coefficient numerically vanishes on the path "
                     f"at x = {z}")
             yield roots[k], seps[k]
-
-
-class _MPContext:
-    def __init__(self, p: PlanePolynomial, digits: int):
-        import mpmath
-
-        self.mp = mpmath
-        self.digits = digits
-        self.exact = p.rows
-
-    def fiber(self, z: complex) -> list:
-        mp = self.mp
-        with mp.workdps(self.digits):
-            zz = mp.mpc(z.real, z.imag)
-            coeffs = []
-            for arr in self.exact:
-                acc = mp.mpc(0)
-                for c in reversed(arr):
-                    acc = acc * zz + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                coeffs.append(acc)
-            lead = coeffs[-1]
-            scale = max(abs(c) for c in coeffs)
-            if scale == 0 or abs(lead) < mp.mpf(10) ** (-self.digits + 3) * scale:
-                raise TrackingAmbiguityError(
-                    f"leading coefficient numerically vanishes on the path "
-                    f"at x = {z}")
-            try:
-                roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200,
-                                     extraprec=self.digits * 4)
-            except mp.libmp.NoConvergence as exc:
-                raise TrackingAmbiguityError(
-                    f"fiber roots did not converge at {self.digits} digits "
-                    f"at x = {z}") from exc
-            return [complex(r) for r in roots]
-
-    def fibers(self, zs: Sequence[complex]) -> Iterator[tuple]:
-        for z in zs:
-            roots = np.array(self.fiber(z), dtype=complex)
-            yield roots, _separations(roots[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -828,22 +783,10 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     the leading coefficient) and around a large clockwise circle, and
     assemble the branched cover over the line.
 
-    The exact relation c_1 ... c_r . c_inf = id is enforced; on failure the
-    whole tracking is retried once at doubled working precision (exact
-    rational coefficients re-evaluated with mpmath), then raised."""
+    The exact relation c_1 ... c_r . c_inf = id is enforced: tracking runs
+    once, in float64, and a violation is raised."""
     reject_singular(p)
-    crit = critical_values(p)
-
-    try:
-        return _track_once(p, crit, _Float64Context(p))
-    except RelationViolationError as first:
-        retry = _MPContext(p, 2 * WORKING_DIGITS)
-        try:
-            return _track_once(p, crit, retry)
-        except RelationViolationError:
-            raise RelationViolationError(
-                f"cycle relation still violated at "
-                f"{2 * WORKING_DIGITS} digits") from first
+    return _track_once(p, critical_values(p), _Float64Context(p))
 
 
 def _track_once(p: PlanePolynomial, crit: CriticalData,
@@ -967,7 +910,7 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
         infinity_cycle=c_inf,
         genericity=genericity,
         context=context,
-        used_precision_digits=ctx.digits,
+        used_precision_digits=WORKING_DIGITS,
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import ramify.gen
 from ramify.cover import dumps_cover, is_morse, loads_cover, validate
+from ramify.fiber import CoverContext, TheoremViolationError
 from ramify.gen import (
     _sample_cover,
     CapExceededError,
@@ -287,11 +288,22 @@ def test_verify_random_morse():
     assert report.checks_run["derived_cover"] == 25
 
 
-def test_verify_parallel_matches_serial():
-    s = CorpusSpec((1, 3), (0, 0), (0, 3))
-    serial = verify_corpus(s, jobs=1)
-    parallel = verify_corpus(s, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
+def test_failed_certification_step_is_collected_not_raised(monkeypatch):
+    """A ``TheoremViolationError`` from the S_d certificate is recorded as
+    an ``sd_cover_order`` violation naming the cover, and the run goes on."""
+    def refuse(self):
+        raise TheoremViolationError("forced")
+
+    monkeypatch.setattr(CoverContext, "sd_certificate", property(refuse))
+    corpus = spec(4, 0, 6, morse_only=True, samples=3, seed=7)
+    report = verify_corpus(corpus)
+    assert report.covers_checked == 3 and not report.ok
+    assert report.checks_run["sd_cover_order"] == 3
+    assert len(report.violations) == 3
+    for v in report.violations:
+        assert v.startswith("sd_cover_order: certification step failed: "
+                            "forced | cover: ")
+        assert loads_cover(v.split(" | cover: ")[1]).degree == 4
 
 
 def test_check_cover_flags_nothing_on_good_cover():

@@ -1,0 +1,36 @@
+"""The package metadata in pyproject.toml points only at code that exists."""
+
+import importlib
+import tomllib
+from pathlib import Path
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def dangling_scripts(project: dict) -> list:
+    """The ``[project.scripts]`` entries whose ``module:attribute`` target
+    cannot be imported, as ``name = target`` strings."""
+    dangling = []
+    for name, target in project.get("scripts", {}).items():
+        module, _, attribute = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in filter(None, attribute.split(".")):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            dangling.append(f"{name} = {target}")
+    return dangling
+
+
+def test_every_declared_script_imports():
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert dangling_scripts(project) == []
+
+
+def test_dangling_script_is_detected():
+    project = {"scripts": {"ok": "ramify.numono:parse_poly",
+                           "no_module": "ramify.no_such_module:main",
+                           "no_attribute": "ramify.numono:no_such_function"}}
+    assert dangling_scripts(project) == [
+        "no_module = ramify.no_such_module:main",
+        "no_attribute = ramify.numono:no_such_function"]
