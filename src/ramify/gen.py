@@ -4,8 +4,11 @@ theorem-verification driver.
 
 Enumeration fixes every generator except the last branch cycle, which the
 surface relation forces; that cuts the search space by |S_d| and keeps the
-hard caps honest.  Verification collects violations instead of raising, so a
-counterexample (i.e. a bug) surfaces with full context at the end of the run.
+hard caps honest.  Dedup keeps the first cover of each conjugacy class in
+enumeration order, keyed by the canonical labelling of its Schreier graph
+(``canonical_form``).  Verification collects violations instead of raising,
+so a counterexample (i.e. a bug) surfaces with full context at the end of
+the run.
 """
 
 from __future__ import annotations
@@ -81,18 +84,28 @@ def _perms(d: int) -> list:
 
 
 def canonical_form(c: BranchedCover) -> tuple:
-    """Least relabeling image under simultaneous conjugation by all of S_d;
-    idempotent and conjugation-invariant by construction."""
+    """Canonical labelling of the Schreier graph: from each start point a
+    BFS along a_1, b_1, ..., then the branch cycles numbers the points as
+    it reaches them, every generator's 0-based images are renumbered so,
+    and the least key is kept: a conjugation invariant, equal only for
+    conjugate covers.  Raises InvalidCoverError on intransitive input."""
+    d = c.degree
+    gens = [p._raw for p in c.all_generators()]
     best = None
-    for raw in itertools.permutations(range(c.degree)):
-        sigma = Permutation._from_raw(raw)
-        key = tuple(
-            tuple(p.conjugate(sigma).images for p in (a, b))
-            for a, b in c.handles
-        ) + tuple(cyc.conjugate(sigma).images for cyc in c.branch_cycles)
-        if best is None or key < best:
-            best = key
-    return (c.degree, c.base_genus, best)
+    for start in range(d):
+        label = {start: 0}
+        order = [start]
+        for x in order:
+            for g in gens:
+                if g[x] not in label:
+                    label[g[x]] = len(order)
+                    order.append(g[x])
+        if len(order) < d:
+            raise InvalidCoverError([f"generators reach {len(order)} of {d} "
+                                     f"points from point {start + 1}"])
+        key = tuple(tuple([label[g[x]] for x in order]) for g in gens)
+        best = key if best is None else min(best, key)
+    return (d, c.base_genus, best)
 
 
 def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:

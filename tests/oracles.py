@@ -134,6 +134,31 @@ def o_count_valid_tuples(d: int, r: int) -> int:
     return count
 
 
+def o_generators(cover) -> list:
+    """A cover's generators (a_1, b_1, ..., then the branch cycles) as
+    0-based image tuples."""
+    return [tuple(x - 1 for x in p.images) for p in cover.all_generators()]
+
+
+def o_canonical_form(cover) -> tuple:
+    """(degree, base genus, least simultaneous conjugate of the generators)
+    over a scan of all of S_d: the least tuple of sigma g sigma^-1."""
+    gens = o_generators(cover)
+    best = min(
+        tuple(o_compose(o_compose(sigma, g), o_inverse(sigma)) for g in gens)
+        for sigma in itertools.permutations(range(cover.degree)))
+    return (cover.degree, cover.base_genus, best)
+
+
+def o_centralizer_order(cover) -> int:
+    """|C_{S_d}(G)|: the elements of S_d that commute with every generator,
+    counted by a scan of all of S_d."""
+    gens = o_generators(cover)
+    return sum(
+        all(o_compose(sigma, g) == o_compose(g, sigma) for g in gens)
+        for sigma in itertools.permutations(range(cover.degree)))
+
+
 def o_local_branches(cover) -> list:
     """Local branches over every branch point by walking orbits: for each
     branch index j and ordered pair (kappa, kappa') of cycles of c_j (fixed

@@ -1,11 +1,20 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ramify.gen
-from ramify.cover import dumps_cover, is_morse, loads_cover, validate
+from ramify.cover import (
+    BranchedCover,
+    InvalidCoverError,
+    dumps_cover,
+    is_morse,
+    loads_cover,
+    validate,
+)
 from ramify.fiber import CoverContext, TheoremViolationError
 from ramify.gen import (
     _sample_cover,
@@ -20,7 +29,13 @@ from ramify.gen import (
     verify_corpus,
 )
 
-from oracles import o_count_valid_tuples
+from ramify.perm import Permutation, parse_cycles
+
+from oracles import (
+    o_canonical_form,
+    o_centralizer_order,
+    o_count_valid_tuples,
+)
 
 
 def spec(d, g, r, **kw):
@@ -96,12 +111,21 @@ def test_enumerate_deterministic_order():
 
 #: SHA-256 of the concatenated ``dumps_cover`` texts, recorded from the
 #: implementation that restated the surface relation inline in
-#: ``enumerate_covers`` and in the sampler.
+#: ``enumerate_covers`` and in the sampler.  The ``dedup`` streams were
+#: recorded while ``canonical_form`` still scanned all of S_d: whatever the
+#: key, dedup keeps the first cover of each class in enumeration order.
 GOLDEN_ENUMERATION = {
     "genus0": (CorpusSpec((1, 4), (0, 0), (0, 3)), 438,
                "3b12285f8b4ead2d6a908627ab138f8cc1e635a3d80c65640a9f9ac7a73f408f"),
     "genus1_morse": (CorpusSpec((2, 3), (1, 1), (0, 2), morse_only=True), 111,
                      "dcf1adfbf3321f4b58798b9bd55e3c0a35e84681a4bb014df4214a368d321638"),
+    "genus0_dedup": (CorpusSpec((1, 4), (0, 0), (0, 3), dedup=True), 31,
+                     "1629c02c7fdc605f38849885583c9e53d8547d9868628e25c359456c6a610b61"),
+    "genus1_dedup": (CorpusSpec((1, 3), (1, 1), (0, 2), dedup=True), 46,
+                     "6ab22d3bf0930e1aaea48d0ca5c730e499bcc49a46f169b14e23d3d90afdee2a"),
+    "genus1_morse_dedup": (CorpusSpec((2, 3), (1, 1), (0, 2), morse_only=True,
+                                      dedup=True), 27,
+                           "6478416c804661e4c69f961612bec9d876661a2a5363ccf236148e2198afde61"),
 }
 
 #: The same over ``random_cover(spec, seed)`` for seeds 0..7.
@@ -140,15 +164,68 @@ def test_random_covers_match_recorded(name):
 
 # -- dedup canonical form ---------------------------------------------------
 
-def test_canonical_form_idempotent_and_invariant():
-    from ramify.perm import Permutation
+def cover_from_form(form) -> BranchedCover:
+    """The cover whose generators are a ``canonical_form`` key."""
+    d, g, key = form
+    gens = [Permutation([x + 1 for x in raw]) for raw in key]
+    return BranchedCover(d, g, tuple(zip(gens[:2 * g:2], gens[1:2 * g:2])),
+                         tuple(gens[2 * g:]))
 
-    covers = list(enumerate_covers(spec(3, 0, 3)))
-    for cover in covers[:5]:
-        key = canonical_form(cover)
-        assert canonical_form(cover) == key
-        sigma = Permutation([2, 3, 1])
-        assert canonical_form(cover.relabel(sigma)) == key
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=7),
+       st.integers(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=2 ** 32), st.data())
+def test_canonical_form_idempotent_and_invariant(d, g, seed, data):
+    # r >= 1 at genus 1: a transitive abelian subgroup of S_7 is rarely drawn
+    corpus = CorpusSpec((d, d), (g, g), (2 - g, 4), samples=1, seed=seed)
+    cover = random_cover(corpus)
+    sigma = Permutation(data.draw(st.permutations(list(range(1, d + 1)))))
+    form = canonical_form(cover)
+    assert canonical_form(cover) == form
+    assert canonical_form(cover.relabel(sigma)) == form
+    rebuilt = cover_from_form(form)
+    assert validate(rebuilt).valid
+    assert canonical_form(rebuilt) == form
+
+
+def test_canonical_form_partition_matches_sd_scan():
+    """The Schreier-graph labelling and the scan of all of S_d put the same
+    covers in one class."""
+    covers = [*enumerate_covers(CorpusSpec((1, 4), (0, 0), (0, 3))),
+              *enumerate_covers(CorpusSpec((1, 3), (1, 1), (0, 2)))]
+    pairs = {(canonical_form(c), o_canonical_form(c)) for c in covers}
+    assert len(covers) == 622 and len(pairs) == 77
+    assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) \
+        == len(pairs)
+
+
+@pytest.mark.parametrize("d, g, r, morse, weight", [
+    (3, 0, 3, False, Fraction(10, 3)),
+    (3, 0, 4, False, Fraction(17)),
+    (4, 0, 3, False, Fraction(17)),
+    (4, 0, 4, False, Fraction(1865, 4)),
+    (3, 0, 4, True, Fraction(4)),
+    (2, 1, 2, False, Fraction(2)),
+    (3, 1, 1, False, Fraction(3)),
+    (3, 1, 2, False, Fraction(25)),
+])
+def test_dedup_class_weights_sum_to_tuple_count(d, g, r, morse, weight):
+    """A class holds d!/|C(G)| tuples, where C(G) is the centraliser of the
+    monodromy group in S_d, so the deduped classes' 1/|C(G)| sum to T/d!
+    with T the number of covers before dedup (Lando and Zvonkin, Graphs on
+    Surfaces and Their Applications, App. A)."""
+    tuples = sum(1 for _ in enumerate_covers(spec(d, g, r, morse_only=morse)))
+    classes = enumerate_covers(spec(d, g, r, morse_only=morse, dedup=True))
+    assert sum(Fraction(1, o_centralizer_order(c)) for c in classes) \
+        == Fraction(tuples, math.factorial(d)) == weight
+
+
+@pytest.mark.parametrize("cycles", [["(1 2)", "(1 2)"], ["(2 3)", "(2 3)"]])
+def test_canonical_form_refuses_intransitive_cover(cycles):
+    gens = tuple(parse_cycles(c, 4) for c in cycles)
+    with pytest.raises(InvalidCoverError, match="reach . of 4 points"):
+        canonical_form(BranchedCover(4, 0, (), gens))
 
 
 # -- random covers -----------------------------------------------------------
