@@ -4,11 +4,14 @@ theorem-verification driver.
 
 Enumeration fixes every generator except the last branch cycle, which the
 surface relation forces; that cuts the search space by |S_d| and keeps the
-hard caps honest.  Dedup keeps the first cover of each conjugacy class in
-enumeration order, keyed by the canonical labelling of its Schreier graph
-(``canonical_form``).  Verification collects violations instead of raising,
-so a counterexample (i.e. a bug) surfaces with full context at the end of
-the run.
+hard caps honest.  Random sampling forces the last cycle the same way, but
+first refuses, on each draw's raw relation product, every draw whose forced
+cycle would be the identity or, in Morse mode, not a transposition: only the
+few survivors are built as covers and validated.  Dedup keeps the first
+cover of each conjugacy class in enumeration order, keyed by the canonical
+labelling of its Schreier graph (``canonical_form``).  Verification
+collects violations instead of raising, so a counterexample (i.e. a bug)
+surfaces with full context at the end of the run.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .cover import (
 )
 from .fiber import CoverContext, TheoremViolationError
 from .graphs import is_connected
-from .perm import Permutation, Transitivity, transitivity
+from .perm import (Permutation, Transitivity, _compose, _inverse,
+                   transitivity)
 
 #: Hard enumeration caps per base genus.
 ENUMERATION_CAPS = {0: 5, 1: 3}
@@ -168,7 +172,9 @@ def _completed(prefix: BranchedCover, r: int,
 def random_cover(spec: CorpusSpec, seed: int | None = None) -> BranchedCover:
     """One seeded random valid cover: handles uniform, free branch cycles
     uniform over non-identity elements (transpositions in Morse mode), last
-    cycle forced, rejection until valid."""
+    cycle forced, rejection until valid.  A draw is refused on its raw
+    relation product when the forced cycle would be the identity, or in
+    Morse mode not a transposition; only the rest are built and validated."""
     if not spec.random_mode and seed is None:
         raise ValueError("random_cover needs random mode or an explicit seed")
     rng = random.Random(spec.seed if seed is None else seed)
@@ -209,27 +215,50 @@ def _draw_parameters(rng: random.Random, spec: CorpusSpec) -> tuple:
 
 def _sample_cover(rng: random.Random, d: int, g: int, r: int,
                   morse: bool) -> BranchedCover:
-    pairs = list(itertools.combinations(range(1, d + 1), 2))
+    """Rejection sampling behind ``random_cover``.  Each draw keeps its
+    relation product as a raw 0-based list, composed on the right as in
+    ``relation_product``; a draw whose forced last cycle would be the
+    identity, or in Morse mode not a transposition, is refused on that list
+    before any ``Permutation`` is built.  A surviving draw becomes a cover
+    and goes through ``_completed`` as an enumerated one does."""
+    pairs = list(itertools.combinations(range(d), 2))
     for _ in range(REJECTION_BUDGET):
+        prod = list(range(d))
         handles = []
         for _ in range(g):
-            im1 = list(range(1, d + 1))
-            rng.shuffle(im1)
-            im2 = list(range(1, d + 1))
-            rng.shuffle(im2)
-            handles.append((Permutation(im1), Permutation(im2)))
+            a = list(range(d))
+            rng.shuffle(a)
+            b = list(range(d))
+            rng.shuffle(b)
+            a, b = tuple(a), tuple(b)
+            handles.append((a, b))
+            comm = _compose(a, _compose(b, _compose(_inverse(a), _inverse(b))))
+            prod = [prod[x] for x in comm]
         frees = []
         for _ in range(max(r - 1, 0)):
             if morse:
-                a, b = pairs[rng.randrange(len(pairs))]
-                frees.append(Permutation.from_cycle([a, b], d))
+                x, y = pairs[rng.randrange(len(pairs))]
+                prod[x], prod[y] = prod[y], prod[x]
+                frees.append((x, y))
             else:
-                im = list(range(1, d + 1))
+                im = list(range(d))
                 while True:
                     rng.shuffle(im)
-                    if any(v != i + 1 for i, v in enumerate(im)):
+                    if any(v != i for i, v in enumerate(im)):
                         break
-                frees.append(Permutation(im))
+                prod = [prod[x] for x in im]
+                frees.append(tuple(im))
+        if r > 0:
+            moved = sum(x != i for i, x in enumerate(prod))
+            if moved == 0 or (morse and moved != 2):
+                continue
+        if morse:
+            frees = [Permutation.from_cycle([x + 1, y + 1], d)
+                     for x, y in frees]
+        else:
+            frees = [Permutation._from_raw(im) for im in frees]
+        handles = [(Permutation._from_raw(a), Permutation._from_raw(b))
+                   for a, b in handles]
         cover = _completed(BranchedCover(d, g, handles, frees), r, morse)
         if cover is not None:
             return cover

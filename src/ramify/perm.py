@@ -433,23 +433,29 @@ def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
 def _orbits(degree: int, generators: Sequence[Permutation],
             domain: Iterable | None = None) -> tuple:
     """``orbits`` of the group the generators generate, which is not built:
-    a breadth-first search along the generators themselves."""
-    if domain is None:
-        items = list(range(1, degree + 1))
-    else:
-        items = sorted(set(domain))
-    images = [(0,) + gen.images for gen in generators]
+    a breadth-first search along the generators' raw 0-based images, from
+    each orbit's least item shifted to 0-based points, the orbit shifted
+    back once."""
+    raws = [gen._raw for gen in generators]
+    items = range(1, degree + 1) if domain is None else sorted(set(domain))
     if items and isinstance(items[0], tuple):
         def moves(t: tuple) -> list:
-            return [tuple([img[x] for x in t]) for img in images]
+            return [tuple([raw[x] for x in t]) for raw in raws]
+
+        def shift(t: tuple, by: int) -> tuple:
+            return tuple([x + by for x in t])
     else:
         def moves(x: int) -> list:
-            return [img[x] for img in images]
+            return [raw[x] for raw in raws]
+
+        def shift(x: int, by: int) -> int:
+            return x + by
     seen = set()
     parts = []
     for item in items:
         if item in seen:
             continue
+        item = shift(item, -1)
         orbit = {item}
         frontier = [item]
         while frontier:
@@ -460,8 +466,9 @@ def _orbits(degree: int, generators: Sequence[Permutation],
                         orbit.add(y)
                         nxt.append(y)
             frontier = nxt
-        seen |= orbit
-        parts.append(tuple(sorted(orbit)))
+        part = tuple([shift(x, 1) for x in sorted(orbit)])
+        seen.update(part)
+        parts.append(part)
     return tuple(parts)
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and self-contained: plain image
 tuples, breadth-first closures, full product-space scans.  Nothing uses
 the package's group machinery (at most its permutation type and its
-graphs), so these stay valid checks of it.  The full-loop tracker at the
+graphs), so these stay valid checks of it.  The sampler oracle is the
+permutation-building sampler the raw pre-test replaced; it shares only
+``gen._completed``, which validates without building a group.  The full-loop tracker at the
 end shares numono's path pieces and constants but has its own stepper: one
 ``np.roots`` per point, pairwise separations in Python, solve then match.
 """
@@ -13,11 +15,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import random
 from collections import deque
 
 import numpy as np
 
 from ramify import numono
+from ramify.cover import BranchedCover
+from ramify.gen import REJECTION_BUDGET, InfeasibleParametersError, _completed
 from ramify.graphs import Graph
 from ramify.perm import Permutation
 
@@ -148,6 +153,41 @@ def o_canonical_form(cover) -> tuple:
         tuple(o_compose(o_compose(sigma, g), o_inverse(sigma)) for g in gens)
         for sigma in itertools.permutations(range(cover.degree)))
     return (cover.degree, cover.base_genus, best)
+
+
+def o_sample_cover(rng: random.Random, d: int, g: int, r: int,
+                   morse: bool) -> BranchedCover:
+    """The sampler as it was before its raw pre-test: every draw builds its
+    Permutations and goes through ``_completed``.  Draws the same random
+    numbers in the same order, so from equal generator states it returns
+    the same cover and leaves the same state."""
+    pairs = list(itertools.combinations(range(1, d + 1), 2))
+    for _ in range(REJECTION_BUDGET):
+        handles = []
+        for _ in range(g):
+            im1 = list(range(1, d + 1))
+            rng.shuffle(im1)
+            im2 = list(range(1, d + 1))
+            rng.shuffle(im2)
+            handles.append((Permutation(im1), Permutation(im2)))
+        frees = []
+        for _ in range(max(r - 1, 0)):
+            if morse:
+                a, b = pairs[rng.randrange(len(pairs))]
+                frees.append(Permutation.from_cycle([a, b], d))
+            else:
+                im = list(range(1, d + 1))
+                while True:
+                    rng.shuffle(im)
+                    if any(v != i + 1 for i, v in enumerate(im)):
+                        break
+                frees.append(Permutation(im))
+        cover = _completed(BranchedCover(d, g, handles, frees), r, morse)
+        if cover is not None:
+            return cover
+    raise InfeasibleParametersError(
+        f"no valid cover found for d={d} g={g} r={r} morse={morse} within "
+        f"{REJECTION_BUDGET} draws")
 
 
 def o_centralizer_order(cover) -> int:

@@ -13,6 +13,7 @@ from ramify.cover import (
     dumps_cover,
     is_morse,
     loads_cover,
+    relation_product,
     validate,
 )
 from ramify.fiber import CoverContext, TheoremViolationError
@@ -34,6 +35,7 @@ from oracles import (
     o_canonical_form,
     o_centralizer_order,
     o_count_valid_tuples,
+    o_sample_cover,
 )
 
 
@@ -316,6 +318,65 @@ def test_random_morse_single_even_count_draws_as_randint():
     rng = random.Random(11)
     d, g, r = rng.randint(6, 6), rng.randint(0, 0), rng.randint(10, 10)
     assert random_cover(s) == _sample_cover(rng, d, g, r, True)
+
+
+#: (d, g, r, morse, seeds) for the sampler against its oracle: Morse and
+#: not, genus 0 and 1, d = 2..8.  The oracle takes about 0.2 s per Morse
+#: cover at d = 8, so that stratum gets one seed.
+SAMPLER_CASES = [
+    *[(d, 0, 2 * d - 2, True, range(2)) for d in range(2, 8)],
+    (8, 0, 14, True, range(1)),
+    (2, 1, 2, True, range(2)),
+    (3, 1, 0, True, range(2)),
+    (4, 1, 2, True, range(2)),
+    (5, 1, 2, True, range(2)),
+    *[(d, 0, r, False, range(2))
+      for d, r in ((2, 2), (3, 3), (4, 4), (5, 3), (6, 2), (7, 3), (8, 3))],
+    *[(d, 1, r, False, range(2))
+      for d, r in ((2, 2), (3, 0), (4, 2), (6, 1), (8, 1))],
+]
+
+
+@pytest.mark.parametrize("d, g, r, morse, seeds", SAMPLER_CASES,
+                         ids=[f"d{c[0]}_g{c[1]}_r{c[2]}_{'morse' if c[3] else 'any'}"
+                              for c in SAMPLER_CASES])
+def test_sampler_matches_permutation_building_oracle(d, g, r, morse, seeds):
+    """The raw pre-test refuses exactly the draws ``_completed`` would, so
+    from equal generator states both samplers return the same cover and
+    leave the same state."""
+    for seed in seeds:
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert _sample_cover(rng, d, g, r, morse) \
+            == o_sample_cover(oracle_rng, d, g, r, morse)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_sampler_builds_permutations_only_for_transposition_products(
+        monkeypatch):
+    """A Morse draw reaches ``_completed`` only when its raw relation product
+    is a transposition, and only then are its 2d - 3 free cycles built."""
+    d = 8
+    completed = ramify.gen._completed
+    products = []
+    built = []
+
+    def counted_completed(prefix, r, morse):
+        products.append(relation_product(prefix))
+        return completed(prefix, r, morse)
+
+    from_cycle = Permutation.from_cycle
+
+    def counted_from_cycle(cls, cycle, degree):
+        built.append(cycle)
+        return from_cycle(cycle, degree)
+
+    monkeypatch.setattr(ramify.gen, "_completed", counted_completed)
+    monkeypatch.setattr(Permutation, "from_cycle",
+                        classmethod(counted_from_cycle))
+    cover = _sample_cover(random.Random(1), d, 0, 2 * d - 2, True)
+    assert is_morse(cover) and products
+    assert all(p.is_transposition() for p in products)
+    assert len(built) <= (2 * d - 3) * len(products)
 
 
 def test_random_mode_requires_seed():
