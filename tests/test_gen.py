@@ -337,9 +337,9 @@ SAMPLER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("d, g, r, morse, seeds", SAMPLER_CASES,
-                         ids=[f"d{c[0]}_g{c[1]}_r{c[2]}_{'morse' if c[3] else 'any'}"
-                              for c in SAMPLER_CASES])
+@pytest.mark.parametrize("d, g, r, morse, seeds", SAMPLER_CASES, ids=[
+    f"d{d}_g{g}_r{r}_{'morse' if morse else 'any'}"
+    for d, g, r, morse, _ in SAMPLER_CASES])
 def test_sampler_matches_permutation_building_oracle(d, g, r, morse, seeds):
     """The raw pre-test refuses exactly the draws ``_completed`` would, so
     from equal generator states both samplers return the same cover and
