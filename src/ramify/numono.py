@@ -36,23 +36,25 @@ and ``critical_values`` ensure both), the root multiplicities are the
 ramification indices, so a loop's ``fiber_pattern`` is its cycle type.
 
 Tracking.  Each path piece has a fixed grid of initial steps, and its
-fibers are solved together: ``_Float64Context.fibers`` stacks the companion
-matrices that ``np.roots`` would build at the grid points into one
-``eigvals`` call, so the roots are exactly those of ``np.roots``, and
-computes the least root separation of every grid fiber in one array
-operation.  A step matches the fiber it holds to the next grid fiber by
-nearest neighbours on a d x d distance array; every root's move must stay
-under the lesser of the two separations divided by ``SAFETY_FACTOR``, and
-the separation of the accepted fiber is carried into the next step, so no
-separation is computed twice along a piece.  A failing step is bisected,
+fibers are solved together: ``_fibers`` stacks the companion matrices that
+``np.roots`` would build at the grid points into one ``eigvals`` call, so
+the roots are exactly those of ``np.roots``, and computes the least root
+separation of every grid fiber in one array operation.  A step matches the
+fiber it holds to the next grid fiber by nearest neighbours on a d x d
+distance array; every root's move must stay under the lesser of the two
+separations divided by ``SAFETY_FACTOR``, and the separation of the
+accepted fiber is carried into the next step, so no separation is computed
+twice along a piece.  A failing step is bisected,
 solving one midpoint at a time, at most ``MAX_DEPTH`` times and never below
 ``STEP_TOLERANCE`` on the path parameter, which also bounds how close two
 critical values may be.  A grid point where the leading coefficient
 vanishes is refused when the walk reaches it, not before.
 
-Tracking runs once, in float64 (``WORKING_DIGITS``).  A failed relation is
-a ``RelationViolationError``: the step rule accepted a step it should not
-have, and more digits in the root solves cannot undo that.
+Tracking runs once, in float64 (``WORKING_DIGITS``).  Every exact value
+enters float64 through ``_complex``, which refuses one beyond its range as
+a ``NonGenericError``.  A failed relation is a ``RelationViolationError``:
+the step rule accepted a step it should not have, and more digits in the
+root solves cannot undo that.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cover import BranchedCover, InvalidCoverError, cover_to_json_dict
+from .cover import (BranchedCover, InvalidCoverError, cover_to_json_dict,
+                    is_morse, relation_product)
 from .fiber import CoverContext
 from .perm import Permutation, Transitivity, format_cycles, transitivity
 
@@ -80,7 +83,9 @@ class PolyParseError(ValueError):
 class NonGenericError(ValueError):
     """The projection violates a genericity hypothesis (multiple
     discriminant root, leading coefficient vanishing at a critical value,
-    coincident sweep coordinates beyond repair, ...)."""
+    coincident sweep coordinates beyond repair, ...), or an exact value the
+    numerical steps read lies outside the float64 range (magnitude above
+    about 1.8e308, or nonzero below about 4.9e-324)."""
 
 
 class SingularCurveError(ValueError):
@@ -147,7 +152,7 @@ class PlanePolynomial:
     ``poly`` holds the polynomial as a sympy ``Poly`` in the generators
     (x, y) over QQ; every exact step reads it.  Both are built once."""
 
-    __slots__ = ("coeffs", "y_degree", "x_degree", "rows", "poly")
+    __slots__ = ("coeffs", "y_degree", "rows", "poly")
 
     def __init__(self, coeffs: Coeffs):
         import sympy
@@ -157,7 +162,6 @@ class PlanePolynomial:
             raise ValueError("zero polynomial")
         self.coeffs = clean
         self.y_degree = max(j for _, j in clean)
-        self.x_degree = max(i for i, _ in clean)
         if self.y_degree < 2:
             raise ValueError(f"y-degree {self.y_degree} < 2")
         rows = [[Fraction(0)] * (max((i for i, j in clean if j == k),
@@ -411,6 +415,21 @@ def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
+def _complex(q: Fraction) -> complex:
+    """The exact rational ``q`` as a float64 complex number; every exact
+    value the numerical steps read is converted here.  A value too large
+    for float64, or nonzero but rounding to 0, is refused."""
+    try:
+        z = complex(q)
+    except OverflowError:
+        z = None
+    if z is None or (q and not z):
+        exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+        raise NonGenericError(f"exact value of about 10^{exponent:.1f} lies "
+                              f"outside the float64 range")
+    return z
+
+
 def _np_roots_ascending(coeffs: Sequence[complex]) -> list:
     arr = np.array(list(reversed(coeffs)), dtype=complex)
     return [complex(r) for r in np.roots(arr)]
@@ -424,11 +443,6 @@ def _polish(coeffs: Sequence[complex], z: complex, steps: int = 3) -> complex:
             return z
         z = z - _horner(coeffs, z) / dv
     return z
-
-
-def _min_sep(points: list) -> float:
-    return min((abs(a - b) for i, a in enumerate(points)
-                for b in points[i + 1:]), default=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +496,7 @@ class MonodromyResult:
     infinity_cycle: Permutation
     genericity: GenericityReport
     context: CoverContext      # the assembled cover, validated once
-    used_precision_digits: int
+    used_precision_digits = WORKING_DIGITS
 
     @property
     def cover(self) -> BranchedCover:
@@ -553,11 +567,11 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
         raise NonGenericError(
             "discriminant has a multiple root: projection line is not "
             "transverse to the dual curve")
-    cres = [complex(Fraction(c.p, c.q)) for c in reversed(disc.all_coeffs())]
+    cres = [_complex(Fraction(c.p, c.q)) for c in reversed(disc.all_coeffs())]
     roots = _np_roots_ascending(cres) if disc.degree() >= 1 else []
     roots = [_polish(cres, z) for z in roots]
     roots.sort(key=lambda z: (z.real, z.imag))
-    mins = _min_sep(roots)
+    mins = float(_separations(np.array(roots, dtype=complex)[None])[0])
     if mins <= STEP_TOLERANCE:
         raise NonGenericError(
             f"critical values within tolerance of each other "
@@ -566,7 +580,7 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
 
     lc_roots = []
     if len(lc_list) > 1:
-        lc = [complex(c) for c in lc_list]
+        lc = [_complex(c) for c in lc_list]
         lc_roots = [_polish(lc, z) for z in _np_roots_ascending(lc)]
         lc_roots.sort(key=lambda z: (z.real, z.imag))
         scale = max([1.0] + [abs(z) for z in roots])
@@ -626,47 +640,41 @@ def _infinity_pieces(x0: complex, targets: list, spread: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the numeric context
+# fibers
 
-class _Float64Context:
-    def __init__(self, p: PlanePolynomial):
-        self.coeff_polys = [[complex(c) for c in row] for row in p.rows]
-
-    def fiber(self, z: complex) -> np.ndarray:
-        return next(self.fibers([z]))[0]
-
-    def fibers(self, zs: Sequence[complex]) -> Iterator[tuple]:
-        """Yield the roots over each point of ``zs``, in order, with their
-        least separation.  The companion matrices ``np.roots`` would build
-        are solved in one ``eigvals`` call, so the roots are its roots; a
-        point where the leading coefficient numerically vanishes raises only
-        when it is reached."""
-        rows, refused = [], []
-        for z in zs:
-            coeffs = [_horner(cp, z) for cp in self.coeff_polys]
-            scale = max(abs(c) for c in coeffs)
-            refused.append(scale == 0 or abs(coeffs[-1]) < 1e-13 * scale)
-            rows.append(coeffs[::-1])
-        desc = np.array(rows, dtype=complex)
-        d = desc.shape[1] - 1
-        roots = np.zeros((len(rows), d), dtype=complex)
-        solved = ~np.array(refused)
-        # np.roots strips a zero constant coefficient, so it solves a smaller
-        # companion matrix and appends the root 0; it solves such points
-        batch = solved & (desc[:, -1] != 0)
-        companion = np.zeros((np.count_nonzero(batch), d, d), dtype=complex)
-        companion[:, np.arange(1, d), np.arange(d - 1)] = 1
-        companion[:, 0, :] = -desc[batch, 1:] / desc[batch, :1]
-        roots[batch] = np.linalg.eigvals(companion)
-        for k in np.flatnonzero(solved & ~batch):
-            roots[k] = np.roots(desc[k])
-        seps = _separations(roots)
-        for k, z in enumerate(zs):
-            if refused[k]:
-                raise TrackingAmbiguityError(
-                    f"leading coefficient numerically vanishes on the path "
-                    f"at x = {z}")
-            yield roots[k], seps[k]
+def _fibers(rows: Sequence, zs: Sequence[complex]) -> Iterator[tuple]:
+    """Yield the roots over each point of ``zs``, in order, with their
+    least separation; ``rows[j]`` holds the ascending complex coefficients
+    in x of y^j.  The companion matrices ``np.roots`` would build are solved
+    in one ``eigvals`` call, so the roots are its roots; a point where the
+    leading coefficient numerically vanishes raises only when it is
+    reached."""
+    desc, refused = [], []
+    for z in zs:
+        coeffs = [_horner(row, z) for row in rows]
+        scale = max(abs(c) for c in coeffs)
+        refused.append(scale == 0 or abs(coeffs[-1]) < 1e-13 * scale)
+        desc.append(coeffs[::-1])
+    desc = np.array(desc, dtype=complex)
+    d = desc.shape[1] - 1
+    roots = np.zeros((len(zs), d), dtype=complex)
+    solved = ~np.array(refused)
+    # np.roots strips a zero constant coefficient, so it solves a smaller
+    # companion matrix and appends the root 0; it solves such points
+    batch = solved & (desc[:, -1] != 0)
+    companion = np.zeros((np.count_nonzero(batch), d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1
+    companion[:, 0, :] = -desc[batch, 1:] / desc[batch, :1]
+    roots[batch] = np.linalg.eigvals(companion)
+    for k in np.flatnonzero(solved & ~batch):
+        roots[k] = np.roots(desc[k])
+    seps = _separations(roots)
+    for k, z in enumerate(zs):
+        if refused[k]:
+            raise TrackingAmbiguityError(
+                f"leading coefficient numerically vanishes on the path "
+                f"at x = {z}")
+        yield roots[k], seps[k]
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +688,12 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _separations(fibers: np.ndarray) -> np.ndarray:
-    """The least distance between two roots in each row of ``fibers``."""
+    """The least distance between two roots in each row of ``fibers``, or
+    infinity in a row of fewer than two."""
     gaps = _distances(fibers, fibers)
     diagonal = np.arange(fibers.shape[-1])
     gaps[..., diagonal, diagonal] = math.inf
-    return gaps.min(axis=(-2, -1))
+    return gaps.min(axis=(-2, -1), initial=math.inf)
 
 
 def _match(old: np.ndarray, new: np.ndarray, old_sep: float,
@@ -701,7 +710,7 @@ def _match(old: np.ndarray, new: np.ndarray, old_sep: float,
     return best
 
 
-def _advance(piece, ta: float, tb: float, old: tuple, new: tuple, ctx,
+def _advance(piece, ta: float, tb: float, old: tuple, new: tuple, rows,
              depth: int) -> tuple:
     """Continue ``old``, the labelled fiber at ``ta`` and its separation,
     to ``new``, the fiber solved at ``tb`` and its separation; a failing
@@ -714,12 +723,12 @@ def _advance(piece, ta: float, tb: float, old: tuple, new: tuple, ctx,
             f"root matching failed near x = {piece.at(tb)} after "
             f"depth-{depth} refinement")
     tm = (ta + tb) / 2
-    mid = _advance(piece, ta, tm, old, next(ctx.fibers([piece.at(tm)])),
-                   ctx, depth + 1)
-    return _advance(piece, tm, tb, mid, new, ctx, depth + 1)
+    mid = _advance(piece, ta, tm, old, next(_fibers(rows, [piece.at(tm)])),
+                   rows, depth + 1)
+    return _advance(piece, tm, tb, mid, new, rows, depth + 1)
 
 
-def _track(piece, fiber, ctx) -> np.ndarray:
+def _track(piece, fiber, rows) -> np.ndarray:
     """Transport ``fiber`` along ``piece``: entry k of the result continues
     entry k of ``fiber``.  The fibers over the piece's grid are solved
     together, and each step carries the separation of the fiber it
@@ -727,16 +736,16 @@ def _track(piece, fiber, ctx) -> np.ndarray:
     n = piece.initial_steps
     fiber = np.asarray(fiber, dtype=complex)
     state = fiber, _separations(fiber[None])[0]
-    grid = ctx.fibers([piece.at((k + 1) / n) for k in range(n)])
+    grid = _fibers(rows, [piece.at((k + 1) / n) for k in range(n)])
     for k, new in enumerate(grid):
-        state = _advance(piece, k / n, (k + 1) / n, state, new, ctx, 0)
+        state = _advance(piece, k / n, (k + 1) / n, state, new, rows, 0)
     return state[0]
 
 
-def _circle_permutation(fiber, circle: _Arc, ctx) -> Permutation:
+def _circle_permutation(fiber, circle: _Arc, rows) -> Permutation:
     """Track ``fiber`` once around the closed ``circle``; entry k ends on
     entry perm(k)."""
-    ends = np.array([_track(circle, fiber, ctx), fiber], dtype=complex)
+    ends = np.array([_track(circle, fiber, rows), fiber], dtype=complex)
     assignment = _match(*ends, *_separations(ends))
     if assignment is None:
         raise TrackingAmbiguityError(
@@ -786,11 +795,8 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     The exact relation c_1 ... c_r . c_inf = id is enforced: tracking runs
     once, in float64, and a violation is raised."""
     reject_singular(p)
-    return _track_once(p, critical_values(p), _Float64Context(p))
-
-
-def _track_once(p: PlanePolynomial, crit: CriticalData,
-                ctx) -> MonodromyResult:
+    crit = critical_values(p)
+    rows = [[_complex(c) for c in row] for row in p.rows]
     d = p.y_degree
     targets = [(z, "critical", res)
                for z, res in zip(crit.critical, crit.residuals)]
@@ -818,7 +824,8 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
                      if j != i), default=abs(s_x0 - sweep[i]))
         radii[i] = min(near, s_gap) / 2
 
-    base_fiber = sorted(ctx.fiber(x0), key=lambda z: (z.real, z.imag))
+    base_fiber = sorted(next(_fibers(rows, [x0]))[0],
+                        key=lambda z: (z.real, z.imag))
     if len(base_fiber) != d:
         raise TrackingAmbiguityError("base fiber does not have d points")
 
@@ -827,17 +834,17 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
     # point: the targets of a rational p are closed under conjugation and
     # the sweep tilts by less than pi/4.
     point = s_x0 * p_hat + h_rail * u
-    fiber = _track(_Seg(x0, point), base_fiber, ctx)
+    fiber = _track(_Seg(x0, point), base_fiber, rows)
     theta = cmath.phase(-u)
     loops = []
     for i in sorted(range(len(targets)), key=lambda i: sweep[i], reverse=True):
         z, kind, residual = targets[i]
         foot = sweep[i] * p_hat + h_rail * u
-        fiber = _track(_Seg(point, foot), fiber, ctx)
+        fiber = _track(_Seg(point, foot), fiber, rows)
         point = foot
         cycle = _circle_permutation(
-            _track(_Seg(foot, z - radii[i] * u), fiber, ctx),
-            _Arc(z, radii[i], theta, theta + 2 * math.pi), ctx)
+            _track(_Seg(foot, z - radii[i] * u), fiber, rows),
+            _Arc(z, radii[i], theta, theta + 2 * math.pi), rows)
         pattern = cycle.cycle_type() if kind == "critical" else ()
         loops.append(LoopTarget(
             value=z,
@@ -854,12 +861,10 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
     loops.reverse()
 
     stub, circle = _infinity_pieces(x0, values, spread)
-    c_inf = _circle_permutation(_track(stub, base_fiber, ctx), circle, ctx)
+    c_inf = _circle_permutation(_track(stub, base_fiber, rows), circle, rows)
 
-    product = Permutation.identity(d)
-    for t in loops:
-        product = product * t.cycle
-    product = product * c_inf
+    product = relation_product(BranchedCover(
+        d, 0, (), tuple(t.cycle for t in loops) + (c_inf,)))
     if not product.is_identity():
         raise RelationViolationError(
             f"c_1 ... c_r . c_inf = {format_cycles(product)} != id")
@@ -910,7 +915,6 @@ def _track_once(p: PlanePolynomial, crit: CriticalData,
         infinity_cycle=c_inf,
         genericity=genericity,
         context=context,
-        used_precision_digits=WORKING_DIGITS,
     )
 
 
@@ -952,7 +956,12 @@ def certify_projection(p: PlanePolynomial,
     certificate reduces to: all finite cycles transpositions (ordinary
     tangents), the infinity cycle trivial or flagged, and the group order
     d!.  When the infinity cycle spoils Morse-ness the group facts are still
-    reported (the S_d conclusion via the order check alone)."""
+    reported (the S_d conclusion via the order check alone).
+
+    The paper's second corollary also asks for a non-flex point.  That
+    hypothesis always holds here: in characteristic 0 the flexes of an
+    irreducible plane curve of degree >= 2 are the finitely many points
+    where it meets its Hessian curve, so no such curve is all flexes."""
     if result is None:
         result = track_monodromy(p)
     finite = [t.cycle for t in result.loops]
@@ -964,15 +973,13 @@ def certify_projection(p: PlanePolynomial,
         infinity_kind = "transposition"
     else:
         infinity_kind = "cycle type " + str(c_inf.cycle_type())
-    full_morse = finite_morse and infinity_kind in ("unramified",
-                                                    "transposition")
     ctx = result.context
     group = ctx.group
     return ProjectionReport(
         result=result,
         finite_cycles_morse=finite_morse,
         infinity_kind=infinity_kind,
-        full_morse=full_morse,
+        full_morse=is_morse(result.cover, checked=False),
         genuinely_ramified=ctx.genuine.genuinely_ramified,
         two_transitive=transitivity(group) is Transitivity.TWO_TRANSITIVE,
         group_order=group.order,

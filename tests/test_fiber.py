@@ -276,6 +276,32 @@ def test_fiber_verdicts_conjugation_invariant(cover, data):
     assert a.sd_certificate.certified == b.sd_certificate.certified
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(valid_covers_st(max_degree=4, max_genus=0),
+                 valid_covers_st(max_degree=3, max_branch=3)))
+def test_fiber_verdicts_invariant_under_hurwitz_moves(cover):
+    """The braid move (c_i, c_{i+1}) -> (c_i c_{i+1} c_i^-1, c_i) keeps the
+    product of the pair, so the moved tuple is again a cover with the same
+    group; its cycles are the old ones up to conjugation in that group, so
+    the orbitals, the dual graph and every verdict stay exactly equal.
+    Every move of the tuple is checked."""
+    cycles = cover.branch_cycles
+    assume(len(cycles) >= 2)
+    before = CoverContext(cover)
+    for i in range(len(cycles) - 1):
+        a, b = cycles[i], cycles[i + 1]
+        after = CoverContext(BranchedCover(
+            cover.degree, cover.base_genus, cover.handles,
+            cycles[:i] + (a * b * a.inverse(), a) + cycles[i + 2:]))
+        assert after.group.order == before.group.order
+        assert after.orbitals == before.orbitals
+        assert after.dual_graph == before.dual_graph
+        assert after.genuine == before.genuine
+        assert after.offdiag == before.offdiag
+        assert (after.sd_certificate.certified
+                == before.sd_certificate.certified)
+
+
 # -- off-diagonal closure -----------------------------------------------------
 
 def test_offdiag_two_transitive():

@@ -174,10 +174,10 @@ def test_transport_tracks_each_piece_once(monkeypatch, text):
     real = numono._advance
     pieces = []
 
-    def advance(piece, ta, tb, old, new, ctx, depth):
+    def advance(piece, ta, tb, old, new, rows, depth):
         if ta == 0 and depth == 0:
             pieces.append(piece)
-        return real(piece, ta, tb, old, new, ctx, depth)
+        return real(piece, ta, tb, old, new, rows, depth)
 
     monkeypatch.setattr(numono, "_advance", advance)
     result = track_monodromy(parse_poly(text))
@@ -198,15 +198,15 @@ def test_batched_fibers_equal_per_point_roots(monkeypatch, text):
     its least root separation."""
     p = parse_poly(text)
     scalar = ScalarFloat64(p)
-    real = numono._Float64Context.fibers
+    real = numono._fibers
     solved = []
 
-    def fibers(self, zs):
-        for z, (roots, sep) in zip(zs, real(self, zs)):
+    def fibers(rows, zs):
+        for z, (roots, sep) in zip(zs, real(rows, zs)):
             solved.append((z, roots, sep))
             yield roots, sep
 
-    monkeypatch.setattr(numono._Float64Context, "fibers", fibers)
+    monkeypatch.setattr(numono, "_fibers", fibers)
     track_monodromy(p)
     assert len(solved) > 100
     for z, roots, sep in solved:
@@ -222,23 +222,22 @@ def test_batched_fibers_equal_per_point_roots(monkeypatch, text):
     ("y^3 - 3*y - x", [0j, 1 + 1j, 0j]),
 ])
 def test_batched_fibers_keep_np_roots_at_a_zero_constant_term(text, zs):
-    p = parse_poly(text)
-    scalar = ScalarFloat64(p)
-    fibers = list(numono._Float64Context(p).fibers(zs))
+    scalar = ScalarFloat64(parse_poly(text))
+    fibers = list(numono._fibers(scalar.coeff_polys, zs))
     assert [_bits(roots) for roots, _ in fibers] == \
         [_bits(scalar.fiber(z)) for z in zs]
     assert [sep for _, sep in fibers] == [min_sep(scalar.fiber(z))
                                           for z in zs]
     assert 0 in fibers[zs.index(0j)][0]
-    assert _bits(numono._Float64Context(p).fiber(0j)) == \
+    assert _bits(next(numono._fibers(scalar.coeff_polys, [0j]))[0]) == \
         _bits(scalar.fiber(0j))
 
 
 def test_refused_grid_point_raises_only_when_reached():
     """A point where the leading coefficient vanishes does not stop the
     points before it, so the order of errors along a path is kept."""
-    ctx = numono._Float64Context(parse_poly("x*y^2 + y + x^2 - 3"))
-    fibers = ctx.fibers([1 + 0j, 1j, 0j, 2 + 0j])
+    rows = ScalarFloat64(parse_poly("x*y^2 + y + x^2 - 3")).coeff_polys
+    fibers = numono._fibers(rows, [1 + 0j, 1j, 0j, 2 + 0j])
     assert len(next(fibers)[0]) == len(next(fibers)[0]) == 2
     with pytest.raises(TrackingAmbiguityError, match="at x = 0j"):
         next(fibers)
@@ -250,7 +249,7 @@ def test_each_tracked_fiber_is_separated_once(monkeypatch, text):
     """Each solved fiber's separation is computed once, with its roots: a
     step reuses the separation of the fiber it accepted last.  Beyond that,
     each piece computes its start fiber's and each circle its two end
-    fibers'; ``_min_sep`` runs only on the critical values."""
+    fibers', and ``critical_values`` the critical values' once."""
     counts = Counter()
 
     def count(owner, name, size=lambda *args: 1):
@@ -262,15 +261,17 @@ def test_each_tracked_fiber_is_separated_once(monkeypatch, text):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(numono._Float64Context, "fibers", lambda self, zs: len(zs))
+    count(numono, "_fibers", lambda rows, zs: len(zs))
     count(numono, "_separations", len)
-    for name in ("_track", "_circle_permutation", "_min_sep", "_match"):
+    for name in ("_track", "_circle_permutation", "critical_values",
+                 "_match"):
         count(numono, name)
     track_monodromy(parse_poly(text))
     assert counts["_match"] > 100
-    assert counts["_separations"] == (counts["fibers"] + counts["_track"]
-                                      + 2 * counts["_circle_permutation"])
-    assert counts["_min_sep"] == 1
+    assert counts["_separations"] == (counts["_fibers"] + counts["_track"]
+                                      + 2 * counts["_circle_permutation"]
+                                      + counts["critical_values"])
+    assert counts["critical_values"] == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,6 +337,25 @@ def test_certify_projection_json_matches_recorded(text):
                 loop["fiber_pattern"]) - 1) and loop["ordinary"]
 
 
+@pytest.mark.parametrize("text", sorted(GOLDEN_CERTIFY)
+                         + ["y^2 - x^3", "y^4 - 2*x*y^2 + x^3 - 1"])
+def test_no_curve_is_all_flexes(text):
+    """Corollary 2's non-flex hypothesis holds for every curve certified or
+    refused here: the Hessian H of the homogenised curve F is not a multiple
+    of F, so F meets its Hessian curve, whose points are its flexes, in
+    finitely many points."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    p = parse_poly(text)
+    n = max(i + j for i, j in p.coeffs)
+    F = sympy.expand(sum(v * x ** i * y ** j * z ** (n - i - j)
+                         for (i, j), v in p.coeffs.items()))
+    H = sympy.hessian(F, (x, y, z)).det()
+    _, remainder = sympy.reduced(H, [F], x, y, z)
+    assert remainder != 0
+
+
 def test_certify_projection_builds_the_monodromy_group_once(monodromy_builds):
     report = certify_projection(parse_poly("y^4 + x^4 + x*y - 1"))
     assert monodromy_builds == [report.result.cover.all_generators()]
@@ -389,7 +409,7 @@ def test_degree_bound_on_products_and_powers():
     with pytest.raises(PolyParseError, match="degree bound"):
         parse_poly(f"2^{MAX_POLY_DEGREE + 1} + y^2")
     p = parse_poly(f"x^{half} * x^{MAX_POLY_DEGREE - half} + y^2")
-    assert p.x_degree == MAX_POLY_DEGREE
+    assert max(i for i, _ in p.coeffs) == MAX_POLY_DEGREE
 
 
 @pytest.mark.parametrize("prefix", ["y^2 + ", "y^2 + 1/", "y^2 + x^"])
@@ -413,48 +433,53 @@ def test_nesting_bound():
 
 
 def _tracking_passes(monkeypatch, error=None):
-    """The list of contexts tracked with, one per pass.  With ``error``
-    each pass raises it instead of tracking."""
-    real = numono._track_once
-    contexts = []
+    """The list of curves tracked, one per pass: each pass finds the
+    critical values once.  With ``error`` each pass raises it instead of
+    tracking, from its first path piece."""
+    real_critical_values, real_track = numono.critical_values, numono._track
+    passes = []
 
-    def track_once(p, crit, ctx):
-        contexts.append(ctx)
+    def critical_values(p):
+        passes.append(p)
+        return real_critical_values(p)
+
+    def track(piece, fiber, rows):
         if error:
             raise error("forced")
-        return real(p, crit, ctx)
+        return real_track(piece, fiber, rows)
 
-    monkeypatch.setattr(numono, "_track_once", track_once)
-    return contexts
+    monkeypatch.setattr(numono, "critical_values", critical_values)
+    monkeypatch.setattr(numono, "_track", track)
+    return passes
 
 
 def test_tracking_ambiguity_is_not_retried(monkeypatch):
-    contexts = _tracking_passes(monkeypatch, TrackingAmbiguityError)
+    passes = _tracking_passes(monkeypatch, TrackingAmbiguityError)
     with pytest.raises(TrackingAmbiguityError, match="forced"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
-    assert len(contexts) == 1
+    assert len(passes) == 1
 
 
 def test_fiber_refused_where_the_leading_coefficient_vanishes():
-    ctx = numono._Float64Context(parse_poly("x*y^2 + y + x^2 - 3"))
+    rows = ScalarFloat64(parse_poly("x*y^2 + y + x^2 - 3")).coeff_polys
     with pytest.raises(TrackingAmbiguityError, match="leading coefficient"):
-        ctx.fiber(0j)
-    assert len(ctx.fiber(1j)) == 2
+        next(numono._fibers(rows, [0j]))
+    assert len(next(numono._fibers(rows, [1j]))[0]) == 2
 
 
 def test_step_that_never_matches_is_refused(monkeypatch):
-    contexts = _tracking_passes(monkeypatch)
+    passes = _tracking_passes(monkeypatch)
     monkeypatch.setattr(numono, "SAFETY_FACTOR", 1e12)
     with pytest.raises(TrackingAmbiguityError, match="root matching failed"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
-    assert len(contexts) == 1
+    assert len(passes) == 1
 
 
 def test_circle_whose_end_cannot_be_matched_is_refused(monkeypatch):
     real = numono._track
 
-    def track(piece, fiber, ctx):
-        end = real(piece, fiber, ctx)
+    def track(piece, fiber, rows):
+        end = real(piece, fiber, rows)
         return [end[0]] * len(end) if isinstance(piece, numono._Arc) else end
 
     monkeypatch.setattr(numono, "_track", track)
@@ -463,9 +488,13 @@ def test_circle_whose_end_cannot_be_matched_is_refused(monkeypatch):
 
 
 def test_short_base_fiber_is_refused(monkeypatch):
-    real = numono._Float64Context.fiber
-    monkeypatch.setattr(numono._Float64Context, "fiber",
-                        lambda self, z: real(self, z)[1:])
+    real = numono._fibers
+
+    def fibers(rows, zs):
+        for roots, sep in real(rows, zs):
+            yield roots[1:], sep
+
+    monkeypatch.setattr(numono, "_fibers", fibers)
     with pytest.raises(TrackingAmbiguityError, match="base fiber"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
 
@@ -474,17 +503,17 @@ def test_relation_failure_is_raised_after_one_pass(monkeypatch):
     """A wrong cycle at infinity breaks the relation, and the violation is
     raised from the only tracking pass."""
     real = numono._circle_permutation
-    contexts = _tracking_passes(monkeypatch)
+    passes = _tracking_passes(monkeypatch)
 
-    def circle_permutation(fiber, circle, ctx):
-        perm = real(fiber, circle, ctx)
+    def circle_permutation(fiber, circle, rows):
+        perm = real(fiber, circle, rows)
         clockwise = circle.theta1 < circle.theta0
         return Permutation.identity(len(fiber)) if clockwise else perm
 
     monkeypatch.setattr(numono, "_circle_permutation", circle_permutation)
     with pytest.raises(RelationViolationError, match=r"c_inf = \(1 2\) != id"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
-    assert len(contexts) == 1
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("text, product", [
@@ -497,11 +526,11 @@ def test_misaccepted_step_is_refused_in_one_pass(monkeypatch, text, product):
     pass.  With ``SAFETY_FACTOR = 6`` the same tracking gives S_8, so
     certified steps (ROADMAP, item 5) should turn each refusal into an S_8
     certificate."""
-    contexts = _tracking_passes(monkeypatch)
+    passes = _tracking_passes(monkeypatch)
     with pytest.raises(RelationViolationError,
                        match=re.escape(f"c_inf = {product} != id")):
         track_monodromy(parse_poly(text))
-    assert len(contexts) == 1
+    assert len(passes) == 1
 
 
 def test_invalid_assembled_cover_is_a_relation_violation(monkeypatch):
@@ -517,17 +546,40 @@ def test_invalid_assembled_cover_is_a_relation_violation(monkeypatch):
 # curves whose y-degree is their total degree, so a shear keeps the degree
 @pytest.mark.parametrize("text", ["y^4 + x^4 + x*y - 1",
                                   "y^5 + x*y + x^5 + 3"])
-@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(2, 7)])
+@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(2, 7), Fraction(0)])
 def test_general_projection_after_shear(text, lam):
+    """A general projection of a smooth plane curve of degree d has exactly
+    d(d - 1) critical values, the class of the curve by Pluecker's formula,
+    each a transposition; it is unramified at infinity, and the cover has
+    the genus (d - 1)(d - 2)/2 of the degree-genus formula."""
     p = parse_poly(text)
     d = p.y_degree
     q = p.shear(lam)
-    assert q != p
+    assert (q == p) == (lam == 0)
     report = certify_projection(q)
     assert report.result.degree == q.y_degree == d
     assert report.group_order == math.factorial(d)
     assert report.is_full_symmetric
     assert total_space_genus(report.result.cover) == (d - 1) * (d - 2) // 2
+    critical = [t.cycle for t in report.result.loops if t.kind == "critical"]
+    assert len(critical) == len(report.result.loops) == d * (d - 1)
+    assert all(c.is_transposition() for c in critical)
+    assert report.infinity_kind == "unramified" and report.full_morse
+
+
+@pytest.mark.parametrize("text, exponent", [
+    ("y^2 - " + "9" * 400 + "*x - 1", "400.6"),
+    # the critical value -10^400 is lost if the slope 4/10^400 rounds to 0
+    ("y^2 - 1/1" + "0" * 400 + "*x - 1", "-399.4"),
+], ids=["overflow", "underflow"])
+def test_value_beyond_float64_is_non_generic(text, exponent):
+    """A literal the parser accepts can still lie outside the float64 range
+    of the numerical steps; it is refused with the documented error, not an
+    ``OverflowError`` or, rounded to 0, a wrong verdict."""
+    with pytest.raises(NonGenericError,
+                       match=rf"about 10\^{exponent} lies outside the "
+                             "float64 range"):
+        certify_projection(parse_poly(text))
 
 
 def test_package_import_leaves_sympy_unloaded():
