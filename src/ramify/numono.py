@@ -12,8 +12,11 @@ relation is checked exactly -- a wrong track cannot pass silently.
 
 sympy is imported lazily, by the functions that use it: importing it takes
 about 0.4 s and doubles the resident memory, which a caller that only needs
-the group layer should not pay, and the parser refuses oversized input with
-bounded dict arithmetic before any of that cost.
+the group layer should not pay.  The parser builds its result in sympy's
+sparse ring Q[x, y], so sympy loads when parsing starts: malformed text pays
+the one-time import too, but every size bound is still checked before the
+work it guards: a literal before ``int()``, a product or power before it
+is expanded.
 
 Path layout.  All loops share a base point to the right of every critical
 value and a rail far below them.  Transport along a path is a groupoid, so
@@ -106,42 +109,13 @@ class RelationViolationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # exact bivariate polynomials over Q
 
-Coeffs = dict  # (x_power, y_power) -> Fraction
+def _ring():
+    """sympy's sparse ring Q[x, y]; its elements are dicts keyed by
+    (x_power, y_power) with rational values."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
 
-
-def _p_add(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _p_neg(a: Coeffs) -> Coeffs:
-    return {k: -v for k, v in a.items()}
-
-
-def _p_mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out: Coeffs = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            s = out.get(k, Fraction(0)) + v1 * v2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _p_pow(a: Coeffs, n: int) -> Coeffs:
-    out: Coeffs = {(0, 0): Fraction(1)}
-    for _ in range(n):
-        out = _p_mul(out, a)
-    return out
+    return ring("x,y", QQ)[0]
 
 
 class PlanePolynomial:
@@ -154,10 +128,13 @@ class PlanePolynomial:
 
     __slots__ = ("coeffs", "y_degree", "rows", "poly")
 
-    def __init__(self, coeffs: Coeffs):
+    def __init__(self, coeffs: dict):
+        """``coeffs`` maps (x_power, y_power) to a rational: a Fraction, an
+        int or an element of sympy's QQ under either ground type."""
         import sympy
 
-        clean = {k: Fraction(v) for k, v in coeffs.items() if v}
+        clean = {k: Fraction(int(v.numerator), int(v.denominator))
+                 for k, v in coeffs.items() if v}
         if not clean:
             raise ValueError("zero polynomial")
         self.coeffs = clean
@@ -181,12 +158,10 @@ class PlanePolynomial:
 
     def shear(self, lam: Fraction) -> "PlanePolynomial":
         """Substitute x <- x + lam*y."""
-        lam = Fraction(lam)
-        xs = {(1, 0): Fraction(1), (0, 1): lam}
-        out: Coeffs = {}
-        for (i, j), v in self.coeffs.items():
-            out = _p_add(out, _p_mul(_p_pow(xs, i), {(0, j): v}))
-        return PlanePolynomial(out)
+        ring = _ring()
+        x, y = ring.gens
+        return PlanePolynomial(ring.from_dict(self.coeffs).compose(
+            x, x + Fraction(lam) * y))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PlanePolynomial)
@@ -206,7 +181,7 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def format_poly(coeffs: Coeffs) -> str:
+def format_poly(coeffs: dict) -> str:
     """Canonical printer: terms by (total degree, x-power) descending."""
     keys = sorted(coeffs, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
     pieces = []
@@ -232,8 +207,9 @@ def format_poly(coeffs: Coeffs) -> str:
 # -- parser ------------------------------------------------------------------
 
 #: Largest total degree the parser builds, and largest exponent it accepts
-#: on any base.  Products and powers expand eagerly, so both are checked
-#: before expanding; degree 8 is the largest curve the tracker is used on.
+#: on any base.  Products and powers expand eagerly in sympy's ring Q[x, y],
+#: which the parser imports sympy to build, so both are checked before
+#: expanding; degree 8 is the largest curve the tracker is used on.
 MAX_POLY_DEGREE = 100
 
 #: Longest digit run in a numeric literal (coefficient, denominator or
@@ -244,7 +220,7 @@ MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
 
 
-def _total_degree(a: Coeffs) -> int:
+def _total_degree(a: dict) -> int:
     return max((i + j for i, j in a), default=0)
 
 
@@ -253,6 +229,7 @@ class _Lexer:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.ring = _ring()
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos] in whitespace:
@@ -285,7 +262,7 @@ class _Lexer:
         return kind, value, pos
 
 
-def _parse_expr(lx: _Lexer) -> Coeffs:
+def _parse_expr(lx: _Lexer):
     kind, _, _ = lx.peek()
     negate = False
     if kind in ("+", "-"):
@@ -293,17 +270,17 @@ def _parse_expr(lx: _Lexer) -> Coeffs:
         negate = kind == "-"
     acc = _parse_term(lx)
     if negate:
-        acc = _p_neg(acc)
+        acc = -acc
     while True:
         kind, _, _ = lx.peek()
         if kind not in ("+", "-"):
             return acc
         lx.take()
         term = _parse_term(lx)
-        acc = _p_add(acc, _p_neg(term) if kind == "-" else term)
+        acc = acc - term if kind == "-" else acc + term
 
 
-def _parse_term(lx: _Lexer) -> Coeffs:
+def _parse_term(lx: _Lexer):
     acc = _parse_factor(lx)
     while True:
         kind, _, _ = lx.peek()
@@ -314,10 +291,10 @@ def _parse_term(lx: _Lexer) -> Coeffs:
         if _total_degree(acc) + _total_degree(factor) > MAX_POLY_DEGREE:
             raise PolyParseError(
                 f"product exceeds degree bound {MAX_POLY_DEGREE}", pos)
-        acc = _p_mul(acc, factor)
+        acc = acc * factor
 
 
-def _parse_factor(lx: _Lexer) -> Coeffs:
+def _parse_factor(lx: _Lexer):
     base = _parse_atom(lx)
     kind, _, _ = lx.peek()
     if kind == "^":
@@ -328,11 +305,12 @@ def _parse_factor(lx: _Lexer) -> Coeffs:
         if n > MAX_POLY_DEGREE or _total_degree(base) * n > MAX_POLY_DEGREE:
             raise PolyParseError(
                 f"power exceeds degree bound {MAX_POLY_DEGREE}", pos)
-        return _p_pow(base, n)
+        # sympy refuses 0**0; here every base to the power 0 is 1
+        return base ** n if n else lx.ring.one
     return base
 
 
-def _parse_atom(lx: _Lexer) -> Coeffs:
+def _parse_atom(lx: _Lexer):
     kind, value, pos = lx.take()
     if kind == "num":
         nxt, _, _ = lx.peek()
@@ -342,10 +320,10 @@ def _parse_atom(lx: _Lexer) -> Coeffs:
             if dkind != "num" or den == 0:
                 raise PolyParseError("denominator must be a positive integer",
                                      dpos)
-            return {(0, 0): Fraction(value, den)}
-        return {(0, 0): Fraction(value)}
+            return lx.ring(Fraction(value, den))
+        return lx.ring(value)
     if kind == "var":
-        return {(1, 0) if value == "x" else (0, 1): Fraction(1)}
+        return lx.ring.gens["xy".index(value)]
     if kind == "(":
         lx.depth += 1
         if lx.depth > MAX_NESTING:
@@ -369,8 +347,6 @@ def parse_poly(text: str) -> PlanePolynomial:
     kind, _, pos = lx.peek()
     if kind != "end":
         raise PolyParseError("trailing input", pos)
-    if not coeffs:
-        raise ValueError("zero polynomial")
     return PlanePolynomial(coeffs)
 
 
@@ -430,9 +406,21 @@ def _complex(q: Fraction) -> complex:
     return z
 
 
-def _np_roots_ascending(coeffs: Sequence[complex]) -> list:
+def _polished_roots(coeffs: Sequence[complex]) -> list:
+    """The roots of the ascending coefficients ``coeffs`` by ``np.roots``,
+    each Newton-polished against them, sorted by (re, im).  A root beyond
+    the float64 range, on which ``np.roots`` fails or polishing overflows,
+    is refused."""
     arr = np.array(list(reversed(coeffs)), dtype=complex)
-    return [complex(r) for r in np.roots(arr)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            roots = [_polish(coeffs, complex(r)) for r in np.roots(arr)]
+        except np.linalg.LinAlgError:  # its companion matrix overflowed
+            roots = [complex(math.inf)]
+    if not all(cmath.isfinite(z) for z in roots):
+        raise NonGenericError("a root of the discriminant or of the leading "
+                              "coefficient lies outside the float64 range")
+    return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
 def _polish(coeffs: Sequence[complex], z: complex, steps: int = 3) -> complex:
@@ -568,9 +556,7 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
             "discriminant has a multiple root: projection line is not "
             "transverse to the dual curve")
     cres = [_complex(Fraction(c.p, c.q)) for c in reversed(disc.all_coeffs())]
-    roots = _np_roots_ascending(cres) if disc.degree() >= 1 else []
-    roots = [_polish(cres, z) for z in roots]
-    roots.sort(key=lambda z: (z.real, z.imag))
+    roots = _polished_roots(cres)
     mins = float(_separations(np.array(roots, dtype=complex)[None])[0])
     if mins <= STEP_TOLERANCE:
         raise NonGenericError(
@@ -580,9 +566,7 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
 
     lc_roots = []
     if len(lc_list) > 1:
-        lc = [_complex(c) for c in lc_list]
-        lc_roots = [_polish(lc, z) for z in _np_roots_ascending(lc)]
-        lc_roots.sort(key=lambda z: (z.real, z.imag))
+        lc_roots = _polished_roots([_complex(c) for c in lc_list])
         scale = max([1.0] + [abs(z) for z in roots])
         for z in lc_roots:
             if any(abs(z - c) <= 1e3 * STEP_TOLERANCE * scale
@@ -646,19 +630,26 @@ def _fibers(rows: Sequence, zs: Sequence[complex]) -> Iterator[tuple]:
     """Yield the roots over each point of ``zs``, in order, with their
     least separation; ``rows[j]`` holds the ascending complex coefficients
     in x of y^j.  The companion matrices ``np.roots`` would build are solved
-    in one ``eigvals`` call, so the roots are its roots; a point where the
-    leading coefficient numerically vanishes raises only when it is
-    reached."""
+    in one ``eigvals`` call, so the roots are its roots.  A point where a
+    non-constant leading coefficient numerically vanishes, or where the
+    coefficients divided by it leave the float64 range, raises only when it
+    is reached."""
+    constant_lc = len(rows[-1]) == 1
     desc, refused = [], []
     for z in zs:
         coeffs = [_horner(row, z) for row in rows]
-        scale = max(abs(c) for c in coeffs)
-        refused.append(scale == 0 or abs(coeffs[-1]) < 1e-13 * scale)
+        if constant_lc:
+            refused.append(False)
+        else:
+            scale = max(abs(c) for c in coeffs)
+            refused.append(scale == 0 or abs(coeffs[-1]) < 1e-13 * scale)
         desc.append(coeffs[::-1])
     desc = np.array(desc, dtype=complex)
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(desc[:, 1:] / desc[:, :1]).all(axis=1)
     d = desc.shape[1] - 1
     roots = np.zeros((len(zs), d), dtype=complex)
-    solved = ~np.array(refused)
+    solved = ~np.array(refused) & finite
     # np.roots strips a zero constant coefficient, so it solves a smaller
     # companion matrix and appends the root 0; it solves such points
     batch = solved & (desc[:, -1] != 0)
@@ -674,6 +665,9 @@ def _fibers(rows: Sequence, zs: Sequence[complex]) -> Iterator[tuple]:
             raise TrackingAmbiguityError(
                 f"leading coefficient numerically vanishes on the path "
                 f"at x = {z}")
+        if not finite[k]:
+            raise NonGenericError(f"the fiber at x = {z} has coefficients "
+                                  f"outside the float64 range")
         yield roots[k], seps[k]
 
 

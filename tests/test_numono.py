@@ -432,6 +432,85 @@ def test_nesting_bound():
     assert parse_poly(nested(MAX_NESTING)) == parse_poly("y^2 + x")
 
 
+def _fractions(poly) -> dict:
+    """The coefficients of a sympy ``Poly`` in (x, y) as Fractions."""
+    return {k: Fraction(int(v.p), int(v.q)) for k, v in poly.as_dict().items()}
+
+
+@st.composite
+def _sum_texts(draw, depth=2):
+    """A text in the parser's grammar, a signed sum of products of powers,
+    with a bound on its total degree.  Only x, y, an integer or a
+    parenthesised sum is raised to a power: the parser reads a literal
+    ``a/b^n`` as (a/b)^n, sympy as a/(b^n)."""
+    atoms = ["x", "y", "int", "a/b"] + (["sum"] if depth else [])
+    terms, bound = [], 0
+    for k in range(draw(st.integers(1, 3))):
+        factors, degree = [], 0
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(atoms))
+            if kind == "int":
+                text, deg = str(draw(st.integers(0, 10 ** 30))), 0
+            elif kind == "a/b":
+                text = f"{draw(st.integers(0, 999))}/{draw(st.integers(1, 999))}"
+                deg = 0
+            elif kind == "sum":
+                inner, deg = draw(_sum_texts(depth - 1))
+                text = f"({inner})"
+            else:
+                text, deg = kind, 1
+            if kind != "a/b" and draw(st.booleans()):
+                n = draw(st.integers(0, 3))
+                text, deg = f"{text}^{n}", deg * n
+            factors.append(text)
+            degree += deg
+        sign = draw(st.sampled_from(["", "-", "+"] if k == 0 else [" - ", " + "]))
+        terms.append(sign + "*".join(factors))
+        bound = max(bound, degree)
+    return "".join(terms), bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sum_texts().filter(lambda text_bound: text_bound[1] <= 12))
+def test_parse_matches_sympy(text_bound):
+    """The parser's exact arithmetic against sympy's own reading of the same
+    text.  The generated sum s enters as (s)*y^2 + y^3 + x, which is nearly
+    always a valid curve; one that is zero, of y-degree below 2 or not
+    squarefree in y is refused after parsing, with a ValueError that is not
+    a ``PolyParseError``."""
+    import sympy
+
+    text = f"({text_bound[0]})*y^2 + y^3 + x"
+    x, y = sympy.symbols("x y")
+    exact = sympy.Poly(sympy.sympify(text.replace("^", "**")), x, y,
+                       domain="QQ")
+    if (exact.is_zero or exact.degree(y) < 2
+            or sympy.gcd(exact, exact.diff(y)).degree(y) > 0):
+        with pytest.raises(ValueError) as err:
+            parse_poly(text)
+        assert not isinstance(err.value, PolyParseError)
+    else:
+        assert parse_poly(text).coeffs == _fractions(exact)
+
+
+#: the 11 curves of the bench workload ``curves``: 9 certify, 2 are refused
+BENCH_CURVES = sorted(set(GOLDEN_CERTIFY) - set(NON_MONIC)) + [
+    "y^2 - x^3", "y^4 - 2*x*y^2 + x^3 - 1"]
+
+
+@pytest.mark.parametrize("text", BENCH_CURVES)
+@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(2, 7)])
+def test_shear_matches_sympy_substitution(text, lam):
+    import sympy
+
+    p = parse_poly(text)
+    x, y = p.poly.gens
+    sheared = p.poly.as_expr().subs(x, x + sympy.Rational(lam.numerator,
+                                                         lam.denominator) * y)
+    assert p.shear(lam).coeffs == _fractions(sympy.Poly(sheared, x, y,
+                                                        domain="QQ"))
+
+
 def _tracking_passes(monkeypatch, error=None):
     """The list of curves tracked, one per pass: each pass finds the
     critical values once.  With ``error`` each pass raises it instead of
@@ -580,6 +659,32 @@ def test_value_beyond_float64_is_non_generic(text, exponent):
                        match=rf"about 10\^{exponent} lies outside the "
                              "float64 range"):
         certify_projection(parse_poly(text))
+
+
+def test_critical_value_beyond_float64_is_non_generic():
+    """The coefficients fit in float64 but the critical value -10^400 does
+    not: ``np.roots`` cannot solve its companion matrix."""
+    text = "y^2 - 1/1" + "0" * 200 + "*x - 1" + "0" * 200
+    with pytest.raises(NonGenericError, match="outside the float64 range"):
+        certify_projection(parse_poly(text))
+
+
+def test_constant_leading_coefficient_is_never_refused():
+    """Only a leading coefficient that can vanish is compared with the
+    others: a monic curve with a wide coefficient scale certifies."""
+    report = certify_projection(parse_poly("y^2 - " + "9" * 300 + "*x - 1"))
+    assert report.group_order == 2
+    assert report.infinity_kind == "transposition"
+
+
+def test_fiber_with_coefficients_beyond_float64_is_non_generic():
+    """A point where the monic fiber polynomial leaves the float64 range is
+    refused when it is reached, as a NonGenericError."""
+    rows = [[-1 + 0j, -1e300 + 0j], [0j], [1 + 0j]]
+    fibers = numono._fibers(rows, [1 + 0j, 1e10 + 0j])
+    assert len(next(fibers)[0]) == 2
+    with pytest.raises(NonGenericError, match="outside the float64 range"):
+        next(fibers)
 
 
 def test_package_import_leaves_sympy_unloaded():
