@@ -8,7 +8,8 @@ and components intersect exactly where one such point carries branches from
 two of them.  That intersection pattern is the dual graph.  The branches
 are read off cycle positions, not walked: over a pair of cycles of lengths
 (e, e') they are the gcd(e, e') residue classes of the position difference,
-each of lcm(e, e') pairs.
+each of lcm(e, e') pairs.  A cycle pair's branches are read once per cover
+and shared by every branch point where that pair occurs.
 
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
@@ -247,29 +248,33 @@ class CoverContext:
     @cached_property
     def scheme_points(self) -> tuple:
         lookup = self.orbital_of
+        shared: dict = {}   # cycle pair -> its branches, alike at every j
         points = []
         for j, cj in enumerate(self.cover.branch_cycles, start=1):
             cycles = cj.cycles(include_fixed=True)
-            for kappa, kappa2 in itertools.product(cycles, repeat=2):
-                g = math.gcd(len(kappa), len(kappa2))
-                size = math.lcm(len(kappa), len(kappa2))
-                # residue class r has least pair (kappa[0], min kappa2[r::g])
-                reps = sorted((kappa[0], min(kappa2[r::g])) for r in range(g))
-                points.append(SchemePoint(
-                    branch_index=j,
-                    cycle_pair=(kappa, kappa2),
-                    branches=tuple(LocalBranch(orbital_id=lookup[rep],
-                                               size=size, representative=rep)
-                                   for rep in reps),
-                ))
+            for pair in itertools.product(cycles, repeat=2):
+                branches = shared.get(pair)
+                if branches is None:
+                    kappa, kappa2 = pair
+                    g = math.gcd(len(kappa), len(kappa2))
+                    size = math.lcm(len(kappa), len(kappa2))
+                    # class r has least pair (kappa[0], min kappa2[r::g])
+                    reps = sorted((kappa[0], min(kappa2[r::g]))
+                                  for r in range(g))
+                    branches = shared[pair] = tuple(
+                        LocalBranch(orbital_id=lookup[rep], size=size,
+                                    representative=rep) for rep in reps)
+                points.append(SchemePoint(branch_index=j, cycle_pair=pair,
+                                          branches=branches))
         return tuple(points)
 
     @cached_property
     def dual_graph(self) -> Graph:
         edges = set()
         for sp in self.scheme_points:
-            ids = sorted({b.orbital_id for b in sp.branches})
-            edges.update(itertools.combinations(ids, 2))
+            if len(sp.branches) > 1:
+                ids = sorted({b.orbital_id for b in sp.branches})
+                edges.update(itertools.combinations(ids, 2))
         return Graph(range(len(self.orbitals)), edges)
 
     @cached_property
@@ -489,7 +494,8 @@ def scheme_points(c: BranchedCover, checked: bool = True) -> tuple:
     so on a pair of cycles of lengths (e, e') the class of k - i mod g, for
     g = gcd(e, e'), is invariant; its g classes are the local branches, each
     of lcm(e, e') pairs.  Class r has least pair (kappa[0], min kappa'[r::g]),
-    as every cycle lists its least point first."""
+    as every cycle lists its least point first.  The dual graph takes edges
+    only from points with two or more branches."""
     return CoverContext(c, checked).scheme_points
 
 

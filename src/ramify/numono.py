@@ -294,33 +294,44 @@ def _parse_term(lx: _Lexer):
         acc = acc * factor
 
 
+def _exponent(lx: _Lexer, degree: int):
+    """The n of a '^n' that follows, or None; n is checked against
+    ``MAX_POLY_DEGREE`` for a base of the given total degree before any
+    power is computed."""
+    if lx.peek()[0] != "^":
+        return None
+    lx.take()
+    kind, n, pos = lx.take()
+    if kind != "num":
+        raise PolyParseError("exponent must be a non-negative integer", pos)
+    if n > MAX_POLY_DEGREE or degree * n > MAX_POLY_DEGREE:
+        raise PolyParseError(f"power exceeds degree bound {MAX_POLY_DEGREE}",
+                             pos)
+    return n
+
+
 def _parse_factor(lx: _Lexer):
+    kind, value, _ = lx.peek()
     base = _parse_atom(lx)
-    kind, _, _ = lx.peek()
-    if kind == "^":
+    if kind == "num" and lx.peek()[0] == "/":
         lx.take()
-        nkind, n, pos = lx.take()
-        if nkind != "num":
-            raise PolyParseError("exponent must be a non-negative integer", pos)
-        if n > MAX_POLY_DEGREE or _total_degree(base) * n > MAX_POLY_DEGREE:
-            raise PolyParseError(
-                f"power exceeds degree bound {MAX_POLY_DEGREE}", pos)
-        # sympy refuses 0**0; here every base to the power 0 is 1
-        return base ** n if n else lx.ring.one
-    return base
+        dkind, den, dpos = lx.take()
+        if dkind != "num" or den == 0:
+            raise PolyParseError("denominator must be a positive integer",
+                                 dpos)
+        # a/b^n is a/(b^n): the power binds to the denominator alone
+        n = _exponent(lx, 0)
+        return lx.ring(Fraction(value, den ** (1 if n is None else n)))
+    n = _exponent(lx, _total_degree(base))
+    if n is None:
+        return base
+    # sympy refuses 0**0; here every base to the power 0 is 1
+    return base ** n if n else lx.ring.one
 
 
 def _parse_atom(lx: _Lexer):
     kind, value, pos = lx.take()
     if kind == "num":
-        nxt, _, _ = lx.peek()
-        if nxt == "/":
-            lx.take()
-            dkind, den, dpos = lx.take()
-            if dkind != "num" or den == 0:
-                raise PolyParseError("denominator must be a positive integer",
-                                     dpos)
-            return lx.ring(Fraction(value, den))
         return lx.ring(value)
     if kind == "var":
         return lx.ring.gens["xy".index(value)]
@@ -340,8 +351,9 @@ def _parse_atom(lx: _Lexer):
 
 def parse_poly(text: str) -> PlanePolynomial:
     """Parse a polynomial in x, y with integer or rational coefficients and
-    operators + - * ^ (and a/b rational literals).  The result is validated:
-    nonzero, y-degree >= 2, squarefree in y."""
+    operators + - * ^ (and a/b rational literals).  A power binds tighter
+    than a literal's '/', so ``a/b^n`` is a/(b^n), as in sympy.  The result
+    is validated: nonzero, y-degree >= 2, squarefree in y."""
     lx = _Lexer(text)
     coeffs = _parse_expr(lx)
     kind, _, pos = lx.peek()

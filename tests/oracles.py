@@ -225,6 +225,26 @@ def o_local_branches(cover) -> list:
     return out
 
 
+def o_dual_graph(cover, walk: list) -> Graph:
+    """The dual graph by the every-point loop: orbitals are the orbits of
+    the generators on ordered pairs, numbered by least pair, and every
+    scheme point of ``walk = o_local_branches(cover)``, one-branch points
+    included, joins each two orbitals among its branches."""
+    gens = o_generators(cover)
+    orbital: dict = {}
+    n = 0
+    for pair in itertools.product(range(cover.degree), repeat=2):
+        if pair not in orbital:
+            orbit = o_orbit(gens, pair, lambda g, t: (g[t[0]], g[t[1]]))
+            orbital.update(dict.fromkeys(orbit, n))
+            n += 1
+    edges = set()
+    for _, _, branches in walk:
+        ids = sorted({orbital[(a - 1, b - 1)] for (a, b), _ in branches})
+        edges.update(itertools.combinations(ids, 2))
+    return Graph(range(n), edges)
+
+
 def naive_closure(generators: list, cap: int = 10080) -> frozenset:
     """Product closure of Permutations by breadth-first multiplication.
     Raises ValueError beyond the cap."""

@@ -26,6 +26,7 @@ from ramify.perm import Permutation, parse_cycles
 from oracles import (
     o_closure,
     o_compose,
+    o_dual_graph,
     o_inverse,
     o_local_branches,
     o_normal_closure,
@@ -162,14 +163,17 @@ def test_morse_branching(d, seed):
 
 def assert_branches_match_walk(cover):
     """Every scheme point's local branches, as read off cycle positions,
-    against the orbits of <c_j> walked pair by pair; ``cover`` is valid."""
+    against the orbits of <c_j> walked pair by pair, and the dual graph
+    against the loop over every walked point; ``cover`` is valid."""
     ctx = CoverContext(cover, checked=False)
     got = [(sp.branch_index, sp.cycle_pair,
             tuple((b.representative, b.size) for b in sp.branches))
            for sp in ctx.scheme_points]
-    assert got == o_local_branches(cover)
+    walk = o_local_branches(cover)
+    assert got == walk
     assert all(b.orbital_id == ctx.orbital_of[b.representative]
                for sp in ctx.scheme_points for b in sp.branches)
+    assert ctx.dual_graph == o_dual_graph(cover, walk)
 
 
 @pytest.mark.parametrize("corpus", [
@@ -181,14 +185,40 @@ def test_local_branches_match_the_orbit_walk(corpus):
         assert_branches_match_walk(cover)
 
 
-@pytest.mark.parametrize("d", [9, 10, 11, 12])
-def test_local_branches_match_the_orbit_walk_on_braid_walks(d):
+def braid_walk_covers(d, count=3):
+    """Seeded braid-walk Morse covers of degree d with group S_d, the shape
+    of the benchmark's single-cover workload."""
     import random
     rng = random.Random(d)
-    for _ in range(3):
-        cover = BranchedCover(d, 0, (), braid_walk_tuple(rng, d))
-        assert validate(cover).valid
+    covers = [BranchedCover(d, 0, (), braid_walk_tuple(rng, d))
+              for _ in range(count)]
+    assert all(validate(cover).valid for cover in covers)
+    return covers
+
+
+@pytest.mark.parametrize("d", [9, 10, 11, 12])
+def test_local_branches_match_the_orbit_walk_on_braid_walks(d):
+    for cover in braid_walk_covers(d):
         assert_branches_match_walk(cover)
+
+
+def test_local_branches_match_the_orbit_walk_on_d4():
+    """A non-Morse cover where a double transposition meets itself, so
+    gcd(e, e') = 2 and one cycle pair carries two branches."""
+    assert_branches_match_walk(D4)
+    assert any(len(sp.branches) == 2 and sp.ramification_indices == (2, 2)
+               for sp in scheme_points(D4))
+
+
+def test_every_cycle_pair_reads_its_branches_once():
+    """A cycle pair that occurs at several branch points shares one tuple of
+    branches there."""
+    points = CoverContext(braid_walk_covers(12, count=1)[0]).scheme_points
+    by_pair: dict = {}
+    for sp in points:
+        by_pair.setdefault(sp.cycle_pair, set()).add(id(sp.branches))
+    assert len(by_pair) < len(points)
+    assert all(len(ids) == 1 for ids in by_pair.values())
 
 
 def test_local_branches_match_the_orbit_walk_on_long_cycles():

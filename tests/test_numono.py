@@ -392,12 +392,30 @@ def test_non_ascii_whitespace_refused_at_its_position(text, position):
     assert parse_poly(" y^2\t+\r\nx\f\v") == parse_poly("y^2 + x")
 
 
-@pytest.mark.parametrize("text", ["x^100000000 + y^2", "(x+y)^100000"])
+@pytest.mark.parametrize("text", ["x^100000000 + y^2", "(x+y)^100000",
+                                  "1/3^100000000 + y^2"])
 def test_huge_power_refused_before_expanding(text):
+    import sympy  # noqa: F401  the one-time import is not the parser's cost
+
     start = time.perf_counter()
     with pytest.raises(PolyParseError, match="degree bound"):
         parse_poly(text)
     assert time.perf_counter() - start < 0.5
+
+
+def test_rational_literal_power_binds_to_the_denominator():
+    """``a/b^n`` is a/(b^n), as sympy reads it; (a/b)^n needs parentheses,
+    and a second power is trailing input, as after any other power."""
+    assert parse_poly("3/2^2*x + y^2").coeffs == {
+        (1, 0): Fraction(3, 4), (0, 2): 1}
+    assert parse_poly("(3/2)^2*x + y^2").coeffs == {
+        (1, 0): Fraction(9, 4), (0, 2): 1}
+    assert parse_poly("-5/7^0*x + y^2").coeffs == {(1, 0): -5, (0, 2): 1}
+    with pytest.raises(PolyParseError, match="trailing input"):
+        parse_poly("3/2^2^2*x + y^2")
+    with pytest.raises(PolyParseError, match="degree bound") as err:
+        parse_poly(f"y^2 + 3/2^{MAX_POLY_DEGREE + 1}")
+    assert err.value.position == 10
 
 
 def test_degree_bound_on_products_and_powers():
@@ -440,9 +458,8 @@ def _fractions(poly) -> dict:
 @st.composite
 def _sum_texts(draw, depth=2):
     """A text in the parser's grammar, a signed sum of products of powers,
-    with a bound on its total degree.  Only x, y, an integer or a
-    parenthesised sum is raised to a power: the parser reads a literal
-    ``a/b^n`` as (a/b)^n, sympy as a/(b^n)."""
+    with a bound on its total degree.  Any atom may be raised to a power,
+    a rational literal ``a/b`` too, which both readings take as a/(b^n)."""
     atoms = ["x", "y", "int", "a/b"] + (["sum"] if depth else [])
     terms, bound = [], 0
     for k in range(draw(st.integers(1, 3))):
@@ -459,7 +476,7 @@ def _sum_texts(draw, depth=2):
                 text = f"({inner})"
             else:
                 text, deg = kind, 1
-            if kind != "a/b" and draw(st.booleans()):
+            if draw(st.booleans()):
                 n = draw(st.integers(0, 3))
                 text, deg = f"{text}^{n}", deg * n
             factors.append(text)
