@@ -2,20 +2,20 @@
 parameters, seeded random (optionally Morse) sampling, and the corpus-wide
 theorem-verification driver.
 
-Enumeration fixes every generator except the last branch cycle, which the
-surface relation forces; that cuts the search space by |S_d| and keeps the
-hard caps honest.  Random sampling forces the last cycle the same way, but
-first refuses, on each draw's raw relation product, every draw whose forced
-cycle would be the identity or, in Morse mode, not a transposition: only the
-few survivors are built as covers and validated.  Dedup keeps the first
-cover of each conjugacy class in enumeration order, keyed by the canonical
-labelling of its Schreier graph (``canonical_form``).  Verification
-collects violations instead of raising, so a counterexample (i.e. a bug)
-surfaces with full context at the end of the run.
+Enumeration and sampling choose every generator but the last branch cycle
+as raw 0-based tuples and keep their relation product; the surface relation
+forces the last, which cuts the search space by |S_d|.  ``_completed``
+decides each candidate once, on that product, and builds a cover only when
+the forced cycle is not the identity (in Morse mode, is a transposition);
+transitivity is then one orbit search.  Dedup keeps the first cover of each
+conjugacy class in enumeration order, keyed by ``canonical_form``.
+Verification collects violations instead of raising, so a counterexample
+(i.e. a bug) surfaces with full context at the end of the run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -27,14 +27,12 @@ from .cover import (
     InvalidCoverError,
     dumps_cover,
     is_morse,
-    relation_product,
-    require_valid,
     total_space_genus,
 )
 from .fiber import CoverContext, TheoremViolationError
 from .graphs import is_connected
 from .perm import (Permutation, Transitivity, _compose, _inverse,
-                   transitivity)
+                   _is_identity, _orbits, transitivity)
 
 #: Hard enumeration caps per base genus.
 ENUMERATION_CAPS = {0: 5, 1: 3}
@@ -82,11 +80,6 @@ class CorpusSpec:
         return self.samples > 0
 
 
-def _perms(d: int) -> list:
-    return [Permutation._from_raw(raw)
-            for raw in itertools.permutations(range(d))]
-
-
 def canonical_form(c: BranchedCover) -> tuple:
     """Canonical labelling of the Schreier graph: from each start point a
     BFS along a_1, b_1, ..., then the branch cycles numbers the points as
@@ -127,18 +120,21 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
                 f"requested {d_hi}")
     seen: set = set()
     for d in range(d_lo, d_hi + 1):
-        all_perms = _perms(d)
-        non_identity = [p for p in all_perms if not p.is_identity()]
-        cycle_pool = ([p for p in non_identity if p.is_transposition()]
-                      if spec.morse_only else non_identity)
+        raws = list(itertools.permutations(range(d)))
+        cycle_pool = [p for p in raws if not _is_identity(p)
+                      and (not spec.morse_only or _moved(p) == 2)]
         for g in range(g_lo, g_hi + 1):
             for handles in itertools.product(
-                    itertools.product(all_perms, repeat=2), repeat=g):
+                    itertools.product(raws, repeat=2), repeat=g):
+                comm = tuple(range(d))
+                for a, b in handles:
+                    comm = _compose(comm, _commutator(a, b))
                 for r in range(r_lo, r_hi + 1):
                     for frees in itertools.product(cycle_pool,
                                                    repeat=max(r - 1, 0)):
-                        cover = _completed(BranchedCover(d, g, handles, frees),
-                                           r, spec.morse_only)
+                        prod = functools.reduce(_compose, frees, comm)
+                        cover = _completed(handles, frees, prod, r,
+                                           spec.morse_only)
                         if cover is None:
                             continue
                         if spec.dedup:
@@ -149,22 +145,35 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
                         yield cover
 
 
-def _completed(prefix: BranchedCover, r: int,
+def _commutator(a: tuple, b: tuple) -> tuple:
+    return _compose(a, _compose(b, _compose(_inverse(a), _inverse(b))))
+
+
+def _moved(raw) -> int:
+    return sum(x != i for i, x in enumerate(raw))
+
+
+def _completed(handles, frees, prod, r: int,
                morse: bool) -> BranchedCover | None:
-    """``prefix`` followed by the branch cycle the surface relation forces
-    (none when r = 0).  None when that cycle is the identity, or in Morse
-    mode not a transposition, or the cover is invalid.  Validity is read off
-    the generators: no group is built here."""
-    cover = prefix
+    """The cover with raw 0-based handle pairs ``handles`` and free branch
+    cycles ``frees`` (non-identity), whose relation product is the raw
+    ``prod``, followed by the branch cycle the surface relation forces
+    (none when r = 0).  None when r = 0 and ``prod`` is not the identity,
+    when the forced cycle is the identity or, in Morse mode, not a
+    transposition, or when the generators are intransitive: everything else
+    holds by construction.  No group is built."""
+    moved = _moved(prod)
     if r > 0:
-        last = relation_product(prefix).inverse()
-        if last.is_identity() or (morse and not last.is_transposition()):
+        if moved == 0 or (morse and moved != 2):
             return None
-        cover = BranchedCover(prefix.degree, prefix.base_genus, prefix.handles,
-                              prefix.branch_cycles + (last,))
-    try:
-        require_valid(cover)
-    except InvalidCoverError:
+        frees = (*frees, _inverse(prod))
+    elif moved:
+        return None
+    build = Permutation._from_raw
+    cover = BranchedCover(len(prod), len(handles),
+                          [(build(a), build(b)) for a, b in handles],
+                          [build(c) for c in frees])
+    if len(_orbits(cover.degree, cover.all_generators())) > 1:
         return None
     return cover
 
@@ -172,9 +181,7 @@ def _completed(prefix: BranchedCover, r: int,
 def random_cover(spec: CorpusSpec, seed: int | None = None) -> BranchedCover:
     """One seeded random valid cover: handles uniform, free branch cycles
     uniform over non-identity elements (transpositions in Morse mode), last
-    cycle forced, rejection until valid.  A draw is refused on its raw
-    relation product when the forced cycle would be the identity, or in
-    Morse mode not a transposition; only the rest are built and validated."""
+    cycle forced, rejection until valid."""
     if not spec.random_mode and seed is None:
         raise ValueError("random_cover needs random mode or an explicit seed")
     rng = random.Random(spec.seed if seed is None else seed)
@@ -216,12 +223,13 @@ def _draw_parameters(rng: random.Random, spec: CorpusSpec) -> tuple:
 def _sample_cover(rng: random.Random, d: int, g: int, r: int,
                   morse: bool) -> BranchedCover:
     """Rejection sampling behind ``random_cover``.  Each draw keeps its
-    relation product as a raw 0-based list, composed on the right as in
-    ``relation_product``; a draw whose forced last cycle would be the
-    identity, or in Morse mode not a transposition, is refused on that list
-    before any ``Permutation`` is built.  A surviving draw becomes a cover
-    and goes through ``_completed`` as an enumerated one does."""
+    relation product as a raw 0-based list, composed on the right as the
+    cycles are drawn; a Morse draw swaps two entries of it and takes its
+    free cycle from a table of raw transpositions.  ``_completed`` decides
+    the draw on that product, as it decides an enumerated candidate."""
     pairs = list(itertools.combinations(range(d), 2))
+    swaps = [tuple(y if i == x else x if i == y else i for i in range(d))
+             for x, y in pairs]
     for _ in range(REJECTION_BUDGET):
         prod = list(range(d))
         handles = []
@@ -232,14 +240,14 @@ def _sample_cover(rng: random.Random, d: int, g: int, r: int,
             rng.shuffle(b)
             a, b = tuple(a), tuple(b)
             handles.append((a, b))
-            comm = _compose(a, _compose(b, _compose(_inverse(a), _inverse(b))))
-            prod = [prod[x] for x in comm]
+            prod = [prod[x] for x in _commutator(a, b)]
         frees = []
         for _ in range(max(r - 1, 0)):
             if morse:
-                x, y = pairs[rng.randrange(len(pairs))]
+                k = rng.randrange(len(pairs))
+                x, y = pairs[k]
                 prod[x], prod[y] = prod[y], prod[x]
-                frees.append((x, y))
+                frees.append(swaps[k])
             else:
                 im = list(range(d))
                 while True:
@@ -248,18 +256,7 @@ def _sample_cover(rng: random.Random, d: int, g: int, r: int,
                         break
                 prod = [prod[x] for x in im]
                 frees.append(tuple(im))
-        if r > 0:
-            moved = sum(x != i for i, x in enumerate(prod))
-            if moved == 0 or (morse and moved != 2):
-                continue
-        if morse:
-            frees = [Permutation.from_cycle([x + 1, y + 1], d)
-                     for x, y in frees]
-        else:
-            frees = [Permutation._from_raw(im) for im in frees]
-        handles = [(Permutation._from_raw(a), Permutation._from_raw(b))
-                   for a, b in handles]
-        cover = _completed(BranchedCover(d, g, handles, frees), r, morse)
+        cover = _completed(handles, frees, prod, r, morse)
         if cover is not None:
             return cover
     raise InfeasibleParametersError(

@@ -36,7 +36,10 @@ holds exactly by construction; it is verified on every run.
 Critical fibers are not solved: over a critical value of a smooth affine
 curve where the leading coefficient does not vanish (``reject_singular``
 and ``critical_values`` ensure both), the root multiplicities are the
-ramification indices, so a loop's ``fiber_pattern`` is its cycle type.
+ramification indices, so a loop's ``fiber_pattern`` is its cycle type.  As
+the discriminant is squarefree, each critical fiber has exactly one double
+root, so a critical loop whose tracked cycle is not a transposition is a
+mis-track and is refused, like a failed relation.
 
 Tracking.  Each path piece has a fixed grid of initial steps, and its
 fibers are solved together: ``_fibers`` stacks the companion matrices that
@@ -102,7 +105,8 @@ class TrackingAmbiguityError(RuntimeError):
 
 
 class RelationViolationError(RuntimeError):
-    """The tracked cycles do not satisfy c_1 ... c_r . c_inf = id, or do not
+    """The tracked cycles do not satisfy c_1 ... c_r . c_inf = id, a
+    critical loop's cycle is not a transposition, or the cycles do not
     assemble into a valid cover: some accepted step matched roots wrongly."""
 
 
@@ -464,24 +468,22 @@ class LoopTarget:
     radius: float
     cycle: Permutation | None = None
     fiber_pattern: tuple = ()  # critical value: the cycle type of ``cycle``
-    ordinary: bool | None = None
 
 
 @dataclass(frozen=True)
 class GenericityReport:
     min_critical_separation: float | None
     leading_coefficient_constant: bool
-    one_double_root_per_critical_fiber: bool
     issues: tuple
 
     def to_json_dict(self) -> dict:
         return {
-            # critical_values refuses a discriminant that is not squarefree
+            # critical_values refuses a discriminant that is not squarefree,
+            # and track_monodromy a critical loop that is not a transposition
             "discriminant_squarefree": True,
             "min_critical_separation": self.min_critical_separation,
             "leading_coefficient_constant": self.leading_coefficient_constant,
-            "one_double_root_per_critical_fiber":
-                self.one_double_root_per_critical_fiber,
+            "one_double_root_per_critical_fiber": True,
             "issues": list(self.issues),
         }
 
@@ -523,7 +525,7 @@ class MonodromyResult:
                     "radius": t.radius,
                     "cycle": format_cycles(t.cycle),
                     "fiber_pattern": list(t.fiber_pattern),
-                    "ordinary": t.ordinary,
+                    "ordinary": True if t.kind == "critical" else None,
                 }
                 for t in self.loops
             ],
@@ -861,8 +863,6 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
             radius=radii[i],
             cycle=cycle,
             fiber_pattern=pattern,
-            ordinary=(pattern.count(2) == 1 and pattern.count(1) == len(pattern) - 1
-                      if pattern else None),
         ))
     loops.reverse()
 
@@ -874,19 +874,20 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     if not product.is_identity():
         raise RelationViolationError(
             f"c_1 ... c_r . c_inf = {format_cycles(product)} != id")
+    for t in loops:
+        if t.kind == "critical" and not t.cycle.is_transposition():
+            raise RelationViolationError(
+                f"the loop around critical value {t.value:.12g} has cycle "
+                f"{format_cycles(t.cycle)}, not a transposition")
 
     issues = []
     if crit.lc_roots:
         issues.append("leading coefficient vanishes at "
                       f"{len(crit.lc_roots)} point(s): the projection center "
                       "lies on the curve closure")
-    patterns_ok = all(t.ordinary for t in loops if t.kind == "critical")
-    if not patterns_ok:
-        issues.append("some critical fiber is not a simple double point")
     genericity = GenericityReport(
         min_critical_separation=crit.min_separation,
         leading_coefficient_constant=len(p.rows[-1]) == 1,
-        one_double_root_per_critical_fiber=patterns_ok,
         issues=tuple(issues),
     )
 

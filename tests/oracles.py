@@ -3,11 +3,13 @@
 Everything here is deliberately naive and self-contained: plain image
 tuples, breadth-first closures, full product-space scans.  Nothing uses
 the package's group machinery (at most its permutation type and its
-graphs), so these stay valid checks of it.  The sampler oracle is the
-permutation-building sampler the raw pre-test replaced; it shares only
-``gen._completed``, which validates without building a group.  The full-loop tracker at the
-end shares numono's path pieces and constants but has its own stepper: one
-``np.roots`` per point, pairwise separations in Python, solve then match.
+graphs), so these stay valid checks of it.  The generator oracles are the
+permutation-building enumerator and sampler that the raw completion in
+``gen`` replaced: each candidate is built as a cover, its last cycle forced
+from ``cover.relation_product`` and the result checked by
+``cover.require_valid``.  The full-loop tracker at the end shares numono's
+path pieces and constants but has its own stepper: one ``np.roots`` per
+point, pairwise separations in Python, solve then match.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from collections import deque
 import numpy as np
 
 from ramify import numono
-from ramify.cover import BranchedCover
-from ramify.gen import REJECTION_BUDGET, InfeasibleParametersError, _completed
+from ramify.cover import (BranchedCover, InvalidCoverError, relation_product,
+                          require_valid)
+from ramify.gen import REJECTION_BUDGET, InfeasibleParametersError
 from ramify.graphs import Graph
 from ramify.perm import Permutation
 
@@ -155,10 +158,47 @@ def o_canonical_form(cover) -> tuple:
     return (cover.degree, cover.base_genus, best)
 
 
+def o_completed(prefix: BranchedCover, r: int,
+                morse: bool) -> BranchedCover | None:
+    """``prefix`` followed by the branch cycle the surface relation forces
+    (none when r = 0).  None when that cycle is the identity, or in Morse
+    mode not a transposition, or the cover is invalid."""
+    cover = prefix
+    if r > 0:
+        last = relation_product(prefix).inverse()
+        if last.is_identity() or (morse and not last.is_transposition()):
+            return None
+        cover = BranchedCover(prefix.degree, prefix.base_genus, prefix.handles,
+                              prefix.branch_cycles + (last,))
+    try:
+        require_valid(cover)
+    except InvalidCoverError:
+        return None
+    return cover
+
+
+def o_enumerate_covers(d: int, g: int, r: int, morse: bool) -> list:
+    """The valid covers of one stratum in ``enumerate_covers`` order (no
+    dedup): every handle tuple and free-cycle tuple built as
+    ``Permutation``s and completed by ``o_completed``."""
+    perms = [Permutation._from_raw(raw)
+             for raw in itertools.permutations(range(d))]
+    pool = [p for p in perms if not p.is_identity()
+            and (not morse or p.is_transposition())]
+    covers = []
+    for handles in itertools.product(itertools.product(perms, repeat=2),
+                                     repeat=g):
+        for frees in itertools.product(pool, repeat=max(r - 1, 0)):
+            cover = o_completed(BranchedCover(d, g, handles, frees), r, morse)
+            if cover is not None:
+                covers.append(cover)
+    return covers
+
+
 def o_sample_cover(rng: random.Random, d: int, g: int, r: int,
                    morse: bool) -> BranchedCover:
     """The sampler as it was before its raw pre-test: every draw builds its
-    Permutations and goes through ``_completed``.  Draws the same random
+    Permutations and goes through ``o_completed``.  Draws the same random
     numbers in the same order, so from equal generator states it returns
     the same cover and leaves the same state."""
     pairs = list(itertools.combinations(range(1, d + 1), 2))
@@ -182,7 +222,7 @@ def o_sample_cover(rng: random.Random, d: int, g: int, r: int,
                     if any(v != i + 1 for i, v in enumerate(im)):
                         break
                 frees.append(Permutation(im))
-        cover = _completed(BranchedCover(d, g, handles, frees), r, morse)
+        cover = o_completed(BranchedCover(d, g, handles, frees), r, morse)
         if cover is not None:
             return cover
     raise InfeasibleParametersError(

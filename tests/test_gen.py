@@ -13,7 +13,6 @@ from ramify.cover import (
     dumps_cover,
     is_morse,
     loads_cover,
-    relation_product,
     validate,
 )
 from ramify.fiber import CoverContext, TheoremViolationError
@@ -35,6 +34,7 @@ from oracles import (
     o_canonical_form,
     o_centralizer_order,
     o_count_valid_tuples,
+    o_enumerate_covers,
     o_sample_cover,
 )
 
@@ -82,6 +82,22 @@ def test_enumerate_counts_match_brute_force():
     for d, r in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
         ours = sum(1 for _ in enumerate_covers(spec(d, 0, r)))
         assert ours == o_count_valid_tuples(d, r), (d, r)
+
+
+#: (genus, degree, branch count) of every stratum of the exhaustive bench
+#: corpus: genus 0 with d <= 4, r <= 4 and genus 1 with d <= 3, r <= 3.
+EXHAUSTIVE_STRATA = [(g, d, r) for g, d_max, r_max in ((0, 4, 4), (1, 3, 3))
+                     for d in range(1, d_max + 1) for r in range(r_max + 1)]
+
+
+@pytest.mark.parametrize("morse", [False, True], ids=["any", "morse"])
+@pytest.mark.parametrize("g, d, r", EXHAUSTIVE_STRATA,
+                         ids=[f"g{g}_d{d}_r{r}" for g, d, r in EXHAUSTIVE_STRATA])
+def test_enumeration_matches_permutation_building_oracle(g, d, r, morse):
+    """The raw completion keeps exactly the candidates that building each
+    one as a cover and validating it keeps, in the same order."""
+    assert list(enumerate_covers(spec(d, g, r, morse_only=morse))) \
+        == o_enumerate_covers(d, g, r, morse)
 
 
 def test_enumerate_all_valid():
@@ -341,8 +357,8 @@ SAMPLER_CASES = [
     f"d{d}_g{g}_r{r}_{'morse' if morse else 'any'}"
     for d, g, r, morse, _ in SAMPLER_CASES])
 def test_sampler_matches_permutation_building_oracle(d, g, r, morse, seeds):
-    """The raw pre-test refuses exactly the draws ``_completed`` would, so
-    from equal generator states both samplers return the same cover and
+    """The raw completion refuses exactly the draws ``o_completed`` would,
+    so from equal generator states both samplers return the same cover and
     leave the same state."""
     for seed in seeds:
         rng, oracle_rng = random.Random(seed), random.Random(seed)
@@ -353,30 +369,37 @@ def test_sampler_matches_permutation_building_oracle(d, g, r, morse, seeds):
 
 def test_sampler_builds_permutations_only_for_transposition_products(
         monkeypatch):
-    """A Morse draw reaches ``_completed`` only when its raw relation product
-    is a transposition, and only then are its 2d - 3 free cycles built."""
+    """A Morse draw builds ``Permutation``s only inside ``_completed`` and
+    only when its raw relation product is a transposition, and then only
+    its 2d - 2 branch cycles."""
     d = 8
     completed = ramify.gen._completed
-    products = []
-    built = []
+    from_raw = Permutation._from_raw.__func__
+    draws = []    # the raw relation product of each draw
+    built = []    # per Permutation built: the number of its draw, or None
+    inside = [False]
 
-    def counted_completed(prefix, r, morse):
-        products.append(relation_product(prefix))
-        return completed(prefix, r, morse)
+    def counted_completed(handles, frees, prod, r, morse):
+        draws.append(tuple(prod))
+        inside[0] = True
+        try:
+            return completed(handles, frees, prod, r, morse)
+        finally:
+            inside[0] = False
 
-    from_cycle = Permutation.from_cycle
-
-    def counted_from_cycle(cls, cycle, degree):
-        built.append(cycle)
-        return from_cycle(cycle, degree)
+    def counted_from_raw(cls, raw):
+        built.append(len(draws) - 1 if inside[0] else None)
+        return from_raw(cls, raw)
 
     monkeypatch.setattr(ramify.gen, "_completed", counted_completed)
-    monkeypatch.setattr(Permutation, "from_cycle",
-                        classmethod(counted_from_cycle))
+    monkeypatch.setattr(Permutation, "_from_raw",
+                        classmethod(counted_from_raw))
     cover = _sample_cover(random.Random(1), d, 0, 2 * d - 2, True)
-    assert is_morse(cover) and products
-    assert all(p.is_transposition() for p in products)
-    assert len(built) <= (2 * d - 3) * len(products)
+    monkeypatch.undo()
+    products = [draws[i] for i in sorted(set(built) - {None})]
+    assert is_morse(cover) and products and None not in built
+    assert all(Permutation._from_raw(p).is_transposition() for p in products)
+    assert len(built) <= (2 * d - 2) * len(products)
 
 
 def test_random_mode_requires_seed():

@@ -612,6 +612,29 @@ def test_relation_failure_is_raised_after_one_pass(monkeypatch):
     assert len(passes) == 1
 
 
+def test_mistracked_critical_loop_is_refused(monkeypatch):
+    """Two critical loops of y^2 - x^3 + x mis-tracked as the identity keep
+    the relation, as (1 2)(1 2) = id, and would assemble a valid cover with
+    group S_2.  A critical loop must be a transposition, so the track is
+    refused instead of certified."""
+    real = numono._circle_permutation
+    wrong = []
+
+    def circle_permutation(fiber, circle, rows):
+        perm = real(fiber, circle, rows)
+        counterclockwise = circle.theta1 > circle.theta0
+        if counterclockwise and len(wrong) < 2:
+            wrong.append(perm)
+            return Permutation.identity(len(fiber))
+        return perm
+
+    monkeypatch.setattr(numono, "_circle_permutation", circle_permutation)
+    with pytest.raises(RelationViolationError,
+                       match=r"has cycle id, not a transposition"):
+        certify_projection(parse_poly("y^2 - x^3 + x"))
+    assert [str(p) for p in wrong] == ["(1 2)", "(1 2)"]
+
+
 @pytest.mark.parametrize("text, product", [
     ("y^8 - x^8 - 2000*x^2*y - 1", "(6 7 8)"),
     ("y^8 + x^8 - 2000*x^3*y - 20", "(1 5 3)"),
