@@ -179,9 +179,10 @@ def _violations(c: BranchedCover) -> tuple:
     if not prod.is_identity():
         violations.append(
             f"surface relation fails: product is {format_cycles(prod)}")
-    parts = _orbits(c.degree, c.all_generators())
+    parts = _orbits([p._raw for p in c.all_generators()], c.degree)
     if len(parts) > 1:
-        violations.append(f"monodromy group is intransitive: orbits {parts}")
+        shifted = tuple(tuple([x + 1 for x in part]) for part in parts)
+        violations.append(f"monodromy group is intransitive: orbits {shifted}")
     return violations, len(parts) == 1
 
 
@@ -206,11 +207,14 @@ def total_space_genus(c: BranchedCover, checked: bool = True) -> int:
     """Riemann-Hurwitz: 2g_Y - 2 = d(2g - 2) + sum over cycles (len - 1)."""
     if checked:
         require_valid(c)
-    ramification = sum(
-        len(cyc) - 1
-        for perm in c.branch_cycles
-        for cyc in perm.cycles(include_fixed=True))
-    doubled = c.degree * (2 * c.base_genus - 2) + ramification
+    return _riemann_hurwitz(c.degree, c.base_genus, sum(
+        len(cyc) - 1 for perm in c.branch_cycles for cyc in perm.cycles()))
+
+
+def _riemann_hurwitz(degree: int, base_genus: int, ramification: int) -> int:
+    """The genus g_Y of 2g_Y - 2 = degree (2 base_genus - 2) + ramification,
+    or ModelInconsistencyError when that is odd or below -2."""
+    doubled = degree * (2 * base_genus - 2) + ramification
     if doubled % 2 != 0 or doubled < -2:
         raise ModelInconsistencyError(
             f"Riemann-Hurwitz gives 2g-2 = {doubled}; data is not a cover")

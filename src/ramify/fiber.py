@@ -37,6 +37,7 @@ from functools import cached_property
 
 from .cover import (
     BranchedCover,
+    _riemann_hurwitz,
     is_morse,
     monodromy_group,
     require_valid,
@@ -401,11 +402,9 @@ class CoverContext:
 
         genus = None
         if fiber_transitive:
-            g_y = total_space_genus(c, checked=False)
-            ram = sum(len(cyc) - 1 for t in nontrivial for cyc in t.cycles())
-            doubled = (d - 1) * (2 * g_y - 2) + ram
-            assert doubled % 2 == 0 and doubled >= -2, "derived Riemann-Hurwitz failed"
-            genus = (doubled + 2) // 2
+            genus = _riemann_hurwitz(
+                d - 1, total_space_genus(c, checked=False),
+                sum(len(cyc) - 1 for t in nontrivial for cyc in t.cycles()))
 
         return DerivedCover(
             degree=d - 1,

@@ -5,10 +5,10 @@ theorem-verification driver.
 Enumeration and sampling choose every generator but the last branch cycle
 as raw 0-based tuples and keep their relation product; the surface relation
 forces the last, which cuts the search space by |S_d|.  ``_completed``
-decides each candidate once, on that product, and builds a cover only when
-the forced cycle is not the identity (in Morse mode, is a transposition);
-transitivity is then one orbit search.  Dedup keeps the first cover of each
-conjugacy class in enumeration order, keyed by ``canonical_form``.
+decides each candidate once, on raw tuples: a cover only when the forced
+cycle is not the identity (in Morse mode, is a transposition) and one
+search from point 0 reaches every point.  Dedup keeps the first cover of
+each conjugacy class in enumeration order, keyed by ``canonical_form``.
 Verification collects violations instead of raising, so a counterexample
 (i.e. a bug) surfaces with full context at the end of the run.
 """
@@ -160,8 +160,9 @@ def _completed(handles, frees, prod, r: int,
     ``prod``, followed by the branch cycle the surface relation forces
     (none when r = 0).  None when r = 0 and ``prod`` is not the identity,
     when the forced cycle is the identity or, in Morse mode, not a
-    transposition, or when the generators are intransitive: everything else
-    holds by construction.  No group is built."""
+    transposition, or when one search from point 0 along the raw generators
+    misses a point: everything else holds by construction.  A refused
+    candidate builds no ``Permutation``, and none builds a group."""
     moved = _moved(prod)
     if r > 0:
         if moved == 0 or (morse and moved != 2):
@@ -169,13 +170,13 @@ def _completed(handles, frees, prod, r: int,
         frees = (*frees, _inverse(prod))
     elif moved:
         return None
-    build = Permutation._from_raw
-    cover = BranchedCover(len(prod), len(handles),
-                          [(build(a), build(b)) for a, b in handles],
-                          [build(c) for c in frees])
-    if len(_orbits(cover.degree, cover.all_generators())) > 1:
+    d = len(prod)
+    if len(_orbits([*itertools.chain(*handles), *frees], d, (0,))[0]) < d:
         return None
-    return cover
+    build = Permutation._from_raw
+    return BranchedCover(d, len(handles),
+                         [(build(a), build(b)) for a, b in handles],
+                         [build(c) for c in frees])
 
 
 def random_cover(spec: CorpusSpec, seed: int | None = None) -> BranchedCover:
@@ -405,8 +406,7 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     return counters, vacuous_main, violations
 
 
-def verify_corpus(spec: CorpusSpec,
-                  oracle_cap: int = 10080) -> VerificationReport:
+def verify_corpus(spec: CorpusSpec) -> VerificationReport:
     """Run every check over the corpus the spec describes.  Violations are
     collected, never raised mid-stream."""
     report = VerificationReport()
@@ -419,7 +419,7 @@ def verify_corpus(spec: CorpusSpec,
         covers = enumerate_covers(spec)
 
     for cover in covers:
-        counters, vacuous, violations = check_cover(cover, oracle_cap)
+        counters, vacuous, violations = check_cover(cover)
         report.covers_checked += 1
         for name, v in counters.items():
             report.checks_run[name] += v

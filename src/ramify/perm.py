@@ -15,8 +15,10 @@ so none is sifted twice.  A point stabilizer Stab(p) of a group fixing
 rebuilt, and no chain is copied or joined: for G fixing 1..p-1, H =
 Stab_G(p) and N normal in G, [G : HN] is |G.p| / |N.p|, two basic orbit
 lengths.  Nothing else is precomputed: transitivity and two-transitivity
-are the sizes of the first two basic orbits of the chain, and orbits are
-a breadth-first search along the generators, which needs no chain at all.
+are the sizes of the first two basic orbits of the chain.  Orbits, on
+points or on ordered pairs of points, need no chain at all: one
+breadth-first search over integer points along 0-based image tables, a
+pair (p, q) being the point (p-1)d + q-1 of the pair action.
 """
 
 from __future__ import annotations
@@ -424,51 +426,45 @@ class GeneratedGroup:
 
 
 def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
-    """Orbit partition of the domain (points 1..d by default, or tuples of
-    points under the diagonal action).  Deterministic: orbits are sorted and
-    ordered by least element."""
-    return _orbits(g.degree, g.generators, domain)
+    """Orbits through the domain, each sorted, in order of least domain
+    item: the points 1..d by default, given points, or given ordered pairs
+    (p, q) under h(p, q) = (h(p), h(q)).  A pair is searched as the point
+    (p-1)d + q-1 of the pair action, so code order is pair order.  Raises
+    ValueError on an item that is not a point or pair of points of 1..d."""
+    d = g.degree
+    raws = [gen._raw for gen in g.generators]
+    items = range(1, d + 1) if domain is None else sorted(set(domain))
+    if not items or not isinstance(items[0], tuple):
+        if items and not 1 <= items[0] <= items[-1] <= d:
+            raise ValueError(f"points {items[0]}..{items[-1]} not in 1..{d}")
+        return tuple(tuple([x + 1 for x in part])
+                     for part in _orbits(raws, d, [p - 1 for p in items]))
+    for pair in items:
+        if len(pair) != 2 or not (1 <= pair[0] <= d and 1 <= pair[1] <= d):
+            raise ValueError(f"not a pair of points of 1..{d}: {pair!r}")
+    tables = [[d * raw[x] + raw[y] for x in range(d) for y in range(d)]
+              for raw in raws]
+    return tuple(tuple([(c // d + 1, c % d + 1) for c in part]) for part in
+                 _orbits(tables, d * d, [d * p + q - d - 1 for p, q in items]))
 
 
-def _orbits(degree: int, generators: Sequence[Permutation],
-            domain: Iterable | None = None) -> tuple:
-    """``orbits`` of the group the generators generate, which is not built:
-    a breadth-first search along the generators' raw 0-based images, from
-    each orbit's least item shifted to 0-based points, the orbit shifted
-    back once."""
-    raws = [gen._raw for gen in generators]
-    items = range(1, degree + 1) if domain is None else sorted(set(domain))
-    if items and isinstance(items[0], tuple):
-        def moves(t: tuple) -> list:
-            return [tuple([raw[x] for x in t]) for raw in raws]
-
-        def shift(t: tuple, by: int) -> tuple:
-            return tuple([x + by for x in t])
-    else:
-        def moves(x: int) -> list:
-            return [raw[x] for raw in raws]
-
-        def shift(x: int, by: int) -> int:
-            return x + by
-    seen = set()
+def _orbits(raws: Sequence, n: int, starts: Iterable | None = None) -> tuple:
+    """The orbits on the points 0..n-1 of the maps with 0-based image
+    sequences ``raws``, through each point of ``starts`` (every point by
+    default) in turn, each sorted: one breadth-first search."""
+    seen = bytearray(n)
     parts = []
-    for item in items:
-        if item in seen:
-            continue
-        item = shift(item, -1)
-        orbit = {item}
-        frontier = [item]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in moves(x):
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        part = tuple([shift(x, 1) for x in sorted(orbit)])
-        seen.update(part)
-        parts.append(part)
+    for s in range(n) if starts is None else starts:
+        if not seen[s]:
+            seen[s] = 1
+            orbit = [s]
+            for x in orbit:
+                for raw in raws:
+                    y = raw[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+            parts.append(tuple(sorted(orbit)))
     return tuple(parts)
 
 

@@ -3,7 +3,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramify.cover import (
     MAX_FILE_CELLS,
@@ -45,22 +45,35 @@ IDENTITY_COVER = mk(1, 0, [])
 
 @st.composite
 def valid_covers_st(draw, max_degree=5, max_genus=1, max_branch=4):
+    """Valid covers built by construction: a branch count some cover of the
+    drawn degree and genus has, non-identity free cycles and the last
+    cycle forced by the relation.  Only what construction does not settle
+    is filtered: a forced cycle that is the identity (at r = 0, a relation
+    product that is not) and an intransitive group."""
     d = draw(st.integers(min_value=1, max_value=max_degree))
     g = draw(st.integers(min_value=0, max_value=max_genus))
-    r = draw(st.integers(min_value=0, max_value=max_branch))
+    # degree 1: every cycle is the identity; genus 0: r = 0 is
+    # intransitive and r = 1 forces the identity; degree 2: every cycle
+    # is (1 2), so an odd count has an odd product
+    r = draw(st.sampled_from([
+        r for r in range(max_branch + 1)
+        if (r == 0 if d == 1 else (r >= 2 or g > 0))
+        and (d != 2 or r % 2 == 0)]))
     perm_st = st.permutations(list(range(1, d + 1))).map(Permutation)
     handles = tuple((draw(perm_st), draw(perm_st)) for _ in range(g))
-    frees = [draw(perm_st) for _ in range(max(r - 1, 0))]
-    cover = None
+    moving = [Permutation([x + 1 for x in p])
+              for p in itertools.permutations(range(d))][1:]
+    frees = tuple(draw(st.sampled_from(moving)) for _ in range(max(r - 1, 0)))
+    last = relation_product(BranchedCover(d, g, handles, frees)).inverse()
     if r > 0:
-        prefix = BranchedCover(d, g, handles, tuple(frees))
-        last = relation_product(prefix).inverse()
-        cover = BranchedCover(d, g, handles, tuple(frees) + (last,))
+        assume(not last.is_identity())
+        frees += (last,)
     else:
-        cover = BranchedCover(d, g, handles, ())
+        assume(last.is_identity())
+    cover = BranchedCover(d, g, handles, frees)
     report = validate(cover)
-    from hypothesis import assume
-    assume(report.valid)
+    assume(report.is_connected)
+    assert report.valid, report.violations
     return cover
 
 

@@ -474,6 +474,19 @@ def test_derived_genus_agrees_with_component_cover():
         assert derived.total_space_genus == total_space_genus(comp)
 
 
+def test_derived_genus_refuses_a_non_cover_like_the_base_genus():
+    # unchecked, the relation fails; the base genus is 0, but both branch
+    # cycles are 4-cycles, so the derived inertia is trivial and over Y
+    # 2g' - 2 = 3(2 * 0 - 2) = -6
+    from ramify.cover import ModelInconsistencyError, total_space_genus
+    bad = mk(4, 0, ["(1 2 3 4)", "(1 2 4 3)"])
+    assert total_space_genus(bad, checked=False) == 0
+    with pytest.raises(ModelInconsistencyError, match="2g-2 = -6"):
+        CoverContext(bad, checked=False).derived_cover
+    with pytest.raises(ModelInconsistencyError, match="2g-2 = -3"):
+        total_space_genus(mk(2, 0, ["(1 2)"]), checked=False)
+
+
 def test_derived_cover_d4_intransitive_fiber():
     derived = derived_cover_q1(D4)
     assert derived.degree == 3

@@ -25,6 +25,7 @@ from oracles import (
     naive_closure,
     o_closure,
     o_normal_closure,
+    o_orbit,
     o_point_orbits,
     o_stabilizer,
     o_transitivity,
@@ -254,6 +255,39 @@ def test_orbits_match_oracle(g):
     expected = [tuple(x + 1 for x in part)
                 for part in o_point_orbits(raw, g.degree)]
     assert list(orbits(g)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups_st())
+def test_pair_orbits_match_oracle(g):
+    d = g.degree
+    raw = [tuple(x - 1 for x in p.images) for p in g.generators]
+    seen: set = set()
+    expected = []
+    for pair in itertools.product(range(d), repeat=2):
+        if pair not in seen:
+            orb = o_orbit(raw, pair, lambda h, t: (h[t[0]], h[t[1]]))
+            seen |= orb
+            expected.append(tuple(sorted((p + 1, q + 1) for p, q in orb)))
+    pairs = itertools.product(range(1, d + 1), repeat=2)
+    assert list(orbits(g, pairs)) == expected
+
+
+@pytest.mark.parametrize("domain", [
+    [(0, 1)], [(1, 4)], [(1, 2), (2, 0)], [(1, 1, 1)], [0], [4]],
+    ids=["pair_0_1", "pair_1_4", "second_pair", "triple", "point_0",
+         "point_4"])
+def test_orbits_refuse_items_off_the_points(domain):
+    # (1, 4) and (2, 1) would share the code of the pair action
+    g = GeneratedGroup(3, [perm("(1 2 3)", 3)])
+    with pytest.raises(ValueError):
+        orbits(g, domain)
+
+
+def test_orbits_through_given_points():
+    g = GeneratedGroup(4, [perm("(1 3)", 4)])
+    assert orbits(g, [3, 2]) == ((2,), (1, 3))
+    assert orbits(g, []) == ()
 
 
 # -- point stabilizer -------------------------------------------------------
