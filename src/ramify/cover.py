@@ -66,17 +66,6 @@ class BranchedCover:
         gens.extend(self.branch_cycles)
         return tuple(gens)
 
-    def relabel(self, sigma: Permutation) -> "BranchedCover":
-        """Simultaneous conjugation of every generator by sigma."""
-        return BranchedCover(
-            degree=self.degree,
-            base_genus=self.base_genus,
-            handles=tuple((a.conjugate(sigma), b.conjugate(sigma))
-                          for a, b in self.handles),
-            branch_cycles=tuple(c.conjugate(sigma) for c in self.branch_cycles),
-            labels=self.labels,
-        )
-
 
 @dataclass(frozen=True)
 class CoverReport:

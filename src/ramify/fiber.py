@@ -89,10 +89,6 @@ class SchemePoint:
     cycle_pair: tuple            # (kappa, kappa') as tuples of 1-based points
     branches: tuple              # LocalBranch entries
 
-    @property
-    def ramification_indices(self) -> tuple:
-        return (len(self.cycle_pair[0]), len(self.cycle_pair[1]))
-
 
 @dataclass(frozen=True)
 class GenuineRamification:
@@ -384,8 +380,10 @@ class CoverContext:
             for kappa in cj.cycles(include_fixed=True):
                 u = v[kappa[0]]
                 element = u.inverse() * (cj ** len(kappa)) * u
-                assert element(1) == 1
-                assert element in stab
+                if element(1) != 1 or element not in stab:
+                    raise TheoremViolationError(
+                        f"local inertia {element} at cycle {kappa} of branch "
+                        f"point {j} does not lie in Stab_G(1)")
                 inertia.append(LocalInertia(branch_index=j, cycle=kappa,
                                             element=element))
 

@@ -47,9 +47,6 @@ class Graph:
     def n(self) -> int:
         return len(self.labels)
 
-    def neighbors(self, v) -> tuple:
-        return tuple(self._adj[v])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
                 and self.labels == other.labels

@@ -16,7 +16,7 @@ the group layer should not pay.  The parser builds its result in sympy's
 sparse ring Q[x, y], so sympy loads when parsing starts: malformed text pays
 the one-time import too, but every size bound is still checked before the
 work it guards: a literal before ``int()``, a product or power before it
-is expanded.
+is expanded, the result before the squarefree test.
 
 Path layout.  All loops share a base point to the right of every critical
 value and a rail far below them.  Transport along a path is a groupoid, so
@@ -31,7 +31,9 @@ have conjugate critical pairs with equal real parts, so the default upward
 direction is rotated slightly when needed.  With cycles in sweep order and
 the cycle at infinity read from one clockwise circle around every target,
 reached by a stub from the base point, the relation c_1 ... c_r . c_inf = id
-holds exactly by construction; it is verified on every run.
+holds exactly by construction; it is verified on every run.  The assembled
+cover is then valid but for transitivity: its context is built unchecked,
+and an intransitive group, a reducible curve, is a ``NonGenericError``.
 
 Critical fibers are not solved: over a critical value of a smooth affine
 curve where the leading coefficient does not vanish (``reject_singular``
@@ -74,8 +76,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cover import (BranchedCover, InvalidCoverError, cover_to_json_dict,
-                    is_morse, relation_product)
+from .cover import (BranchedCover, cover_to_json_dict, is_morse,
+                    relation_product)
 from .fiber import CoverContext
 from .perm import Permutation, Transitivity, format_cycles, transitivity
 
@@ -105,9 +107,9 @@ class TrackingAmbiguityError(RuntimeError):
 
 
 class RelationViolationError(RuntimeError):
-    """The tracked cycles do not satisfy c_1 ... c_r . c_inf = id, a
-    critical loop's cycle is not a transposition, or the cycles do not
-    assemble into a valid cover: some accepted step matched roots wrongly."""
+    """The tracked cycles do not satisfy c_1 ... c_r . c_inf = id, or a
+    critical loop's cycle is not a transposition: some accepted step
+    matched roots wrongly."""
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +225,51 @@ MAX_LITERAL_DIGITS = 1000
 #: Deepest parenthesis nesting; the parser recurses once per level.
 MAX_NESTING = 100
 
+#: Largest size, in coefficient bits, of a product or power the parser
+#: expands and of the polynomial it returns: the degree bound alone bounds
+#: neither the expansion nor the squarefree test.  A size is terms times
+#: bits per coefficient (see ``_size``).  A product or power is sized before
+#: it is expanded, from its operands: at most the terms it forms before like
+#: terms merge, and at most the monomials of its degree.  The polynomial is
+#: sized by its dense count (x-degree + 1)(y-degree + 1), which the cost of
+#: sympy's gcd follows, not by its terms.  This bound and the next were set
+#: by measurement: on a 2-core x86-64 host (CPython 3.11, sympy 1.14 without
+#: gmpy2) the slowest inputs built to sit just under them parse in about
+#: 0.4 s; unbounded, (1+x+y)^100 took 6 s and (c*x + y + 1)^32, with c of
+#: 1,000 digits, more than 10 minutes.
+MAX_COEFFICIENT_BITS = 2 ** 18
+
+#: Most terms one product or power may form before like terms merge: t_a t_b
+#: for a product, C(t + n - 1, n) for a t-term base to the n.  Their number,
+#: not their size, is the cost of expanding many small terms.
+MAX_EXPANSION_TERMS = 2 ** 17
+
 
 def _total_degree(a: dict) -> int:
     return max((i + j for i, j in a), default=0)
+
+
+def _size(a) -> tuple:
+    """(terms, bits) of a ring element a = n/D, with n integral and D the
+    least common denominator: ``bits`` bounds the bits of D plus those of
+    n's largest coefficient, which has at most log2 D more than a's."""
+    den = math.lcm(*(c.denominator for c in a.values()))
+    return len(a), (max((abs(c.numerator).bit_length() for c in a.values()),
+                        default=0) + 2 * (den - 1).bit_length())
+
+
+def _check_expansion(formed: int, degree: int, bits: int, what: str,
+                     pos: int) -> None:
+    """Refuse a product or power of total degree ``degree`` that forms
+    ``formed`` terms of at most ``bits`` bits before like terms merge, when
+    they are too many or their result too large."""
+    if formed > MAX_EXPANSION_TERMS:
+        raise PolyParseError(
+            f"{what} forms more than {MAX_EXPANSION_TERMS} terms", pos)
+    terms = min(formed, (degree + 1) * (degree + 2) // 2)
+    if terms * bits > MAX_COEFFICIENT_BITS:
+        raise PolyParseError(
+            f"{what} exceeds size bound {MAX_COEFFICIENT_BITS} bits", pos)
 
 
 class _Lexer:
@@ -292,25 +336,35 @@ def _parse_term(lx: _Lexer):
             return acc
         _, _, pos = lx.take()
         factor = _parse_factor(lx)
-        if _total_degree(acc) + _total_degree(factor) > MAX_POLY_DEGREE:
+        degree = _total_degree(acc) + _total_degree(factor)
+        if degree > MAX_POLY_DEGREE:
             raise PolyParseError(
                 f"product exceeds degree bound {MAX_POLY_DEGREE}", pos)
+        # each coefficient of n_a n_b sums at most min(t_a, t_b) products
+        (ta, ba), (tb, bb) = _size(acc), _size(factor)
+        _check_expansion(ta * tb, degree,
+                         ba + bb + (min(ta, tb) - 1).bit_length(),
+                         "product", pos)
         acc = acc * factor
 
 
-def _exponent(lx: _Lexer, degree: int):
-    """The n of a '^n' that follows, or None; n is checked against
-    ``MAX_POLY_DEGREE`` for a base of the given total degree before any
-    power is computed."""
+def _exponent(lx: _Lexer, base):
+    """The n of a '^n' that follows, or None; base^n is checked against
+    the degree and size bounds before any power is computed."""
     if lx.peek()[0] != "^":
         return None
     lx.take()
     kind, n, pos = lx.take()
     if kind != "num":
         raise PolyParseError("exponent must be a non-negative integer", pos)
-    if n > MAX_POLY_DEGREE or degree * n > MAX_POLY_DEGREE:
+    degree = _total_degree(base) * n
+    if n > MAX_POLY_DEGREE or degree > MAX_POLY_DEGREE:
         raise PolyParseError(f"power exceeds degree bound {MAX_POLY_DEGREE}",
                              pos)
+    # each coefficient of n_a^n is at most (t 2^bits)^n; base^0 is 1
+    terms, bits = _size(base)
+    _check_expansion(math.comb(terms + n - 1, n) if n else 1, degree,
+                     n * (bits + (terms - 1).bit_length()), "power", pos)
     return n
 
 
@@ -324,9 +378,9 @@ def _parse_factor(lx: _Lexer):
             raise PolyParseError("denominator must be a positive integer",
                                  dpos)
         # a/b^n is a/(b^n): the power binds to the denominator alone
-        n = _exponent(lx, 0)
+        n = _exponent(lx, lx.ring(den))
         return lx.ring(Fraction(value, den ** (1 if n is None else n)))
-    n = _exponent(lx, _total_degree(base))
+    n = _exponent(lx, base)
     if n is None:
         return base
     # sympy refuses 0**0; here every base to the power 0 is 1
@@ -363,6 +417,11 @@ def parse_poly(text: str) -> PlanePolynomial:
     kind, _, pos = lx.peek()
     if kind != "end":
         raise PolyParseError("trailing input", pos)
+    dense = ((max((i for i, _ in coeffs), default=0) + 1)
+             * (max((j for _, j in coeffs), default=0) + 1))
+    if dense * _size(coeffs)[1] > MAX_COEFFICIENT_BITS:
+        raise PolyParseError(f"polynomial exceeds size bound "
+                             f"{MAX_COEFFICIENT_BITS} bits", 0)
     return PlanePolynomial(coeffs)
 
 
@@ -497,16 +556,12 @@ class MonodromyResult:
     loops: tuple               # LoopTarget entries, in sweep order
     infinity_cycle: Permutation
     genericity: GenericityReport
-    context: CoverContext      # the assembled cover, validated once
+    context: CoverContext      # the assembled cover and its group
     used_precision_digits = WORKING_DIGITS
 
     @property
     def cover(self) -> BranchedCover:
         return self.context.cover
-
-    @property
-    def branch_cycles(self) -> tuple:
-        return tuple(t.cycle for t in self.loops)
 
     def to_json_dict(self) -> dict:
         return {
@@ -904,14 +959,10 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     cover = BranchedCover(degree=d, base_genus=0,
                           branch_cycles=tuple(branch_cycles),
                           labels=tuple(labels))
-    try:
-        context = CoverContext(cover)
-    except InvalidCoverError as exc:
-        if any("intransitive" in v for v in exc.violations):
-            raise NonGenericError(
-                "monodromy group is intransitive: the curve is reducible")
-        raise RelationViolationError(
-            f"assembled cover is invalid: {exc.violations}")
+    context = CoverContext(cover, checked=False)
+    if transitivity(context.group) is Transitivity.INTRANSITIVE:
+        raise NonGenericError(
+            "monodromy group is intransitive: the curve is reducible")
 
     return MonodromyResult(
         polynomial=str(p),

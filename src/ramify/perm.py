@@ -10,9 +10,9 @@ Groups are immutable: the stabilizer chain (full ascending base
 freely across threads.  Every chain grows by one path, ``_extend``, which
 sifts one element in and re-completes the levels it touched; a level
 keeps its transversal and the Schreier generators it has already sifted,
-so none is sifted twice.  A point stabilizer Stab(p) of a group fixing
-1..p-1 is the suffix of its chain after base point p, shared rather than
-rebuilt, and no chain is copied or joined: for G fixing 1..p-1, H =
+so none is sifted twice.  Stab(p) and the transversal at p are read off
+the chain of a group fixing 1..p-1, shared rather than rebuilt, and are
+refused for any other p; no chain is copied or joined: for such G, H =
 Stab_G(p) and N normal in G, [G : HN] is |G.p| / |N.p|, two basic orbit
 lengths.  Nothing else is precomputed: transitivity and two-transitivity
 are the sizes of the first two basic orbits of the chain.  Orbits, on
@@ -110,11 +110,9 @@ class Permutation:
         """1-based image sequence."""
         return tuple(x + 1 for x in self._raw)
 
-    def apply(self, point: int) -> int:
+    def __call__(self, point: int) -> int:
         """Image of a 1-based point."""
         return self._raw[point - 1] + 1
-
-    __call__ = apply
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
@@ -468,33 +466,31 @@ def _orbits(raws: Sequence, n: int, starts: Iterable | None = None) -> tuple:
     return tuple(parts)
 
 
-def transversal(g: GeneratedGroup, p: int) -> dict:
-    """For a group g fixing 1..p-1, whose chain level at base point p then
-    holds the whole orbit g.p: each point q of it -> the element of g
-    mapping p to q stored there.  Its size is |g.p|."""
+def _require_fixed_before(g: GeneratedGroup, p: int) -> None:
+    """Raise ValueError unless p lies in 1..d and g fixes 1..p-1."""
     if not 1 <= p <= g.degree:
         raise ValueError(f"point {p} out of range 1..{g.degree}")
     if any(len(lev.orbit) > 1 for lev in g._levels[:p - 1]):
         raise ValueError(f"the group moves a point before {p}")
+
+
+def transversal(g: GeneratedGroup, p: int) -> dict:
+    """For a group g fixing 1..p-1, whose chain level at base point p then
+    holds the whole orbit g.p: each point q of it -> the element of g
+    mapping p to q stored there.  Its size is |g.p|."""
+    _require_fixed_before(g, p)
     return {q + 1: Permutation._from_raw(u)
             for q, u in g._levels[p - 1].transversal.items()}
 
 
 def point_stabilizer(g: GeneratedGroup, p: int) -> GeneratedGroup:
-    """Stab_g(p), satisfying order(result) * |orbit(p)| == order(g).
-
-    When g fixes 1..p-1, its chain levels for the base points p+1..d are a
-    complete chain of Stab_g(p) and are shared, not rebuilt; nothing may
-    ever extend a built group's levels in place.  Any other p is moved to
-    point 1 by conjugating with the transposition (1 p)."""
+    """Stab_g(p) for a group g fixing 1..p-1, satisfying order(result) *
+    |orbit(p)| == order(g).  Its chain is g's levels for the base points
+    p+1..d, shared, not rebuilt; nothing may ever extend a built group's
+    levels in place.  A p past the first point g moves raises ValueError,
+    as for ``transversal``."""
+    _require_fixed_before(g, p)
     d = g.degree
-    if not 1 <= p <= d:
-        raise ValueError(f"point {p} out of range 1..{d}")
-    if any(len(lev.orbit) > 1 for lev in g._levels[:p - 1]):
-        t = Permutation.from_cycle([1, p], d)
-        moved = GeneratedGroup(d, [x.conjugate(t) for x in g.generators])
-        return GeneratedGroup(d, [x.conjugate(t) for x in
-                                  point_stabilizer(moved, 1).generators])
     levels = [_Level(k, d) for k in range(p)] + g._levels[p:]
     gens = tuple(Permutation._from_raw(h) for h in _gens_at(levels, p))
     return GeneratedGroup._from_chain(

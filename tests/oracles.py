@@ -148,6 +148,19 @@ def o_generators(cover) -> list:
     return [tuple(x - 1 for x in p.images) for p in cover.all_generators()]
 
 
+def relabel(cover: BranchedCover, sigma: Permutation) -> BranchedCover:
+    """The cover with every generator conjugated by sigma: the same cover
+    with its fiber points renamed."""
+    return BranchedCover(
+        degree=cover.degree,
+        base_genus=cover.base_genus,
+        handles=tuple((a.conjugate(sigma), b.conjugate(sigma))
+                      for a, b in cover.handles),
+        branch_cycles=tuple(c.conjugate(sigma) for c in cover.branch_cycles),
+        labels=cover.labels,
+    )
+
+
 def o_canonical_form(cover) -> tuple:
     """(degree, base genus, least simultaneous conjugate of the generators)
     over a scan of all of S_d: the least tuple of sigma g sigma^-1."""
@@ -313,6 +326,10 @@ def diameter_endpoint(g: Graph):
     connected graph with at least two vertices."""
     if g.n < 2:
         raise ValueError("need at least two vertices")
+    adjacent = {v: [] for v in g.labels}
+    for a, b in g.edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
     best_v = None
     best_d = -1
     for v in g.labels:
@@ -320,7 +337,7 @@ def diameter_endpoint(g: Graph):
         queue = deque([v])
         while queue:
             x = queue.popleft()
-            for w in g.neighbors(x):
+            for w in adjacent[x]:
                 if w not in dist:
                     dist[w] = dist[x] + 1
                     queue.append(w)

@@ -22,6 +22,8 @@ from ramify.cover import (
 )
 from ramify.perm import CycleParseError, Permutation, parse_cycles
 
+from oracles import relabel
+
 
 def mk(d, g, cycle_strs, handle_strs=()):
     return BranchedCover(
@@ -241,7 +243,7 @@ def test_is_galois():
 def test_relabel_invariance(cover, data):
     sigma = Permutation(data.draw(
         st.permutations(list(range(1, cover.degree + 1)))))
-    other = cover.relabel(sigma)
+    other = relabel(cover, sigma)
     r1, r2 = validate(cover), validate(other)
     assert r1.valid and r2.valid
     assert r1.total_space_genus == r2.total_space_genus

@@ -31,6 +31,7 @@ from oracles import (
     o_local_branches,
     o_normal_closure,
     o_stabilizer,
+    relabel,
 )
 
 from test_cover import (
@@ -116,7 +117,7 @@ def test_scheme_point_four_cycle():
 @given(valid_covers_st())
 def test_branch_counts_gcd_lcm(cover):
     for sp in scheme_points(cover):
-        e, e2 = sp.ramification_indices
+        e, e2 = map(len, sp.cycle_pair)
         assert len(sp.branches) == math.gcd(e, e2)
         assert all(b.size == math.lcm(e, e2) for b in sp.branches)
         assert sum(b.size for b in sp.branches) == e * e2
@@ -206,7 +207,8 @@ def test_local_branches_match_the_orbit_walk_on_d4():
     """A non-Morse cover where a double transposition meets itself, so
     gcd(e, e') = 2 and one cycle pair carries two branches."""
     assert_branches_match_walk(D4)
-    assert any(len(sp.branches) == 2 and sp.ramification_indices == (2, 2)
+    assert any(len(sp.branches) == 2
+               and tuple(map(len, sp.cycle_pair)) == (2, 2)
                for sp in scheme_points(D4))
 
 
@@ -295,7 +297,7 @@ def test_hn_test_agrees_with_dual_graph_connectivity(cover):
 def test_fiber_verdicts_conjugation_invariant(cover, data):
     sigma = Permutation(data.draw(
         st.permutations(list(range(1, cover.degree + 1)))))
-    other = cover.relabel(sigma)
+    other = relabel(cover, sigma)
     a, b = analyze(cover), analyze(other)
     assert a.genuinely_ramified == b.genuinely_ramified
     assert a.etale_subcover_degree == b.etale_subcover_degree
@@ -485,6 +487,31 @@ def test_derived_genus_refuses_a_non_cover_like_the_base_genus():
         CoverContext(bad, checked=False).derived_cover
     with pytest.raises(ModelInconsistencyError, match="2g-2 = -3"):
         total_space_genus(mk(2, 0, ["(1 2)"]), checked=False)
+
+
+@pytest.mark.parametrize("cover, wrong", [
+    # every representative the identity: the inertia at (3) of (1 2) is
+    # (1 2), which moves point 1
+    (TREFOIL_MORSE, lambda q: Permutation.identity(3)),
+    # (1 q) maps 1 to q but lies outside D4: the inertia at (2) of (1 3)
+    # is (2 3), which fixes point 1 but is not in the group
+    (D4, lambda q: Permutation.from_cycle(sorted({1, q}), 4)),
+])
+def test_wrong_coset_representative_is_a_theorem_violation(cover, wrong,
+                                                             monkeypatch):
+    """Local inertia outside Stab_G(1) raises TheoremViolationError, also
+    under ``python -O``."""
+    import ramify.fiber as fiber_module
+
+    real = fiber_module.transversal
+
+    def transversal(g, p):
+        reps = real(g, p)
+        return {q: wrong(q) for q in reps} if p == 1 else reps
+
+    monkeypatch.setattr(fiber_module, "transversal", transversal)
+    with pytest.raises(TheoremViolationError, match=r"not lie in Stab_G\(1\)"):
+        CoverContext(cover).derived_cover
 
 
 def test_derived_cover_d4_intransitive_fiber():

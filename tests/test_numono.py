@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ramify
 from ramify import numono
-from ramify.cover import InvalidCoverError, total_space_genus
+from ramify.cover import total_space_genus
 from ramify.numono import (
+    MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_POLY_DEGREE,
@@ -65,7 +66,7 @@ def tracked(text):
 def test_monodromy_of_known_curves(text):
     finite, infinity, genus = KNOWN[text]
     result = tracked(text)
-    assert [format_cycles(c) for c in result.branch_cycles] == finite
+    assert [format_cycles(t.cycle) for t in result.loops] == finite
     assert format_cycles(result.infinity_cycle) == infinity
     assert total_space_genus(result.cover) == genus
 
@@ -74,8 +75,8 @@ def test_monodromy_of_known_curves(text):
 def test_branch_cycle_relation(text):
     result = tracked(text)
     product = result.infinity_cycle
-    for c in reversed(result.branch_cycles):
-        product = c * product
+    for t in reversed(result.loops):
+        product = t.cycle * product
     assert product.is_identity()
 
 
@@ -162,7 +163,7 @@ def test_reducible_curve_refused(text):
 def test_transport_matches_full_loops(text):
     result = tracked(text)
     cycles, infinity = full_loop_cycles(parse_poly(text), result)
-    assert cycles == result.branch_cycles
+    assert cycles == tuple(t.cycle for t in result.loops)
     assert infinity == result.infinity_cycle
 
 
@@ -418,6 +419,13 @@ def test_rational_literal_power_binds_to_the_denominator():
     assert err.value.position == 10
 
 
+@pytest.mark.parametrize("text", ["0^0*x + y^2", "(x - x)^0*x + y^2",
+                                  "(x - x)^3 + x + y^2", "0^2 + x + y^2"])
+def test_powers_of_zero(text):
+    """Every base to the power 0 is 1, and 0 to a positive power is 0."""
+    assert parse_poly(text) == parse_poly("x + y^2")
+
+
 def test_degree_bound_on_products_and_powers():
     half = MAX_POLY_DEGREE // 2
     with pytest.raises(PolyParseError, match="degree bound"):
@@ -428,6 +436,58 @@ def test_degree_bound_on_products_and_powers():
         parse_poly(f"2^{MAX_POLY_DEGREE + 1} + y^2")
     p = parse_poly(f"x^{half} * x^{MAX_POLY_DEGREE - half} + y^2")
     assert max(i for i, _ in p.coeffs) == MAX_POLY_DEGREE
+
+
+@pytest.mark.parametrize("text", [
+    # 6.2 s to refuse as not squarefree, and 2.1 s to parse, without the bound
+    "(1+x+y)^100",
+    "(1+x+y)^100 + x",
+    # 0.3 s to expand, then sympy.gcd ran for more than 10 minutes
+    "(" + "9" * MAX_LITERAL_DIGITS + "*x + y + 1)^32",
+    # four terms, but a dense size of 100 * 101 * 3,322 bits: sympy.gcd
+    # ran for more than 40 s
+    "y^100 + " + "9" * MAX_LITERAL_DIGITS + "*x^99*y + "
+    + "7" * MAX_LITERAL_DIGITS + "*x + 1",
+    # 35 s in all without the bound
+    "(1/3+x-1/7*y)^50*(2+x+5*y)^50",
+], ids=["power", "power plus x", "wide literal power", "sparse wide",
+        "rational power product"])
+def test_coefficient_size_refused_before_the_squarefree_test(text,
+                                                              monkeypatch):
+    import sympy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.gcd was called")
+
+    monkeypatch.setattr(sympy, "gcd", refuse)
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match="exceeds size bound"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_size_bound_on_products_powers_and_the_result():
+    """(1 + x + y)^n forms C(n + 2, 2) terms of at most 3n bits: n = 54 is
+    the largest power under the size bound.  Expanding many small terms
+    is bounded by their number, and the result by its dense size."""
+    assert parse_poly("(1+x+y)^54 + x").y_degree == 54
+    with pytest.raises(PolyParseError, match="power exceeds size") as err:
+        parse_poly("(1+x+y)^55 + x")
+    assert err.value.position == 8
+    # C(35, 30) = 324,632 and 861 * 861 terms of a few bits each
+    with pytest.raises(PolyParseError, match="power forms more than"):
+        parse_poly("(1+x+y+x^2+x*y+y^2)^30 + y^2")
+    square = "(" + " + ".join(f"x^{i}*y^{j}" for i in range(41)
+                              for j in range(41 - i)) + ")"
+    with pytest.raises(PolyParseError, match="product forms more than"):
+        parse_poly(f"{square}*{square} + y^2")
+    # 9 * 9 coefficients of 3,322 bits: no product or power is near the
+    # bound, but the sum is
+    literal = "9" * MAX_LITERAL_DIGITS
+    assert 81 * 3322 > MAX_COEFFICIENT_BITS
+    with pytest.raises(PolyParseError, match="polynomial exceeds size bound"):
+        parse_poly(" + ".join(f"{literal}*x^{i}*y^{j}" for i in range(9)
+                              for j in range(9)))
 
 
 @pytest.mark.parametrize("prefix", ["y^2 + ", "y^2 + 1/", "y^2 + x^"])
@@ -487,21 +547,40 @@ def _sum_texts(draw, depth=2):
     return "".join(terms), bound
 
 
+def _dense_bits(coeffs: dict) -> int:
+    """The size ``parse_poly`` bounds the polynomial it returns by:
+    (x-degree + 1)(y-degree + 1) times the bits of the largest numerator
+    plus twice those of the common denominator."""
+    den = math.lcm(*(q.denominator for q in coeffs.values()))
+    bits = (max((abs(q.numerator).bit_length() for q in coeffs.values()),
+                default=0) + 2 * (den - 1).bit_length())
+    return ((max((i for i, _ in coeffs), default=0) + 1)
+            * (max((j for _, j in coeffs), default=0) + 1) * bits)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_sum_texts().filter(lambda text_bound: text_bound[1] <= 12))
+# a draw of the strategy whose polynomial is over the size bound
+@example(("-y^2 + y*((x*1000000000000000000000000000000^3 + y - 119/518"
+          "*788/909)^3 - x*y + 154/870*x)^3", 10))
 def test_parse_matches_sympy(text_bound):
     """The parser's exact arithmetic against sympy's own reading of the same
     text.  The generated sum s enters as (s)*y^2 + y^3 + x, which is nearly
     always a valid curve; one that is zero, of y-degree below 2 or not
     squarefree in y is refused after parsing, with a ValueError that is not
-    a ``PolyParseError``."""
+    a ``PolyParseError``.  Rarely, sympy's polynomial is larger than the
+    parser's size bound, and exactly then the parser refuses it for its
+    size: no product or power this strategy builds comes near the bound."""
     import sympy
 
     text = f"({text_bound[0]})*y^2 + y^3 + x"
     x, y = sympy.symbols("x y")
     exact = sympy.Poly(sympy.sympify(text.replace("^", "**")), x, y,
                        domain="QQ")
-    if (exact.is_zero or exact.degree(y) < 2
+    if _dense_bits(_fractions(exact)) > MAX_COEFFICIENT_BITS:
+        with pytest.raises(PolyParseError, match="polynomial exceeds size"):
+            parse_poly(text)
+    elif (exact.is_zero or exact.degree(y) < 2
             or sympy.gcd(exact, exact.diff(y)).degree(y) > 0):
         with pytest.raises(ValueError) as err:
             parse_poly(text)
@@ -650,16 +729,6 @@ def test_misaccepted_step_is_refused_in_one_pass(monkeypatch, text, product):
                        match=re.escape(f"c_inf = {product} != id")):
         track_monodromy(parse_poly(text))
     assert len(passes) == 1
-
-
-def test_invalid_assembled_cover_is_a_relation_violation(monkeypatch):
-    def refuse(cover):
-        raise InvalidCoverError(["forced"])
-
-    monkeypatch.setattr(numono, "CoverContext", refuse)
-    with pytest.raises(RelationViolationError,
-                       match=r"assembled cover is invalid: \('forced',\)"):
-        track_monodromy(parse_poly("y^2 - x^3 + x"))
 
 
 # curves whose y-degree is their total degree, so a shear keeps the degree

@@ -1,10 +1,13 @@
-"""The package metadata in pyproject.toml points only at code that exists."""
+"""The package metadata in pyproject.toml points only at code that exists,
+and the package's checks survive ``python -O``."""
 
+import ast
 import importlib
 import tomllib
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "ramify"
 
 
 def dangling_scripts(project: dict) -> list:
@@ -34,3 +37,13 @@ def test_dangling_script_is_detected():
     assert dangling_scripts(project) == [
         "no_module = ramify.no_such_module:main",
         "no_attribute = ramify.numono:no_such_function"]
+
+
+def test_package_has_no_assert_statement():
+    """``python -O`` strips assert statements, so no check in the package
+    may be one."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -328,12 +328,26 @@ def test_stabilizer_c4_regular():
     assert point_stabilizer(g, 1).order == 1
 
 
+def first_moved(g):
+    """The least point some generator of g moves, or d when none does:
+    the last point whose stabilizer and transversal g's chain holds."""
+    return min((q for s in g.generators for q in range(1, g.degree + 1)
+                if s(q) != q), default=g.degree)
+
+
+def assert_refused_past_first_moved(g):
+    for p in range(first_moved(g) + 1, g.degree + 1):
+        with pytest.raises(ValueError, match="moves a point"):
+            point_stabilizer(g, p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_groups_st(), st.integers(min_value=1, max_value=6))
 def test_orbit_stabilizer_identity(g, p):
-    p = 1 + (p - 1) % g.degree
+    p = 1 + (p - 1) % first_moved(g)
     orbit = next(part for part in orbits(g) if p in part)
     assert point_stabilizer(g, p).order * len(orbit) == g.order
+    assert_refused_past_first_moved(g)
 
 
 @settings(max_examples=25, deadline=None)
@@ -341,8 +355,24 @@ def test_orbit_stabilizer_identity(g, p):
 def test_stabilizer_matches_oracle(g):
     raw = [tuple(x - 1 for x in p.images) for p in g.generators]
     elements = o_closure(raw)
-    for p0 in range(g.degree):
+    for p0 in range(first_moved(g)):
         assert point_stabilizer(g, p0 + 1).order == len(o_stabilizer(elements, p0))
+    assert_refused_past_first_moved(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_groups_st(max_degree=5))
+def test_iterated_stabilizers_match_oracle(g):
+    """Stab(1), then Stab(2) of that, and so on down the chain: each
+    fixes the points before the next, and equals the pointwise stabilizer
+    of 1..p in the element set."""
+    elements = o_closure([tuple(x - 1 for x in s.images)
+                          for s in g.generators])
+    h = g
+    for p0 in range(g.degree):
+        h = point_stabilizer(h, p0 + 1)
+        elements = o_stabilizer(elements, p0)
+        assert _elements_raw(h) == elements
 
 
 def _elements_raw(g):
@@ -350,7 +380,7 @@ def _elements_raw(g):
 
 
 PREFIX_GROUPS = [
-    # S_5 and D_4: transitive, every p but 1 goes through conjugation
+    # S_5 and D_4: transitive, so every p but 1 is refused
     [perm("(1 2 3 4 5)", 5), perm("(1 2)", 5)],
     [perm("(1 2 3 4)", 4), perm("(1 3)", 4)],
     # fixes 1 and 2, so p <= 3 reads a suffix of the chain
@@ -364,9 +394,10 @@ PREFIX_GROUPS = [
 def test_point_stabilizer_elements_match_oracle(gens):
     g = GeneratedGroup(gens[0].degree, gens)
     elements = _elements_raw(g)
-    for p0 in range(g.degree):
+    for p0 in range(first_moved(g)):
         stab = point_stabilizer(g, p0 + 1)
         assert _elements_raw(stab) == o_stabilizer(elements, p0)
+    assert_refused_past_first_moved(g)
 
 
 @pytest.mark.parametrize("gens", PREFIX_GROUPS[:2] + [
@@ -375,9 +406,10 @@ def test_stabilizer_of_stabilizer_matches_oracle(gens):
     g = GeneratedGroup(gens[0].degree, gens)
     h = point_stabilizer(g, 1)
     elements = _elements_raw(g)
-    for p0 in range(1, g.degree):
+    for p0 in range(1, first_moved(h)):
         expected = {e for e in elements if e[0] == 0 and e[p0] == p0}
         assert _elements_raw(point_stabilizer(h, p0 + 1)) == expected
+    assert_refused_past_first_moved(h)
 
 
 def test_point_stabilizer_reads_the_chain(monkeypatch):
@@ -593,18 +625,19 @@ def _raws(g):
 @given(small_groups_st(max_degree=7), st.data())
 def test_transitivity_matches_brute_force_orbits(g, data):
     d = g.degree
-    p = data.draw(st.integers(min_value=1, max_value=d))
+    p = data.draw(st.integers(min_value=1, max_value=first_moved(g)))
     word = data.draw(st.lists(st.sampled_from(g.generators), max_size=4))
     w = Permutation.identity(d)
     for x in word:
         w = w * x
     stab = point_stabilizer(g, p)
     closure = normal_closure([w], g)
+    stab2 = point_stabilizer(point_stabilizer(g, 1), min(2, d))
     for h in (g, stab, closure,
               GeneratedGroup(d, stab.generators + closure.generators),
-              GeneratedGroup(d, point_stabilizer(g, d).generators
-                             + closure.generators)):
+              GeneratedGroup(d, stab2.generators + closure.generators)):
         assert transitivity(h).value == o_transitivity(_raws(h), d)
+    assert_refused_past_first_moved(g)
 
 
 def test_transitivity_matches_brute_force_in_degree_one():
@@ -625,10 +658,13 @@ def test_chain_reads_make_no_orbit_bfs(monkeypatch):
     cycles = braid_walk_tuple(random.Random("chain-reads"), 6)
     g = GeneratedGroup(6, cycles)
     stab = point_stabilizer(g, 1)
-    moved = point_stabilizer(g, 3)
+    stab2 = point_stabilizer(stab, 2)
+    with pytest.raises(ValueError, match="moves a point"):
+        point_stabilizer(g, 3)
     closure = normal_closure(cycles[:1], g)
     assert transitivity(g) is Transitivity.TWO_TRANSITIVE
-    assert transitivity(stab) is transitivity(moved) is Transitivity.INTRANSITIVE
+    assert (transitivity(stab) is transitivity(stab2)
+            is Transitivity.INTRANSITIVE)
     joined = GeneratedGroup(6, stab.generators + closure.generators)
     assert transitivity(joined) is Transitivity.TWO_TRANSITIVE
     assert validate(BranchedCover(6, 0, (), tuple(cycles))).valid
