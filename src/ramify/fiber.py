@@ -9,7 +9,8 @@ two of them.  That intersection pattern is the dual graph.  The branches
 are read off cycle positions, not walked: over a pair of cycles of lengths
 (e, e') they are the gcd(e, e') residue classes of the position difference,
 each of lcm(e, e') pairs.  A cycle pair's branches are read once per cover
-and shared by every branch point where that pair occurs.
+and shared by every branch point where that pair occurs.  They are the
+cycles of c_j on the pairs, so each component's genus is read off them.
 
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
@@ -340,30 +341,13 @@ class CoverContext:
         return SdCertification(True, d, steps=tuple(steps),
                                galois_closure_order=order)
 
-    def component_cover(self, orbital: Orbital) -> BranchedCover:
-        """The cover of X given by the monodromy action on one orbital's
-        pairs, relabeled 1..|orbital|: the normalization of that component
-        over X.  The diagonal orbital gives back a cover equal to the
-        input."""
-        c = self.cover
-        pairs = self.pair_orbits[self.orbital_of[orbital.representative]]
-        index = {pair: i + 1 for i, pair in enumerate(pairs)}
-
-        def induced(p: Permutation) -> Permutation:
-            images = [0] * len(pairs)
-            for pair, i in index.items():
-                images[i - 1] = index[(p(pair[0]), p(pair[1]))]
-            return Permutation(images)
-
-        result = BranchedCover(
-            degree=len(pairs),
-            base_genus=c.base_genus,
-            handles=tuple((induced(a), induced(b)) for a, b in c.handles),
-            branch_cycles=tuple(induced(cyc) for cyc in c.branch_cycles),
-            labels=c.labels,
-        )
-        require_valid(result)
-        return result
+    def component_genus(self, orbital: Orbital) -> int:
+        """Genus of the orbital's component of the fiber square by
+        Riemann-Hurwitz over X: its local branches over j are the cycles of
+        c_j on its pairs.  The diagonal orbital gives the genus of Y."""
+        return _riemann_hurwitz(orbital.size, self.cover.base_genus, sum(
+            b.size - 1 for sp in self.scheme_points for b in sp.branches
+            if b.orbital_id == orbital.id))
 
     @cached_property
     def derived_cover(self) -> DerivedCover:

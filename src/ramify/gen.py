@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -27,7 +26,6 @@ from .cover import (
     InvalidCoverError,
     dumps_cover,
     is_morse,
-    total_space_genus,
 )
 from .fiber import CoverContext, TheoremViolationError
 from .graphs import is_connected
@@ -313,7 +311,8 @@ class VerificationReport:
 
 
 def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
-    """Run every theorem check on one cover.
+    """Run every theorem check on one unvalidated cover, all on one
+    CoverContext; the off-diagonal genus is read off the local branches.
 
     Returns (counters, vacuous_main, violations): which checks ran, whether
     theorem main was vacuous here, and violation strings (each carrying the
@@ -359,22 +358,17 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
             violation("two_transitive_vs_orbitals",
                       f"two_transitive={two_t} but {len(orbs)} orbitals")
 
-    # Morse + genuinely ramified => full symmetric closure
+    # Morse + genuinely ramified => full symmetric closure, of order d!
     if morse and gr.genuinely_ramified and cover.degree >= 2:
         counters["sd_cover_order"] += 1
-        expected = math.factorial(cover.degree)
-        if group.order != expected:
-            violation("sd_cover_order",
-                      f"order {group.order} != {cover.degree}!")
+        try:
+            cert = ctx.sd_certificate
+        except TheoremViolationError as exc:
+            violation("sd_cover_order", f"certification step failed: {exc}")
         else:
-            try:
-                cert = ctx.sd_certificate
-            except TheoremViolationError as exc:
-                violation("sd_cover_order", f"certification step failed: {exc}")
-            else:
-                if not cert.certified:
-                    violation("sd_cover_order", "certification refused: "
-                              f"{cert.failed_hypothesis}")
+            if not cert.certified:
+                violation("sd_cover_order", "certification refused: "
+                          f"{cert.failed_hypothesis}")
 
     # derived cover invariants for Morse genuinely ramified covers, d >= 3
     if morse and gr.genuinely_ramified and cover.degree >= 3:
@@ -384,13 +378,8 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
             violation("derived_cover", "derived cover not Morse")
         if not derived.genuinely_ramified:
             violation("derived_cover", "derived cover not genuinely ramified")
-        if derived.degree != cover.degree - 1:
-            violation("derived_cover",
-                      f"derived degree {derived.degree} != d-1")
-        offdiag = [o for o in orbs if not o.is_diagonal]
-        if len(offdiag) == 1:
-            comp = ctx.component_cover(offdiag[0])
-            comp_genus = total_space_genus(comp, checked=False)
+        if len(orbs) == 2:  # the diagonal, then the off-diagonal orbital
+            comp_genus = ctx.component_genus(orbs[1])
             if comp_genus != derived.total_space_genus:
                 violation("derived_cover",
                           f"genus over X {comp_genus} != genus over Y "

@@ -225,6 +225,13 @@ MAX_LITERAL_DIGITS = 1000
 #: Deepest parenthesis nesting; the parser recurses once per level.
 MAX_NESTING = 100
 
+#: Longest text the parser reads, checked before anything else: each
+#: summand copies the running sum, so without it parse time grows with the
+#: number of summands, however small each is.  The longest canonical text
+#: found inside the other bounds has 128,576 characters: every monomial of the
+#: 70 x 70 box up to total degree 100, with 50-bit numerators over 2.
+MAX_TEXT_LENGTH = 2 ** 17
+
 #: Largest size, in coefficient bits, of a product or power the parser
 #: expands and of the polynomial it returns: the degree bound alone bounds
 #: neither the expansion nor the squarefree test.  A size is terms times
@@ -234,9 +241,10 @@ MAX_NESTING = 100
 #: sized by its dense count (x-degree + 1)(y-degree + 1), which the cost of
 #: sympy's gcd follows, not by its terms.  This bound and the next were set
 #: by measurement: on a 2-core x86-64 host (CPython 3.11, sympy 1.14 without
-#: gmpy2) the slowest inputs built to sit just under them parse in about
-#: 0.4 s; unbounded, (1+x+y)^100 took 6 s and (c*x + y + 1)^32, with c of
-#: 1,000 digits, more than 10 minutes.
+#: gmpy2) the slowest inputs built to sit just under them parse in under
+#: 1 s, the dense degree-100 triangle of 24-bit coefficients in 0.7-0.9 s;
+#: unbounded, (1+x+y)^100 took 6 s and (c*x + y + 1)^32, with c of 1,000
+#: digits, more than 10 minutes.
 MAX_COEFFICIENT_BITS = 2 ** 18
 
 #: Most terms one product or power may form before like terms merge: t_a t_b
@@ -411,7 +419,11 @@ def parse_poly(text: str) -> PlanePolynomial:
     """Parse a polynomial in x, y with integer or rational coefficients and
     operators + - * ^ (and a/b rational literals).  A power binds tighter
     than a literal's '/', so ``a/b^n`` is a/(b^n), as in sympy.  The result
-    is validated: nonzero, y-degree >= 2, squarefree in y."""
+    is validated: nonzero, y-degree >= 2, squarefree in y.  A text longer
+    than ``MAX_TEXT_LENGTH`` is refused before it is read."""
+    if len(text) > MAX_TEXT_LENGTH:
+        raise PolyParseError(
+            f"text longer than {MAX_TEXT_LENGTH} characters", MAX_TEXT_LENGTH)
     lx = _Lexer(text)
     coeffs = _parse_expr(lx)
     kind, _, pos = lx.peek()
@@ -924,8 +936,20 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     stub, circle = _infinity_pieces(x0, values, spread)
     c_inf = _circle_permutation(_track(stub, base_fiber, rows), circle, rows)
 
-    product = relation_product(BranchedCover(
-        d, 0, (), tuple(t.cycle for t in loops) + (c_inf,)))
+    branch_cycles = []
+    labels = []
+    for t in loops:
+        if not t.cycle.is_identity():
+            branch_cycles.append(t.cycle)
+            labels.append(f"x={t.value.real:.12g}"
+                          + (f"{t.value.imag:+.12g}i" if t.value.imag else ""))
+    if not c_inf.is_identity():
+        branch_cycles.append(c_inf)
+        labels.append("infinity")
+    cover = BranchedCover(degree=d, base_genus=0,
+                          branch_cycles=tuple(branch_cycles),
+                          labels=tuple(labels))
+    product = relation_product(cover)
     if not product.is_identity():
         raise RelationViolationError(
             f"c_1 ... c_r . c_inf = {format_cycles(product)} != id")
@@ -946,19 +970,6 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
         issues=tuple(issues),
     )
 
-    branch_cycles = []
-    labels = []
-    for t in loops:
-        if not t.cycle.is_identity():
-            branch_cycles.append(t.cycle)
-            labels.append(f"x={t.value.real:.12g}"
-                          + (f"{t.value.imag:+.12g}i" if t.value.imag else ""))
-    if not c_inf.is_identity():
-        branch_cycles.append(c_inf)
-        labels.append("infinity")
-    cover = BranchedCover(degree=d, base_genus=0,
-                          branch_cycles=tuple(branch_cycles),
-                          labels=tuple(labels))
     context = CoverContext(cover, checked=False)
     if transitivity(context.group) is Transitivity.INTRANSITIVE:
         raise NonGenericError(

@@ -278,6 +278,34 @@ def o_local_branches(cover) -> list:
     return out
 
 
+def o_component_cover(ctx, orbital) -> BranchedCover:
+    """The cover of X given by the monodromy action on one orbital's pairs,
+    the normalization of that component over X: the pairs are the orbit of
+    the orbital's representative, walked here along the generators and
+    numbered 1..|orbital| in sorted order, and the induced cover is checked
+    by ``cover.require_valid``.  The diagonal orbital gives back
+    ``ctx.cover``."""
+    c = ctx.cover
+    p, q = orbital.representative
+    pairs = sorted(o_orbit(o_generators(c), (p - 1, q - 1),
+                           lambda g, t: (g[t[0]], g[t[1]])))
+    index = {pair: i + 1 for i, pair in enumerate(pairs)}
+
+    def induced(perm: Permutation) -> Permutation:
+        g = [x - 1 for x in perm.images]
+        return Permutation([index[(g[s], g[t])] for s, t in pairs])
+
+    result = BranchedCover(
+        degree=len(pairs),
+        base_genus=c.base_genus,
+        handles=tuple((induced(a), induced(b)) for a, b in c.handles),
+        branch_cycles=tuple(induced(cyc) for cyc in c.branch_cycles),
+        labels=c.labels,
+    )
+    require_valid(result)
+    return result
+
+
 def o_dual_graph(cover, walk: list) -> Graph:
     """The dual graph by the every-point loop: orbitals are the orbits of
     the generators on ordered pairs, numbered by least pair, and every

@@ -6,7 +6,8 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ramify.cover import BranchedCover, is_morse, relation_product, validate
+from ramify.cover import (BranchedCover, is_morse, relation_product,
+                          total_space_genus, validate)
 from ramify.fiber import (
     CoverContext,
     TheoremViolationError,
@@ -19,12 +20,13 @@ from ramify.fiber import (
     orbitals,
     scheme_points,
 )
-from ramify.gen import CorpusSpec, enumerate_covers
+from ramify.gen import CorpusSpec, enumerate_covers, random_cover
 from ramify.graphs import is_connected
 from ramify.perm import Permutation, parse_cycles
 
 from oracles import (
     o_closure,
+    o_component_cover,
     o_compose,
     o_dual_graph,
     o_inverse,
@@ -403,27 +405,73 @@ def test_certify_refusal_degree_one():
     assert not cert.certified
 
 
-# -- component covers -----------------------------------------------------------
+# -- component genera --------------------------------------------------------
 
 def test_component_cover_diagonal_is_same_cover():
     for cover in (TREFOIL, D4, HYPERELLIPTIC6):
-        diag = next(o for o in orbitals(cover) if o.is_diagonal)
-        assert CoverContext(cover).component_cover(diag) == cover
+        ctx = CoverContext(cover)
+        diag = next(o for o in ctx.orbitals if o.is_diagonal)
+        assert o_component_cover(ctx, diag) == cover
+        assert ctx.component_genus(diag) == total_space_genus(cover)
 
 
 def test_component_cover_trefoil_offdiag_genus_zero():
-    from ramify.cover import total_space_genus
-    off = next(o for o in orbitals(TREFOIL) if not o.is_diagonal)
-    comp = CoverContext(TREFOIL).component_cover(off)
+    ctx = CoverContext(TREFOIL)
+    off = next(o for o in ctx.orbitals if not o.is_diagonal)
+    comp = o_component_cover(ctx, off)
     assert comp.degree == 6
     assert total_space_genus(comp) == 0
+    assert ctx.component_genus(off) == 0
 
 
 def test_component_cover_d4_opposite_orbital():
-    opp = next(o for o in orbitals(D4) if not o.is_diagonal and o.size == 4)
-    comp = CoverContext(D4).component_cover(opp)
+    ctx = CoverContext(D4)
+    opp = next(o for o in ctx.orbitals if not o.is_diagonal and o.size == 4)
+    comp = o_component_cover(ctx, opp)
     assert comp.degree == 4
     assert validate(comp).valid
+    assert ctx.component_genus(opp) == total_space_genus(comp)
+
+
+def _component_genera_match_the_oracle(covers) -> int:
+    """Compare ``component_genus`` with the genus of the oracle's component
+    cover on every orbital of every cover, and the diagonal's with the genus
+    of the cover; return the number of off-diagonal orbitals."""
+    offdiag = 0
+    for cover in covers:
+        ctx = CoverContext(cover)
+        for o in ctx.orbitals:
+            comp = o_component_cover(ctx, o)
+            assert comp.degree == o.size
+            assert ctx.component_genus(o) == total_space_genus(comp)
+            if o.is_diagonal:
+                assert ctx.component_genus(o) == total_space_genus(cover)
+            else:
+                offdiag += 1
+    return offdiag
+
+
+def test_component_genus_matches_the_oracle_on_the_exhaustive_corpus():
+    """The bench's exhaustive corpus, one cover per class: genus 0 with
+    d <= 4 and r <= 4, and genus 1 with d <= 3 and r <= 3."""
+    specs = (CorpusSpec((1, 4), (0, 0), (0, 4), dedup=True),
+             CorpusSpec((1, 3), (1, 1), (0, 3), dedup=True))
+    covers = [cover for spec in specs for cover in enumerate_covers(spec)]
+    assert _component_genera_match_the_oracle(covers) == 859
+
+
+def test_component_genus_matches_the_oracle_on_morse_samples():
+    covers = [random_cover(CorpusSpec((d, d), (0, 0), (2 * d - 2, 2 * d - 2),
+                                      morse_only=True, samples=1, seed=0),
+                           seed=seed)
+              for d in (6, 7, 8) for seed in range(10)]
+    assert _component_genera_match_the_oracle(covers) == len(covers)
+
+
+def test_component_genus_matches_the_oracle_on_the_fixtures():
+    covers = (TREFOIL, TREFOIL_MORSE, D4, HYPERELLIPTIC6, ETALE_G1,
+              RAMIFIED_G1, GALOIS_V4, IDENTITY_COVER, MORSE7)
+    assert _component_genera_match_the_oracle(covers) > 0
 
 
 # -- derived cover ----------------------------------------------------------------
@@ -436,7 +484,6 @@ def test_derived_cover_degree_two_is_trivial():
     assert derived.genuinely_ramified
     assert all(li.element.is_identity() for li in derived.local_inertia)
     # Y' = Y via the second projection: same genus
-    from ramify.cover import total_space_genus
     assert derived.total_space_genus == total_space_genus(cover)
 
 
@@ -468,12 +515,13 @@ def test_derived_cover_trefoil_morse():
 
 
 def test_derived_genus_agrees_with_component_cover():
-    from ramify.cover import total_space_genus
     for cover in (TREFOIL, TREFOIL_MORSE):
         derived = derived_cover_q1(cover)
-        off = next(o for o in orbitals(cover) if not o.is_diagonal)
-        comp = CoverContext(cover).component_cover(off)
+        ctx = CoverContext(cover)
+        off = next(o for o in ctx.orbitals if not o.is_diagonal)
+        comp = o_component_cover(ctx, off)
         assert derived.total_space_genus == total_space_genus(comp)
+        assert derived.total_space_genus == ctx.component_genus(off)
 
 
 def test_derived_genus_refuses_a_non_cover_like_the_base_genus():

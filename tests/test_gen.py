@@ -485,8 +485,53 @@ def test_check_cover_builds_the_monodromy_group_once(monodromy_builds):
     from test_fiber import MORSE7
     counters, _, violations = check_cover(MORSE7)
     assert not violations and counters["derived_cover"] == 1
-    # validating the component cover builds no group
     assert monodromy_builds == [MORSE7.all_generators()]
+
+
+def test_check_cover_validates_nothing(monkeypatch):
+    """Every check reads the one context of the unvalidated cover: no
+    cover, the input or a derived one, is validated."""
+    import ramify.cover
+    import ramify.fiber
+    from test_fiber import MORSE7
+
+    calls = []
+    real_require, real_violations = (ramify.fiber.require_valid,
+                                     ramify.cover._violations)
+
+    def require_valid(c):
+        calls.append("require_valid")
+        return real_require(c)
+
+    def violations_of(c):
+        calls.append("_violations")
+        return real_violations(c)
+
+    monkeypatch.setattr(ramify.fiber, "require_valid", require_valid)
+    monkeypatch.setattr(ramify.cover, "_violations", violations_of)
+    counters, _, violations = check_cover(MORSE7)
+    assert counters["derived_cover"] == 1 and not violations
+    assert calls == []
+    # the counters see a validation
+    CoverContext(MORSE7)
+    assert calls == ["require_valid", "_violations"]
+
+
+def test_wrong_component_genus_is_a_derived_cover_violation(monkeypatch):
+    """The genus of Y' over Y, from the local inertia, and the off-diagonal
+    component's genus over X, from the local branches, are two
+    computations: one off by one is exactly one violation naming both."""
+    from test_fiber import MORSE7
+
+    genus = CoverContext(MORSE7).derived_cover.total_space_genus
+    real = CoverContext.component_genus
+    monkeypatch.setattr(CoverContext, "component_genus",
+                        lambda self, orbital: real(self, orbital) + 1)
+    counters, _, violations = check_cover(MORSE7)
+    assert counters["derived_cover"] == 1
+    assert [v.split(" | cover: ")[0] for v in violations] == [
+        f"derived_cover: genus over X {genus + 1} != genus over Y {genus}"]
+    assert loads_cover(violations[0].split(" | cover: ")[1]) == MORSE7
 
 
 @pytest.mark.parametrize("corpus", [

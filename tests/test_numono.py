@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from ramify.numono import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_POLY_DEGREE,
+    MAX_TEXT_LENGTH,
     NonGenericError,
     PolyParseError,
     RelationViolationError,
@@ -490,6 +492,56 @@ def test_size_bound_on_products_powers_and_the_result():
                               for j in range(9)))
 
 
+def _box_text(x_degree: int, y_degree: int, bits: int,
+              denominator: int = 1) -> str:
+    """The canonical text of the polynomial with every monomial x^i y^j of
+    i <= x_degree, j <= y_degree and total degree at most MAX_POLY_DEGREE,
+    with distinct odd numerators of ``bits`` bits over ``denominator`` and
+    alternating signs."""
+    monomials = [(i, j) for i in range(x_degree + 1)
+                 for j in range(y_degree + 1) if i + j <= MAX_POLY_DEGREE]
+    return numono.format_poly({
+        m: Fraction((2 ** bits - 1 - 2 * k) * (-1) ** k, denominator)
+        for k, m in enumerate(monomials)})
+
+
+def test_text_length_refused_before_parsing(monkeypatch):
+    """Every summand copies the running sum, so a long sum of small terms
+    took seconds unbounded: about 2 s for 20,000 monomials (233 KB) and 8 s
+    for 80,000 (930 KB).  The length is refused first, before the parser
+    builds its sympy ring."""
+    def refuse():
+        raise AssertionError("the parser built its ring")
+
+    monkeypatch.setattr(numono, "_ring", refuse)
+    monomials = [f"x^{i}*y^{j}" for i in range(MAX_POLY_DEGREE + 1)
+                 for j in range(MAX_POLY_DEGREE + 1 - i)]
+    for n in (20_000, 80_000):
+        text = " + ".join(itertools.islice(itertools.cycle(monomials), n))
+        assert len(text) > MAX_TEXT_LENGTH
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError, match="text longer than") as err:
+            parse_poly(text)
+        assert time.perf_counter() - start < 0.1
+        assert err.value.position == MAX_TEXT_LENGTH
+
+
+@pytest.mark.parametrize("shape", [
+    # a dense 50 x 50 rectangle of 100-bit coefficients
+    (50, 50, 100),
+    # the degree-100 triangle of 24-bit coefficients
+    (100, 100, 24),
+    # the longest canonical text found inside the other bounds: the 70 x 70
+    # box cut at total degree 100, 4,221 numerators of 50 bits over 2
+    (70, 70, 50, 2),
+], ids=["rectangle", "triangle", "longest"])
+def test_long_canonical_texts_parse(shape):
+    text = _box_text(*shape)
+    assert 100_000 < len(text) <= MAX_TEXT_LENGTH
+    p = parse_poly(text)
+    assert str(p) == text
+
+
 @pytest.mark.parametrize("prefix", ["y^2 + ", "y^2 + 1/", "y^2 + x^"])
 def test_overlong_literal_refused_at_its_position(prefix):
     with pytest.raises(PolyParseError, match="numeric literal") as info:
@@ -689,6 +741,21 @@ def test_relation_failure_is_raised_after_one_pass(monkeypatch):
     with pytest.raises(RelationViolationError, match=r"c_inf = \(1 2\) != id"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
     assert len(passes) == 1
+
+
+def test_the_relation_is_checked_on_the_assembled_cover(monkeypatch):
+    """Identity loops change no product, so the relation is read off the
+    one cover that tracking assembles and returns."""
+    built = []
+    real = numono.BranchedCover
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(numono, "BranchedCover", counted)
+    result = track_monodromy(parse_poly("y^2 - x^3 + x"))
+    assert len(built) == 1 and result.cover is built[0]
 
 
 def test_mistracked_critical_loop_is_refused(monkeypatch):
