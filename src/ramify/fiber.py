@@ -15,18 +15,21 @@ cycles of c_j on the pairs, so each component's genus is read off them.
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
 cycles) and by connectivity of the dual graph; their agreement is a test in
-the suite, never an assumption here.  HN is never built: |HN| = |H| |N.1|
-for H = Stab_G(1), so [G : HN] = |G.1| / |N.1|, read off the chains of G
-and N; the derived cover's test is the same identity at point 2.
+the suite, never an assumption here.  Neither HN nor N is built: [G : HN]
+= d / |N.1| for H = Stab_G(1), and the N-orbits are the blocks of the least
+G-congruence joining x and c_j(x), found by union-find on the points: the
+fibers of Y -> Z for the largest etale Z -> X that the cover factors
+through.  The derived cover's test is the same identity at point 2.
 
 All of these live on a CoverContext, which builds each on first use and at
 most once: the monodromy group G, the orbits on pairs with the orbitals and
 the pair -> orbital lookup, the scheme points, the dual graph, Stab_G(1),
 the HN test, the off-diagonal flag, the S_d certificate and the derived
-cover.  G is the one group built per cover: validation reads the
-generators and builds none.  Each public function below is a view of a
-fresh context; ``gen.check_cover`` and ``numono.certify_projection`` keep
-one context for all their checks.  Nothing is cached across covers.
+cover.  G is the one group built per cover, and Stab_G(1) shares its
+levels: validation reads the generators and builds none.  Each public
+function below is a view of a fresh context; ``gen.check_cover`` and
+``numono.certify_projection`` keep one context for all their checks.
+Nothing is cached across covers.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .perm import (
     Permutation,
     Transitivity,
     format_cycles,
-    normal_closure,
+    least_congruence,
     orbits,
     point_stabilizer,
     transitivity,
@@ -281,8 +284,8 @@ class CoverContext:
 
     @cached_property
     def genuine(self) -> GenuineRamification:
-        closure = normal_closure(self.cover.branch_cycles, self.group)
-        index = len(transversal(self.group, 1)) // len(transversal(closure, 1))
+        blocks = least_congruence(self.group, self.cover.branch_cycles)
+        index = self.cover.degree // len(blocks[0])
         return GenuineRamification(genuinely_ramified=index == 1,
                                    etale_subcover_degree=index)
 
@@ -378,9 +381,10 @@ class CoverContext:
         # two-transitive
         fiber_transitive = transitivity(group) is Transitivity.TWO_TRANSITIVE
 
-        # H'N' = Stab_G(1) iff |N'.2| = |Stab_G(1).2|, transitive or not
-        closure = normal_closure(nontrivial, stab)
-        gr = len(transversal(closure, 2)) == len(transversal(stab, 2))
+        # H'N' = Stab_G(1) iff |N'.2| = |Stab_G(1).2|, transitive or not;
+        # every inertia element fixes 1, so 2 lies in the second block
+        blocks = least_congruence(stab, nontrivial)
+        gr = len(blocks[1]) == len(transversal(stab, 2))
 
         genus = None
         if fiber_transitive:
@@ -489,7 +493,8 @@ def dual_graph(c: BranchedCover, checked: bool = True) -> Graph:
 def genuinely_ramified(c: BranchedCover, checked: bool = True) -> GenuineRamification:
     """Group-theoretic test: HN = G for H = Stab_G(1) and N the normal
     closure of the branch cycles.  The witness is the degree [G : HN] of the
-    maximal etale subcover."""
+    maximal etale subcover, d / |N.1|, where the N-orbits are the blocks of
+    ``perm.least_congruence`` for G and the branch cycles."""
     return CoverContext(c, checked).genuine
 
 
@@ -506,7 +511,8 @@ def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:
     u c_j^e u^-1 at the point of Y given by a length-e cycle of c_j (u^-1
     from the first level of G's chain, mapping 1 to the cycle's least point).
     Genuinely ramified iff H'N' = H for H' = Stab_H(2) and N' the normal
-    closure of the nontrivial inertia in H, that is iff |N'.2| = |H.2|."""
+    closure of the nontrivial inertia in H, that is iff |N'.2| = |H.2|,
+    with N'.2 a block of ``perm.least_congruence`` for H and that inertia."""
     return CoverContext(c, checked).derived_cover
 
 

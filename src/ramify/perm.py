@@ -12,13 +12,14 @@ sifts one element in and re-completes the levels it touched; a level
 keeps its transversal and the Schreier generators it has already sifted,
 so none is sifted twice.  Stab(p) and the transversal at p are read off
 the chain of a group fixing 1..p-1, shared rather than rebuilt, and are
-refused for any other p; no chain is copied or joined: for such G, H =
-Stab_G(p) and N normal in G, [G : HN] is |G.p| / |N.p|, two basic orbit
-lengths.  Nothing else is precomputed: transitivity and two-transitivity
-are the sizes of the first two basic orbits of the chain.  Orbits, on
-points or on ordered pairs of points, need no chain at all: one
-breadth-first search over integer points along 0-based image tables, a
-pair (p, q) being the point (p-1)d + q-1 of the pair action.
+refused for any other p; no chain is copied or joined.  Nothing else is
+precomputed: transitivity and two-transitivity are the sizes of the first
+two basic orbits of the chain.  Orbits, on points or on ordered pairs of
+points, need no chain at all: one breadth-first search over integer points
+along 0-based image tables, a pair (p, q) being the point (p-1)d + q-1 of
+the pair action.  Nor do the orbits of a normal closure: they are the
+blocks of the least congruence that joins each element's points to their
+images, found by union-find on the points.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def _is_identity(a: tuple) -> bool:
     return a == tuple(range(len(a)))
 
 
+def _is_point(x, d: int) -> bool:
+    """Whether x is one of the points 1..d: an int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= d
+
+
 class Permutation:
     """A bijection of {1..d}."""
 
@@ -68,10 +74,11 @@ class Permutation:
 
     def __init__(self, images: Sequence[int]):
         """Build from 1-based images: ``images[i-1]`` is the image of point i."""
-        raw = tuple(i - 1 for i in images)
-        if sorted(raw) != list(range(len(raw))):
-            raise ValueError(f"not a bijection of 1..{len(raw)}: {list(images)!r}")
-        self._raw = raw
+        images = tuple(images)
+        d = len(images)
+        if not all(_is_point(i, d) for i in images) or len(set(images)) != d:
+            raise ValueError(f"not a bijection of 1..{d}: {list(images)!r}")
+        self._raw = tuple(i - 1 for i in images)
 
     @classmethod
     def _from_raw(cls, raw: tuple) -> "Permutation":
@@ -89,10 +96,10 @@ class Permutation:
     def from_cycle(cls, cycle: Sequence[int], degree: int) -> "Permutation":
         """Single cycle over 1-based points, remaining points fixed."""
         raw = list(range(degree))
+        for c in cycle:
+            if not _is_point(c, degree):
+                raise ValueError(f"not a point of 1..{degree}: {c!r}")
         pts = [c - 1 for c in cycle]
-        for p in pts:
-            if not 0 <= p < degree:
-                raise ValueError(f"point {p + 1} out of range 1..{degree}")
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point in cycle {list(cycle)!r}")
         for a, b in zip(pts, pts[1:]):
@@ -427,19 +434,22 @@ def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
     """Orbits through the domain, each sorted, in order of least domain
     item: the points 1..d by default, given points, or given ordered pairs
     (p, q) under h(p, q) = (h(p), h(q)).  A pair is searched as the point
-    (p-1)d + q-1 of the pair action, so code order is pair order.  Raises
-    ValueError on an item that is not a point or pair of points of 1..d."""
+    (p-1)d + q-1 of the pair action, so code order is pair order.  The
+    first item says which the domain holds; an item that is not of that
+    kind, an int of 1..d or a 2-tuple of them, raises ValueError."""
     d = g.degree
     raws = [gen._raw for gen in g.generators]
-    items = range(1, d + 1) if domain is None else sorted(set(domain))
-    if not items or not isinstance(items[0], tuple):
-        if items and not 1 <= items[0] <= items[-1] <= d:
-            raise ValueError(f"points {items[0]}..{items[-1]} not in 1..{d}")
+    items = range(1, d + 1) if domain is None else tuple(domain)
+    pairs = bool(items) and isinstance(items[0], tuple)
+    for x in items:
+        if not ((isinstance(x, tuple) and len(x) == 2 and _is_point(x[0], d)
+                 and _is_point(x[1], d)) if pairs else _is_point(x, d)):
+            raise ValueError(f"not a {'pair of points' if pairs else 'point'}"
+                             f" of 1..{d}: {x!r}")
+    items = sorted(set(items))
+    if not pairs:
         return tuple(tuple([x + 1 for x in part])
                      for part in _orbits(raws, d, [p - 1 for p in items]))
-    for pair in items:
-        if len(pair) != 2 or not (1 <= pair[0] <= d and 1 <= pair[1] <= d):
-            raise ValueError(f"not a pair of points of 1..{d}: {pair!r}")
     tables = [[d * raw[x] + raw[y] for x in range(d) for y in range(d)]
               for raw in raws]
     return tuple(tuple([(c // d + 1, c % d + 1) for c in part]) for part in
@@ -468,7 +478,7 @@ def _orbits(raws: Sequence, n: int, starts: Iterable | None = None) -> tuple:
 
 def _require_fixed_before(g: GeneratedGroup, p: int) -> None:
     """Raise ValueError unless p lies in 1..d and g fixes 1..p-1."""
-    if not 1 <= p <= g.degree:
+    if not _is_point(p, g.degree):
         raise ValueError(f"point {p} out of range 1..{g.degree}")
     if any(len(lev.orbit) > 1 for lev in g._levels[:p - 1]):
         raise ValueError(f"the group moves a point before {p}")
@@ -522,6 +532,37 @@ def normal_closure(sub: Iterable[Permutation], g: GeneratedGroup) -> GeneratedGr
     return GeneratedGroup._from_chain(
         g.degree, tuple(Permutation._from_raw(w) for w in gens)
         or (Permutation.identity(g.degree),), levels)
+
+
+def least_congruence(g: GeneratedGroup, joins: Iterable[Permutation]) -> tuple:
+    """Blocks, sorted and in order of least point, of the least g-invariant
+    partition of 1..d in which x and s(x) share a block for each s in joins:
+    Atkinson's union-find, which queues the fewer than d pairs whose union
+    merged two blocks and unites their images under each generator of g.
+    For joins in g these are the orbits of the normal closure N of joins: N
+    is normal and holds each s, so its orbits form such a partition, and the
+    kernel of any such partition is normal and holds each s, so holds N."""
+    parent = list(range(g.degree))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    gens = [h._raw for h in g.generators]
+    merged: list = []   # the list iterator sees the pairs appended meanwhile
+    pairs = itertools.chain((xy for s in joins for xy in enumerate(s._raw)),
+                            ((h[x], h[y]) for x, y in merged for h in gens))
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            merged.append((x, y))
+    blocks: dict = {}
+    for x in range(g.degree):
+        blocks.setdefault(find(x), []).append(x + 1)
+    return tuple(tuple(b) for b in blocks.values())
 
 
 def transitivity(g: GeneratedGroup) -> Transitivity:

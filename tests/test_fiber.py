@@ -22,7 +22,7 @@ from ramify.fiber import (
 )
 from ramify.gen import CorpusSpec, enumerate_covers, random_cover
 from ramify.graphs import is_connected
-from ramify.perm import Permutation, parse_cycles
+from ramify.perm import Permutation, least_congruence, parse_cycles
 
 from oracles import (
     o_closure,
@@ -626,36 +626,51 @@ def test_hn_tests_match_element_set_oracle(corpus):
 
 
 @pytest.mark.parametrize("cover", [MORSE7, D4, ETALE_G1, TREFOIL])
-def test_hn_tests_build_only_the_two_normal_closures(cover, monkeypatch):
+def test_hn_tests_build_no_group(cover, monkeypatch):
     """With G and Stab_G(1) built, the HN test and the derived cover's test
-    read basic orbit lengths: the two normal closures are the only groups
-    they build, with no point stabilizer and no GeneratedGroup(...)."""
+    read blocks of points and basic orbit lengths: they build no
+    GeneratedGroup, no normal closure and no point stabilizer."""
     import ramify.fiber
     import ramify.perm
     from ramify.perm import GeneratedGroup
 
     ctx = CoverContext(cover)
     assert ctx.group.order and ctx.stabilizer.order
-    calls = []
-    real_closure, real_set = ramify.fiber.normal_closure, GeneratedGroup._set
-
-    def closure(*args):
-        calls.append("normal_closure")
-        return real_closure(*args)
-
-    def counted_set(self, *args):
-        calls.append("group")
-        real_set(self, *args)
 
     def refuse(*args):
-        raise AssertionError("point_stabilizer was called")
+        raise AssertionError("a group was built")
 
-    monkeypatch.setattr(ramify.fiber, "normal_closure", closure)
-    monkeypatch.setattr(ramify.fiber, "point_stabilizer", refuse)
-    monkeypatch.setattr(ramify.perm, "point_stabilizer", refuse)
-    monkeypatch.setattr(GeneratedGroup, "_set", counted_set)
+    for name in ("normal_closure", "point_stabilizer"):
+        monkeypatch.setattr(ramify.perm, name, refuse)
+        monkeypatch.setattr(ramify.fiber, name, refuse, raising=False)
+    monkeypatch.setattr(GeneratedGroup, "_set", refuse)
     assert ctx.genuine and ctx.derived_cover
-    assert calls == ["normal_closure", "group"] * 2
+
+
+def assert_blocks_witness_the_etale_subcover(cover):
+    """The blocks of the least congruence are the fibers of Y -> Z for an
+    etale Z -> X of degree [G : HN]: every generator of G permutes them and
+    every branch cycle fixes each one.  The check reads only the blocks and
+    the generators."""
+    ctx = CoverContext(cover)
+    blocks = least_congruence(ctx.group, cover.branch_cycles)
+    parts = {frozenset(b) for b in blocks}
+    assert set().union(*parts) == set(range(1, cover.degree + 1))
+    for s in cover.all_generators():
+        assert {frozenset(s(x) for x in b) for b in blocks} == parts
+    for cj in cover.branch_cycles:
+        assert all({cj(x) for x in b} == set(b) for b in blocks)
+    assert len(blocks) == ctx.genuine.etale_subcover_degree
+    return len(blocks)
+
+
+def test_blocks_witness_the_etale_subcover():
+    genus1 = CorpusSpec(degrees=(1, 3), base_genera=(1, 1),
+                        branch_counts=(0, 2))
+    degrees = [assert_blocks_witness_the_etale_subcover(cover)
+               for cover in [D4, ETALE_G1, *enumerate_covers(genus1)]]
+    assert degrees[:2] == [1, 2]
+    assert {1, 2, 3} <= set(degrees)
 
 
 # -- cayley quotient oracle ---------------------------------------------------------

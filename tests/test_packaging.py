@@ -3,11 +3,13 @@ and the package's checks survive ``python -O``."""
 
 import ast
 import importlib
+import re
 import tomllib
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "ramify"
+WORKFLOW = PYPROJECT.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def dangling_scripts(project: dict) -> list:
@@ -37,6 +39,15 @@ def test_dangling_script_is_detected():
     assert dangling_scripts(project) == [
         "no_module = ramify.no_such_module:main",
         "no_attribute = ramify.numono:no_such_function"]
+
+
+def test_python_floor_is_the_version_ci_runs():
+    """``requires-python`` names the Python that CI installs: the suite
+    itself needs ``tomllib`` (3.11), and so does the pinned numpy."""
+    floor = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    ci = re.findall(r'python-version:\s*"([0-9.]+)"', WORKFLOW.read_text())
+    assert ci and floor == f">={ci[0]}", (floor, ci)
+    assert set(ci) == {ci[0]}
 
 
 def test_package_has_no_assert_statement():

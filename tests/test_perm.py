@@ -13,6 +13,7 @@ from ramify.perm import (
     Permutation,
     Transitivity,
     format_cycles,
+    least_congruence,
     normal_closure,
     orbits,
     parse_cycles,
@@ -274,9 +275,11 @@ def test_pair_orbits_match_oracle(g):
 
 
 @pytest.mark.parametrize("domain", [
-    [(0, 1)], [(1, 4)], [(1, 2), (2, 0)], [(1, 1, 1)], [0], [4]],
+    [(0, 1)], [(1, 4)], [(1, 2), (2, 0)], [(1, 1, 1)], [0], [4], [1.5],
+    [(1.5, 2)], [True], [(1, True)], [1, (1, 2)], [(1, 2), 1], [[1, 2]]],
     ids=["pair_0_1", "pair_1_4", "second_pair", "triple", "point_0",
-         "point_4"])
+         "point_4", "float_point", "float_in_pair", "bool_point",
+         "bool_in_pair", "point_then_pair", "pair_then_point", "list_pair"])
 def test_orbits_refuse_items_off_the_points(domain):
     # (1, 4) and (2, 1) would share the code of the pair action
     g = GeneratedGroup(3, [perm("(1 2 3)", 3)])
@@ -593,6 +596,51 @@ def test_incremental_normal_closure_matches_fresh_chain(d):
                    for c in ambient.generators for s in n.generators)
 
 
+# -- least congruence -------------------------------------------------------
+
+def assert_blocks_are_normal_closure_orbits(g, joins):
+    elements = {tuple(x - 1 for x in e.images) for e in g.elements()}
+    closure = o_normal_closure([tuple(x - 1 for x in s.images) for s in joins],
+                               elements)
+    expected = tuple(tuple(x + 1 for x in part)
+                     for part in o_point_orbits(list(closure), g.degree))
+    assert least_congruence(g, joins) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups_st(max_degree=5), st.data())
+def test_least_congruence_matches_normal_closure_orbits(g, data):
+    elements = g.elements()
+    joins = data.draw(st.lists(st.sampled_from(elements), max_size=3))
+    assert_blocks_are_normal_closure_orbits(g, joins)
+
+
+@pytest.mark.parametrize("gens, joins", [
+    # intransitive: S_3 x C_2 on {1, 2, 3} and {4, 5}, then D4 on 1..4
+    # fixing 5 and 6
+    (["(1 2)", "(1 2 3)", "(4 5)"], ["(1 2)"]),
+    (["(1 2)", "(1 2 3)", "(4 5)"], ["(4 5)"]),
+    (["(1 2 3 4)", "(1 3)"], ["(1 3)(2 4)"]),
+    (["(1 2 3 4)", "(1 3)"], ["(1 3)"]),
+    (["(1 2 3 4)", "(1 3)"], []),
+    (["(1 2 3 4)", "(1 3)"], ["id", "id"]),
+    (["(1 2 3 4 5 6)"], ["(1 3 5)(2 4 6)"]),
+    (["id"], []),
+], ids=["s3_x_c2_left", "s3_x_c2_right", "d4_centre", "d4_reflection",
+        "empty_joins", "identity_joins", "c6_subgroup", "trivial"])
+def test_least_congruence_cases(gens, joins):
+    d = 6
+    g = GeneratedGroup(d, [perm(t, d) for t in gens])
+    assert_blocks_are_normal_closure_orbits(g, [perm(t, d) for t in joins])
+
+
+def test_least_congruence_reads_no_chain():
+    """The blocks come from the generators' images alone."""
+    g = GeneratedGroup(4, [perm("(1 2 3 4)", 4), perm("(1 3)", 4)])
+    g._levels = None
+    assert least_congruence(g, [perm("(1 3)(2 4)", 4)]) == ((1, 3), (2, 4))
+
+
 # -- transitivity -----------------------------------------------------------
 
 def test_transitivity_cases():
@@ -693,3 +741,20 @@ def test_cycle_type_and_transposition():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation([1, 1, 3])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Permutation([2.0, 1.0]),
+    lambda: Permutation([True, 2]),
+    lambda: Permutation(["1"]),
+    lambda: Permutation.from_cycle([1.0, 2.0], 3),
+    lambda: Permutation.from_cycle([True, 2], 3),
+    lambda: transversal(GeneratedGroup(2, [perm("(1 2)", 2)]), 1.0),
+    lambda: point_stabilizer(GeneratedGroup(2, [perm("(1 2)", 2)]), True),
+], ids=["float_images", "bool_image", "str_image", "float_cycle",
+        "bool_cycle", "float_transversal", "bool_stabilizer"])
+def test_non_integer_points_are_refused(call):
+    """A point is an int and not a bool; anything else is a ValueError,
+    never a TypeError later or a float image accepted."""
+    with pytest.raises(ValueError):
+        call()
