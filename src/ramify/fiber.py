@@ -19,7 +19,8 @@ the suite, never an assumption here.  Neither HN nor N is built: [G : HN]
 = d / |N.1| for H = Stab_G(1), and the N-orbits are the blocks of the least
 G-congruence joining x and c_j(x), found by union-find on the points: the
 fibers of Y -> Z for the largest etale Z -> X that the cover factors
-through.  The derived cover's test is the same identity at point 2.
+through.  The derived cover's test is the same identity at point 2, its
+inertia read off cycle positions as the branches are.
 
 All of these live on a CoverContext, which builds each on first use and at
 most once: the monodromy group G, the orbits on pairs with the orbitals and
@@ -49,17 +50,9 @@ from .cover import (
 )
 from .graphs import (ConnectivityVerdict, Graph, delete_vertex, is_connected,
                      quotient_by_partition)
-from .perm import (
-    GeneratedGroup,
-    Permutation,
-    Transitivity,
-    format_cycles,
-    least_congruence,
-    orbits,
-    point_stabilizer,
-    transitivity,
-    transversal,
-)
+from .perm import (GeneratedGroup, Transitivity, format_cycles,
+                   least_congruence, orbits, point_stabilizer, transitivity,
+                   transversal)
 
 
 class TheoremViolationError(RuntimeError):
@@ -173,23 +166,15 @@ class FiberReport:
         }
 
 
-@dataclass(frozen=True)
-class LocalInertia:
-    branch_index: int            # 1-based
-    cycle: tuple                 # cycle of c_j (1-based points), the point of Y
-    element: Permutation         # fixes the distinguished point 1
-
-
 @dataclass(frozen=True, eq=False)
 class DerivedCover:
-    """The cover q1' : Y' -> Y as a group action with local inertia data.
+    """The cover q1' : Y' -> Y as the action of Stab_G(1) on {2..d}.
 
-    No surface presentation of Y is reconstructed; every verdict below only
-    needs the stabilizer group and the inertia elements.
+    No surface presentation of Y is reconstructed and no inertia element is
+    built: every verdict below reads the group and the branch cycles.
     """
     degree: int                  # d - 1
     group: GeneratedGroup        # Stab_G(1), permuting {2..d}, fixing 1
-    local_inertia: tuple         # LocalInertia entries, one per (j, cycle)
     fiber_transitive: bool       # Y' connected over Y
     morse: bool
     genuinely_ramified: bool
@@ -284,7 +269,9 @@ class CoverContext:
 
     @cached_property
     def genuine(self) -> GenuineRamification:
-        blocks = least_congruence(self.group, self.cover.branch_cycles)
+        blocks = least_congruence(self.group, [
+            (x, y) for cj in self.cover.branch_cycles
+            for x, y in enumerate(cj.images, start=1) if x != y])
         index = self.cover.degree // len(blocks[0])
         return GenuineRamification(genuinely_ramified=index == 1,
                                    etale_subcover_degree=index)
@@ -359,43 +346,42 @@ class CoverContext:
         if d < 2:
             raise ValueError("derived cover needs degree >= 2")
         group = self.group
-        stab = self.stabilizer
-        v = transversal(group, 1)  # v[p] maps 1 to p
+        back = {}  # p -> 1-based table of u^-1, for the u in G mapping 1 to p
+        for p, u in transversal(group, 1).items():
+            if u(1) != p or u not in group:
+                raise TheoremViolationError(
+                    f"{u} maps 1 to {u(1)}, not {p}, or lies outside G, so "
+                    f"inertia conjugated by it does not lie in Stab_G(1)")
+            back[p] = (0, *u.inverse().images)
 
-        inertia = []
-        for j, cj in enumerate(c.branch_cycles, start=1):
+        # t = u^-1 c_j^e u as in derived_cover_q1: its steps from positions
+        # below n - gcd(e, n) miss one step of each of its cycles on u^-1 lam,
+        # so join each, and count its ramification: 1 iff t is a transposition
+        joins, morse = [], True
+        for cj in c.branch_cycles:
+            moved = cj.cycles()  # a fixed point of c_j moves under no power
             for kappa in cj.cycles(include_fixed=True):
-                u = v[kappa[0]]
-                element = u.inverse() * (cj ** len(kappa)) * u
-                if element(1) != 1 or element not in stab:
-                    raise TheoremViolationError(
-                        f"local inertia {element} at cycle {kappa} of branch "
-                        f"point {j} does not lie in Stab_G(1)")
-                inertia.append(LocalInertia(branch_index=j, cycle=kappa,
-                                            element=element))
+                e, inv, before = len(kappa), back[kappa[0]], len(joins)
+                for lam in moved:
+                    n = len(lam)
+                    joins.extend((inv[lam[i]], inv[lam[(i + e) % n]])
+                                 for i in range(n - math.gcd(e, n)))
+                morse = morse and len(joins) - before <= 1
 
-        nontrivial = [li.element for li in inertia if not li.element.is_identity()]
-        morse = all(t.is_transposition() for t in nontrivial)
-
-        # for a transitive G, Stab_G(1) is transitive on {2..d} iff G is
-        # two-transitive
+        # Stab_G(1) is transitive on 2..d iff the transitive G is 2-transitive
         fiber_transitive = transitivity(group) is Transitivity.TWO_TRANSITIVE
 
-        # H'N' = Stab_G(1) iff |N'.2| = |Stab_G(1).2|, transitive or not;
-        # every inertia element fixes 1, so 2 lies in the second block
-        blocks = least_congruence(stab, nontrivial)
-        gr = len(blocks[1]) == len(transversal(stab, 2))
+        # H'N' = Stab_G(1) iff |N'.2| = |Stab_G(1).2| (level 1 of G's chain),
+        # transitive or not; no join meets 1, so 2 lies in the second block
+        blocks = least_congruence(self.stabilizer, joins)
+        gr = len(blocks[1]) == len(group._levels[1].orbit)
 
-        genus = None
-        if fiber_transitive:
-            genus = _riemann_hurwitz(
-                d - 1, total_space_genus(c, checked=False),
-                sum(len(cyc) - 1 for t in nontrivial for cyc in t.cycles()))
+        genus = _riemann_hurwitz(d - 1, total_space_genus(c, checked=False),
+                                 len(joins)) if fiber_transitive else None
 
         return DerivedCover(
             degree=d - 1,
-            group=stab,
-            local_inertia=tuple(inertia),
+            group=self.stabilizer,
             fiber_transitive=fiber_transitive,
             morse=morse,
             genuinely_ramified=gr,
@@ -494,7 +480,7 @@ def genuinely_ramified(c: BranchedCover, checked: bool = True) -> GenuineRamific
     """Group-theoretic test: HN = G for H = Stab_G(1) and N the normal
     closure of the branch cycles.  The witness is the degree [G : HN] of the
     maximal etale subcover, d / |N.1|, where the N-orbits are the blocks of
-    ``perm.least_congruence`` for G and the branch cycles."""
+    ``perm.least_congruence`` for G and the pairs (x, c_j(x))."""
     return CoverContext(c, checked).genuine
 
 
@@ -507,12 +493,14 @@ def certify_sd(c: BranchedCover, checked: bool = True) -> SdCertification:
 
 def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:
     """The restriction of the first projection to the off-diagonal closure,
-    as the point stabilizer H = Stab_G(1) acting on {2..d} with local inertia
-    u c_j^e u^-1 at the point of Y given by a length-e cycle of c_j (u^-1
-    from the first level of G's chain, mapping 1 to the cycle's least point).
+    as H = Stab_G(1) acting on {2..d} with local inertia t = u^-1 c_j^e u at
+    the point of Y given by a length-e cycle of c_j (u from the first level
+    of G's chain, mapping 1 to the cycle's least point).  On a length-n
+    cycle lam of c_j, c_j^e maps lam[i] to lam[i + e mod n]: t has gcd(e, n)
+    cycles on u^-1 lam, so ramification n - gcd(e, n), and no t is built.
     Genuinely ramified iff H'N' = H for H' = Stab_H(2) and N' the normal
-    closure of the nontrivial inertia in H, that is iff |N'.2| = |H.2|,
-    with N'.2 a block of ``perm.least_congruence`` for H and that inertia."""
+    closure of the inertia in H, that is iff |N'.2| = |H.2|, with N'.2 a
+    block of ``perm.least_congruence`` for H and the pairs of t's steps."""
     return CoverContext(c, checked).derived_cover
 
 

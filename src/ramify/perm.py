@@ -18,8 +18,8 @@ two basic orbits of the chain.  Orbits, on points or on ordered pairs of
 points, need no chain at all: one breadth-first search over integer points
 along 0-based image tables, a pair (p, q) being the point (p-1)d + q-1 of
 the pair action.  Nor do the orbits of a normal closure: they are the
-blocks of the least congruence that joins each element's points to their
-images, found by union-find on the points.
+blocks of the least congruence joining each x to s(x), by union-find on
+pairs of points.  A point is an int of 1..d wherever one is taken.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class Permutation:
         """Build from 1-based images: ``images[i-1]`` is the image of point i."""
         images = tuple(images)
         d = len(images)
+        if not d:
+            raise ValueError("degree must be positive")
         if not all(_is_point(i, d) for i in images) or len(set(images)) != d:
             raise ValueError(f"not a bijection of 1..{d}: {list(images)!r}")
         self._raw = tuple(i - 1 for i in images)
@@ -95,7 +97,7 @@ class Permutation:
     @classmethod
     def from_cycle(cls, cycle: Sequence[int], degree: int) -> "Permutation":
         """Single cycle over 1-based points, remaining points fixed."""
-        raw = list(range(degree))
+        raw = list(cls.identity(degree)._raw)
         for c in cycle:
             if not _is_point(c, degree):
                 raise ValueError(f"not a point of 1..{degree}: {c!r}")
@@ -118,7 +120,9 @@ class Permutation:
         return tuple(x + 1 for x in self._raw)
 
     def __call__(self, point: int) -> int:
-        """Image of a 1-based point."""
+        """Image of a 1-based point; anything else raises ValueError."""
+        if not _is_point(point, len(self._raw)):
+            raise ValueError(f"not a point of 1..{len(self._raw)}: {point!r}")
         return self._raw[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -534,15 +538,22 @@ def normal_closure(sub: Iterable[Permutation], g: GeneratedGroup) -> GeneratedGr
         or (Permutation.identity(g.degree),), levels)
 
 
-def least_congruence(g: GeneratedGroup, joins: Iterable[Permutation]) -> tuple:
+def least_congruence(g: GeneratedGroup, pairs: Iterable) -> tuple:
     """Blocks, sorted and in order of least point, of the least g-invariant
-    partition of 1..d in which x and s(x) share a block for each s in joins:
-    Atkinson's union-find, which queues the fewer than d pairs whose union
-    merged two blocks and unites their images under each generator of g.
-    For joins in g these are the orbits of the normal closure N of joins: N
-    is normal and holds each s, so its orbits form such a partition, and the
-    kernel of any such partition is normal and holds each s, so holds N."""
-    parent = list(range(g.degree))
+    partition of 1..d joining x and y for each pair (x, y) of points of 1..d
+    in pairs (else ValueError): Atkinson's union-find, which queues the
+    fewer than d pairs whose union merged two blocks and unites their images
+    under each generator of g.  For the pairs (x, s(x)) of s in g these are
+    the orbits of the normal closure N of those s: N is normal and holds
+    each s, so its orbits form such a partition, and the kernel of any such
+    partition is normal and holds each s, so holds N."""
+    d = g.degree
+    joins = []
+    for x, y in pairs:
+        if not (_is_point(x, d) and _is_point(y, d)):
+            raise ValueError(f"not a pair of points of 1..{d}: {(x, y)!r}")
+        joins.append((x - 1, y - 1))
+    parent = list(range(d))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -552,15 +563,15 @@ def least_congruence(g: GeneratedGroup, joins: Iterable[Permutation]) -> tuple:
 
     gens = [h._raw for h in g.generators]
     merged: list = []   # the list iterator sees the pairs appended meanwhile
-    pairs = itertools.chain((xy for s in joins for xy in enumerate(s._raw)),
-                            ((h[x], h[y]) for x, y in merged for h in gens))
-    for x, y in pairs:
+    queue = itertools.chain(joins, ((h[x], h[y]) for x, y in merged
+                                    for h in gens))
+    for x, y in queue:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
             merged.append((x, y))
     blocks: dict = {}
-    for x in range(g.degree):
+    for x in range(d):
         blocks.setdefault(find(x), []).append(x + 1)
     return tuple(tuple(b) for b in blocks.values())
 

@@ -3,13 +3,17 @@
 Everything here is deliberately naive and self-contained: plain image
 tuples, breadth-first closures, full product-space scans.  Nothing uses
 the package's group machinery (at most its permutation type and its
-graphs), so these stay valid checks of it.  The generator oracles are the
-permutation-building enumerator and sampler that the raw completion in
-``gen`` replaced: each candidate is built as a cover, its last cycle forced
-from ``cover.relation_product`` and the result checked by
-``cover.require_valid``.  The full-loop tracker at the end shares numono's
-path pieces and constants but has its own stepper: one ``np.roots`` per
-point, pairwise separations in Python, solve then match.
+graphs), so these stay valid checks of it; the one exception is the
+local-inertia oracle, which takes its coset representatives from the
+monodromy group's transversal, as the derived cover does, and builds each
+element by permutation products, which the derived cover does not.  The
+generator oracles are the permutation-building enumerator and sampler
+that the raw completion in ``gen`` replaced: each candidate is built as a
+cover, its last cycle forced from ``cover.relation_product`` and the
+result checked by ``cover.require_valid``.  The full-loop tracker at the
+end shares numono's path pieces and constants but has its own stepper:
+one ``np.roots`` per point, pairwise separations in Python, solve then
+match.
 """
 
 from __future__ import annotations
@@ -19,15 +23,16 @@ import itertools
 import math
 import random
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
 from ramify import numono
-from ramify.cover import (BranchedCover, InvalidCoverError, relation_product,
-                          require_valid)
+from ramify.cover import (BranchedCover, InvalidCoverError, monodromy_group,
+                          relation_product, require_valid)
 from ramify.gen import REJECTION_BUDGET, InfeasibleParametersError
 from ramify.graphs import Graph
-from ramify.perm import Permutation
+from ramify.perm import Permutation, transversal
 
 
 def o_compose(a: tuple, b: tuple) -> tuple:
@@ -304,6 +309,28 @@ def o_component_cover(ctx, orbital) -> BranchedCover:
     )
     require_valid(result)
     return result
+
+
+class LocalInertia(NamedTuple):
+    branch_index: int            # 1-based
+    cycle: tuple                 # cycle of c_j (1-based points): a point of Y
+    element: Permutation         # fixes the distinguished point 1
+
+
+def o_local_inertia(cover) -> list:
+    """The local inertia of the derived cover q1' : Y' -> Y, one entry per
+    branch index j and cycle kappa of c_j (fixed points included): the
+    element u^-1 c_j^e u for e = len(kappa) and the u of ``transversal(G,
+    1)`` that maps 1 to kappa's least point, built by products."""
+    v = transversal(monodromy_group(cover), 1)
+    out = []
+    for j, cj in enumerate(cover.branch_cycles, start=1):
+        for kappa in cj.cycles(include_fixed=True):
+            u = v[kappa[0]]
+            element = u.inverse() * cj ** len(kappa) * u
+            out.append(LocalInertia(branch_index=j, cycle=kappa,
+                                    element=element))
+    return out
 
 
 def o_dual_graph(cover, walk: list) -> Graph:

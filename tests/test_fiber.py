@@ -29,10 +29,13 @@ from oracles import (
     o_component_cover,
     o_compose,
     o_dual_graph,
+    o_generators,
     o_inverse,
     o_local_branches,
+    o_local_inertia,
     o_normal_closure,
     o_stabilizer,
+    o_transitivity,
     relabel,
 )
 
@@ -482,7 +485,7 @@ def test_derived_cover_degree_two_is_trivial():
     assert derived.degree == 1
     assert derived.morse
     assert derived.genuinely_ramified
-    assert all(li.element.is_identity() for li in derived.local_inertia)
+    assert all(li.element.is_identity() for li in o_local_inertia(cover))
     # Y' = Y via the second projection: same genus
     assert derived.total_space_genus == total_space_genus(cover)
 
@@ -493,7 +496,7 @@ def test_derived_cover_trefoil_inertia():
     # 3-cycle give trivial inertia
     derived = derived_cover_q1(TREFOIL)
     assert derived.degree == 2
-    nontrivial = [li for li in derived.local_inertia
+    nontrivial = [li for li in o_local_inertia(TREFOIL)
                   if not li.element.is_identity()]
     assert len(nontrivial) == 2
     assert all(str(li.element) == "(2 3)" for li in nontrivial)
@@ -508,7 +511,7 @@ def test_derived_cover_trefoil_morse():
     derived = derived_cover_q1(TREFOIL_MORSE)
     assert derived.degree == 2
     assert derived.morse and derived.genuinely_ramified
-    nontrivial = [li for li in derived.local_inertia
+    nontrivial = [li for li in o_local_inertia(TREFOIL_MORSE)
                   if not li.element.is_identity()]
     assert len(nontrivial) == 4
     assert derived.total_space_genus == 1
@@ -576,8 +579,71 @@ def test_derived_cover_rejects_degree_one():
 
 def test_derived_inertia_fixes_point_one():
     for cover in (TREFOIL, TREFOIL_MORSE, D4, HYPERELLIPTIC6):
-        for li in derived_cover_q1(cover).local_inertia:
+        for li in o_local_inertia(cover):
             assert li.element(1) == 1
+
+
+def _derived_verdicts_by_elements(cover) -> tuple:
+    """(morse, fiber_transitive, total_space_genus) of the derived cover
+    from the oracle's inertia elements: Morse iff each non-identity one is
+    a transposition, fiber-transitive iff G has two orbits on ordered
+    pairs, and the genus by Riemann-Hurwitz over Y from their cycles."""
+    d = cover.degree
+    nontrivial = [li.element for li in o_local_inertia(cover)
+                  if not li.element.is_identity()]
+    transitive = o_transitivity(o_generators(cover), d) == "two_transitive"
+    genus = None
+    if transitive:
+        doubled = (d - 1) * (2 * total_space_genus(cover) - 2) + sum(
+            len(cyc) - 1 for t in nontrivial for cyc in t.cycles())
+        assert doubled % 2 == 0
+        genus = doubled // 2 + 1
+    return all(t.is_transposition() for t in nontrivial), transitive, genus
+
+
+def test_derived_verdicts_match_the_inertia_oracle():
+    """The bench's exhaustive corpus with d >= 2, one cover per class, and
+    600 random covers of genus 1 and 2 with d = 2..8 and r = 1..3."""
+    specs = (CorpusSpec((2, 4), (0, 0), (0, 4), dedup=True),
+             CorpusSpec((2, 3), (1, 1), (0, 3), dedup=True))
+    covers = [cover for spec in specs for cover in enumerate_covers(spec)]
+    covers += [random_cover(CorpusSpec((2, 8), (1, 2), (1, 3), samples=1,
+                                       seed=seed)) for seed in range(600)]
+    seen = set()
+    for cover in covers:
+        derived = derived_cover_q1(cover)
+        got = (derived.morse, derived.fiber_transitive,
+               derived.total_space_genus)
+        assert got == _derived_verdicts_by_elements(cover)
+        seen.add(got[:2])
+    assert seen == set(itertools.product((False, True), repeat=2))
+
+
+@pytest.mark.parametrize("cover", [MORSE7, D4, ETALE_G1, TREFOIL,
+                                   HYPERELLIPTIC6])
+def test_derived_cover_builds_no_inertia_element(cover, monkeypatch):
+    """With G and Stab_G(1) built, the derived cover multiplies and powers
+    no permutation and makes one membership strip per fiber point."""
+    from ramify.perm import GeneratedGroup
+
+    ctx = CoverContext(cover)
+    assert ctx.group.order and ctx.stabilizer.order
+
+    def refuse(*args):
+        raise AssertionError("a permutation product was built")
+
+    strips = []
+    contains = GeneratedGroup.__contains__
+
+    def counted(group, p):
+        strips.append(p)
+        return contains(group, p)
+
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
+    monkeypatch.setattr(Permutation, "__pow__", refuse)
+    monkeypatch.setattr(GeneratedGroup, "__contains__", counted)
+    assert ctx.derived_cover
+    assert len(strips) <= cover.degree
 
 
 def _raw(p):
@@ -653,7 +719,9 @@ def assert_blocks_witness_the_etale_subcover(cover):
     every branch cycle fixes each one.  The check reads only the blocks and
     the generators."""
     ctx = CoverContext(cover)
-    blocks = least_congruence(ctx.group, cover.branch_cycles)
+    blocks = least_congruence(ctx.group, [
+        (x, cj(x)) for cj in cover.branch_cycles
+        for x in range(1, cover.degree + 1)])
     parts = {frozenset(b) for b in blocks}
     assert set().union(*parts) == set(range(1, cover.degree + 1))
     for s in cover.all_generators():

@@ -274,6 +274,27 @@ def test_pair_orbits_match_oracle(g):
     assert list(orbits(g, pairs)) == expected
 
 
+@pytest.mark.parametrize("point", [0, -1, 4, 1.0, True, "1"],
+                         ids=["zero", "minus_one", "four", "float", "bool",
+                              "str"])
+def test_call_refuses_non_points(point):
+    """p(0) and p(-1) would read an image from the end of the table, p(True)
+    the image of 2."""
+    with pytest.raises(ValueError):
+        perm("(1 2 3)", 3)(point)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Permutation([]),
+    lambda: Permutation.from_cycle([], 0),
+    lambda: Permutation.identity(0),
+    lambda: parse_cycles("id", 0),
+], ids=["images", "from_cycle", "identity", "parse"])
+def test_degree_zero_is_refused(call):
+    with pytest.raises(ValueError, match="degree must be positive"):
+        call()
+
+
 @pytest.mark.parametrize("domain", [
     [(0, 1)], [(1, 4)], [(1, 2), (2, 0)], [(1, 1, 1)], [0], [4], [1.5],
     [(1.5, 2)], [True], [(1, True)], [1, (1, 2)], [(1, 2), 1], [[1, 2]]],
@@ -604,7 +625,8 @@ def assert_blocks_are_normal_closure_orbits(g, joins):
                                elements)
     expected = tuple(tuple(x + 1 for x in part)
                      for part in o_point_orbits(list(closure), g.degree))
-    assert least_congruence(g, joins) == expected
+    assert least_congruence(g, [(x, s(x)) for s in joins
+                                for x in range(1, g.degree + 1)]) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -634,11 +656,23 @@ def test_least_congruence_cases(gens, joins):
     assert_blocks_are_normal_closure_orbits(g, [perm(t, d) for t in joins])
 
 
+@pytest.mark.parametrize("pairs", [
+    [(1, 4)], [(0, 1)], [(1, 2), (3, -1)], [(True, 2)], [(1, 2.0)],
+    [("1", 2)]],
+    ids=["four", "zero", "second_pair", "bool", "float", "str"])
+def test_least_congruence_refuses_pairs_off_the_points(pairs):
+    """On a group of degree 3 each entry of a pair must be a point of 1..3."""
+    g = GeneratedGroup(3, [perm("(1 2 3)", 3)])
+    with pytest.raises(ValueError):
+        least_congruence(g, pairs)
+
+
 def test_least_congruence_reads_no_chain():
     """The blocks come from the generators' images alone."""
     g = GeneratedGroup(4, [perm("(1 2 3 4)", 4), perm("(1 3)", 4)])
     g._levels = None
-    assert least_congruence(g, [perm("(1 3)(2 4)", 4)]) == ((1, 3), (2, 4))
+    assert least_congruence(g, [(1, 3), (2, 4), (3, 1), (4, 2)]) == \
+        ((1, 3), (2, 4))
 
 
 # -- transitivity -----------------------------------------------------------
