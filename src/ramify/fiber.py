@@ -23,11 +23,13 @@ through.  The derived cover's test is the same identity at point 2, its
 inertia read off cycle positions as the branches are.
 
 All of these live on a CoverContext, which builds each on first use and at
-most once: the monodromy group G, the orbits on pairs with the orbitals and
-the pair -> orbital lookup, the scheme points, the dual graph, Stab_G(1),
-the HN test, the off-diagonal flag, the S_d certificate and the derived
-cover.  G is the one group built per cover, and Stab_G(1) shares its
-levels: validation reads the generators and builds none.  Each public
+most once: the monodromy group G, the table of each c_j's cycles (read by
+the Morse test, the scheme points and the derived cover with Y's genus),
+the orbits on pairs with the orbitals and the pair -> orbital lookup, the
+scheme points, the dual graph, Stab_G(1), the HN test, the off-diagonal
+flag, the S_d certificate and the derived cover.  G is the one group built
+per cover, and Stab_G(1) shares its levels: validation reads the
+generators and builds none.  Each public
 function below is a view of a fresh context; ``gen.check_cover`` and
 ``numono.certify_projection`` keep one context for all their checks.
 Nothing is cached across covers.
@@ -43,10 +45,8 @@ from functools import cached_property
 from .cover import (
     BranchedCover,
     _riemann_hurwitz,
-    is_morse,
     monodromy_group,
     require_valid,
-    total_space_genus,
 )
 from .graphs import (ConnectivityVerdict, Graph, delete_vertex, is_connected,
                      quotient_by_partition)
@@ -215,6 +215,20 @@ class CoverContext:
         return monodromy_group(self.cover, checked=False)
 
     @cached_property
+    def cycles(self) -> tuple:
+        """Each c_j's cycles, fixed points included: the points of Y over
+        the j-th branch point.  Every reader of c_j's cycles reads them
+        here."""
+        return tuple(cj.cycles(include_fixed=True)
+                     for cj in self.cover.branch_cycles)
+
+    @cached_property
+    def morse(self) -> bool:
+        """Every c_j a transposition, that is d - 1 cycles."""
+        d = self.cover.degree
+        return all(len(cycles) == d - 1 for cycles in self.cycles)
+
+    @cached_property
     def pair_orbits(self) -> tuple:
         pairs = itertools.product(range(1, self.cover.degree + 1), repeat=2)
         return orbits(self.group, pairs)
@@ -236,8 +250,7 @@ class CoverContext:
         lookup = self.orbital_of
         shared: dict = {}   # cycle pair -> its branches, alike at every j
         points = []
-        for j, cj in enumerate(self.cover.branch_cycles, start=1):
-            cycles = cj.cycles(include_fixed=True)
+        for j, cycles in enumerate(self.cycles, start=1):
             for pair in itertools.product(cycles, repeat=2):
                 branches = shared.get(pair)
                 if branches is None:
@@ -290,7 +303,7 @@ class CoverContext:
         d = c.degree
         if d < 2:
             return SdCertification(False, d, failed_hypothesis="degree < 2")
-        if not is_morse(c, checked=False):
+        if not self.morse:
             return SdCertification(False, d, failed_hypothesis="not Morse")
         gr = self.genuine
         if not gr.genuinely_ramified:
@@ -318,7 +331,7 @@ class CoverContext:
                 "2 orbitals but the monodromy group is not two-transitive")
         steps.append("monodromy group is two-transitive")
 
-        if not any(cyc.is_transposition() for cyc in c.branch_cycles):
+        if not any(len(cycles) == d - 1 for cycles in self.cycles):
             raise TheoremViolationError("Morse cover without a transposition")
         steps.append("a branch cycle is a transposition, so the group contains one")
 
@@ -358,9 +371,10 @@ class CoverContext:
         # below n - gcd(e, n) miss one step of each of its cycles on u^-1 lam,
         # so join each, and count its ramification: 1 iff t is a transposition
         joins, morse = [], True
-        for cj in c.branch_cycles:
-            moved = cj.cycles()  # a fixed point of c_j moves under no power
-            for kappa in cj.cycles(include_fixed=True):
+        for cycles in self.cycles:
+            # a fixed point of c_j moves under no power
+            moved = [lam for lam in cycles if len(lam) > 1]
+            for kappa in cycles:
                 e, inv, before = len(kappa), back[kappa[0]], len(joins)
                 for lam in moved:
                     n = len(lam)
@@ -376,8 +390,11 @@ class CoverContext:
         blocks = least_congruence(self.stabilizer, joins)
         gr = len(blocks[1]) == len(group._levels[1].orbit)
 
-        genus = _riemann_hurwitz(d - 1, total_space_genus(c, checked=False),
-                                 len(joins)) if fiber_transitive else None
+        genus = None
+        if fiber_transitive:
+            genus_y = _riemann_hurwitz(d, c.base_genus, sum(
+                d - len(cycles) for cycles in self.cycles))
+            genus = _riemann_hurwitz(d - 1, genus_y, len(joins))
 
         return DerivedCover(
             degree=d - 1,

@@ -9,6 +9,16 @@ decides each candidate once, on raw tuples: a cover only when the forced
 cycle is not the identity (in Morse mode, is a transposition) and one
 search from point 0 reaches every point.  Dedup keeps the first cover of
 each conjugacy class in enumeration order, keyed by ``canonical_form``.
+
+A Morse draw over the line (genus 0, r >= 2) is r - 1 values of
+``randrange(n)``, n = d(d - 1)/2, and CPython draws each from the next
+32-bit Mersenne Twister word, shifted right to n's bit length and retried
+while at least n.  The sampler reads a block of those words with one
+``getrandbits`` call, decodes the values and applies every draw's swaps to
+the whole block at once, then hands ``_completed`` only the draws whose
+product is a transposition, in draw order.  It returns the same cover and
+leaves the generator in the same state as drawing value by value, within
+the same budget of draws.
 Verification collects violations instead of raising, so a counterexample
 (i.e. a bug) surfaces with full context at the end of the run.
 """
@@ -21,12 +31,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .cover import (
-    BranchedCover,
-    InvalidCoverError,
-    dumps_cover,
-    is_morse,
-)
+import numpy as np
+
+from .cover import BranchedCover, InvalidCoverError, dumps_cover
 from .fiber import CoverContext, TheoremViolationError
 from .graphs import is_connected
 from .perm import (Permutation, Transitivity, _compose, _inverse,
@@ -35,8 +42,12 @@ from .perm import (Permutation, Transitivity, _compose, _inverse,
 #: Hard enumeration caps per base genus.
 ENUMERATION_CAPS = {0: 5, 1: 3}
 
-#: Rejection-sampling budget for random covers.
+#: Rejection-sampling budget for random covers, in draws.
 REJECTION_BUDGET = 100_000
+
+#: Most draws one block of a Morse sample over the line decodes; blocks
+#: start at 64 draws and double up to it.
+BLOCK_DRAWS = 512
 
 
 class CapExceededError(ValueError):
@@ -225,10 +236,17 @@ def _sample_cover(rng: random.Random, d: int, g: int, r: int,
     relation product as a raw 0-based list, composed on the right as the
     cycles are drawn; a Morse draw swaps two entries of it and takes its
     free cycle from a table of raw transpositions.  ``_completed`` decides
-    the draw on that product, as it decides an enumerated candidate."""
+    the draw on that product, as it decides an enumerated candidate.
+
+    Morse draws over the line are decoded in blocks by ``_sample_line``,
+    which makes the same draws, returns the same cover, leaves the same
+    generator state and spends the same budget as this loop; draws with
+    handles, and non-Morse draws, whose shuffle bounds change from slot to
+    slot, take one value at a time."""
+    if morse and g == 0 and r >= 2:
+        return _sample_line(rng, d, r)
     pairs = list(itertools.combinations(range(d), 2))
-    swaps = [tuple(y if i == x else x if i == y else i for i in range(d))
-             for x, y in pairs]
+    swaps = [_swap(d, x, y) for x, y in pairs]
     for _ in range(REJECTION_BUDGET):
         prod = list(range(d))
         handles = []
@@ -258,9 +276,74 @@ def _sample_cover(rng: random.Random, d: int, g: int, r: int,
         cover = _completed(handles, frees, prod, r, morse)
         if cover is not None:
             return cover
-    raise InfeasibleParametersError(
+    raise _exhausted(d, g, r, morse)
+
+
+def _swap(d: int, x: int, y: int) -> tuple:
+    return tuple(y if i == x else x if i == y else i for i in range(d))
+
+
+def _exhausted(d: int, g: int, r: int,
+               morse: bool) -> InfeasibleParametersError:
+    return InfeasibleParametersError(
         f"no valid cover found for d={d} g={g} r={r} morse={morse} within "
         f"{REJECTION_BUDGET} draws")
+
+
+def _sample_line(rng: random.Random, d: int, r: int) -> BranchedCover:
+    """The Morse genus-0 branch of ``_sample_cover``, in blocks of draws.
+    A block's products are one (m, d) array, each of the r - 1 swaps
+    applied to every row at once; a draw that ``_completed`` accepts puts
+    the generator back to the block's start and advances it by exactly the
+    words read through that draw.  The last block ends at the budget."""
+    pairs = list(itertools.combinations(range(d), 2))
+    swaps = [_swap(d, x, y) for x, y in pairs]
+    xs, ys = np.array(pairs).T
+    identity = np.arange(d)
+    steps = r - 1
+    done, size = 0, 64
+    while done < REJECTION_BUDGET:
+        m = min(size, REJECTION_BUDGET - done)
+        state = rng.getstate()
+        ks, ends = _randbelow_block(rng, len(pairs), m * steps)
+        ks = ks.reshape(m, steps)
+        prod = np.tile(identity, m)   # row i at i*d, swapped at flat indices
+        row = np.arange(0, m * d, d)[:, None]
+        for x, y in zip((xs[ks] + row).T, (ys[ks] + row).T):
+            prod[x], prod[y] = prod[y], prod[x]
+        prod = prod.reshape(m, d)
+        for i in np.flatnonzero((prod != identity).sum(axis=1) == 2).tolist():
+            cover = _completed((), [swaps[k] for k in ks[i].tolist()],
+                               prod[i].tolist(), r, True)
+            if cover is not None:
+                rng.setstate(state)
+                rng.getrandbits(32 * int(ends[(i + 1) * steps - 1]))
+                return cover
+        done += m
+        size = min(2 * size, BLOCK_DRAWS)
+    raise _exhausted(d, 0, r, True)
+
+
+def _randbelow_block(rng: random.Random, n: int, count: int) -> tuple:
+    """The next ``count`` values of ``rng.randrange(n)`` as an array, and
+    for each the number of 32-bit words read through it.  CPython draws a
+    value below n < 2**32 from the next word shifted right by
+    32 - n.bit_length(), retried while at least n, and
+    ``getrandbits(32 * w)`` returns the next w words, least significant
+    first.  Each read asks for as many words as values are missing, so no
+    word past the last value is read."""
+    shift = 32 - n.bit_length()
+    values, ends, read = [], [], 0
+    while count:
+        words = np.frombuffer(
+            rng.getrandbits(32 * count).to_bytes(4 * count, "little"),
+            dtype="<u4") >> shift
+        hits = np.flatnonzero(words < n)
+        values.append(words[hits])
+        ends.append(read + 1 + hits)
+        read += count
+        count -= len(hits)
+    return np.concatenate(values), np.concatenate(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +414,7 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     orbs = ctx.orbitals
     graph = ctx.dual_graph
     gr = ctx.genuine
-    morse = is_morse(cover, checked=False)
+    morse = ctx.morse
 
     # section 3 equivalence: HN = G iff the fiber square is connected
     counters["hn_vs_dual_graph"] += 1

@@ -76,8 +76,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cover import (BranchedCover, cover_to_json_dict, is_morse,
-                    relation_product)
+from .cover import BranchedCover, cover_to_json_dict, relation_product
 from .fiber import CoverContext
 from .perm import Permutation, Transitivity, format_cycles, transitivity
 
@@ -472,6 +471,10 @@ def reject_singular(p: PlanePolynomial) -> None:
 # numeric helpers
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
+    """The ascending ``coeffs`` at z in Python complex arithmetic.  It stays
+    scalar: numpy's complex ``a*b + c`` may fuse the multiply and the add,
+    which changes the last bits, and on grids of 8 to 33 points an array
+    Horner is no faster."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
@@ -771,58 +774,78 @@ def _separations(fibers: np.ndarray) -> np.ndarray:
     return gaps.min(axis=(-2, -1), initial=math.inf)
 
 
-def _match(old: np.ndarray, new: np.ndarray, old_sep: float,
-           new_sep: float):
-    """Nearest-neighbor matching: old[i] -> new[perm[i]], as an index
-    array.  Fails (returns None) unless injective and every move is under
-    the lesser separation divided by SAFETY_FACTOR."""
+def _match(old: np.ndarray, new: np.ndarray, old_sep, new_sep) -> tuple:
+    """Nearest-neighbor matching of each step from the fibers ``old[...]``
+    to ``new[...]``: old[..., i] -> new[..., best[..., i]], as an index
+    array, and per step whether it holds: injective, and no move at or
+    above the lesser separation (Python's ``min`` of the two) divided by
+    SAFETY_FACTOR.  Matching reads no labels, so a relabelled ``old``
+    gives the relabelled ``best``."""
     dist = _distances(old, new)
-    best = dist.argmin(axis=1)
-    moves = dist[np.arange(len(old)), best]
-    if (moves >= min(old_sep, new_sep) / SAFETY_FACTOR).any() \
-            or len(set(best.tolist())) < len(best):
-        return None
-    return best
+    best = dist.argmin(axis=-1)
+    moves = dist.min(axis=-1)
+    least = np.where(new_sep < old_sep, new_sep, old_sep) / SAFETY_FACTOR
+    ordered = np.sort(best, axis=-1)
+    holds = (~(moves >= least[..., None]).any(axis=-1)
+             & (ordered[..., 1:] != ordered[..., :-1]).all(axis=-1))
+    return best, holds
 
 
 def _advance(piece, ta: float, tb: float, old: tuple, new: tuple, rows,
-             depth: int) -> tuple:
+             depth: int) -> np.ndarray:
     """Continue ``old``, the labelled fiber at ``ta`` and its separation,
-    to ``new``, the fiber solved at ``tb`` and its separation; a failing
-    step is bisected."""
-    assignment = _match(old[0], new[0], old[1], new[1])
-    if assignment is not None:
-        return new[0][assignment], new[1]
+    to ``new``, the fiber solved at ``tb`` and its separation: old[i] ->
+    new[0][result[i]].  A failing step is bisected."""
+    assignment, holds = _match(old[0], new[0], old[1], new[1])
+    if holds:
+        return assignment
     if depth >= MAX_DEPTH or (tb - ta) < STEP_TOLERANCE:
         raise TrackingAmbiguityError(
             f"root matching failed near x = {piece.at(tb)} after "
             f"depth-{depth} refinement")
     tm = (ta + tb) / 2
-    mid = _advance(piece, ta, tm, old, next(_fibers(rows, [piece.at(tm)])),
-                   rows, depth + 1)
-    return _advance(piece, tm, tb, mid, new, rows, depth + 1)
+    mid = next(_fibers(rows, [piece.at(tm)]))
+    first = _advance(piece, ta, tm, old, mid, rows, depth + 1)
+    return _advance(piece, tm, tb, (mid[0][first], mid[1]), new, rows,
+                    depth + 1)
 
 
 def _track(piece, fiber, rows) -> np.ndarray:
     """Transport ``fiber`` along ``piece``: entry k of the result continues
     entry k of ``fiber``.  The fibers over the piece's grid are solved
-    together, and each step carries the separation of the fiber it
-    accepts to the next."""
+    together and every step is matched in one operation, on the unlabelled
+    fibers; the labels follow by composing index maps, and only a step that
+    fails is bisected, on its labelled fiber.  A grid point that cannot be
+    solved raises when the steps before it are done."""
     n = piece.initial_steps
     fiber = np.asarray(fiber, dtype=complex)
-    state = fiber, _separations(fiber[None])[0]
-    grid = _fibers(rows, [piece.at((k + 1) / n) for k in range(n)])
-    for k, new in enumerate(grid):
-        state = _advance(piece, k / n, (k + 1) / n, state, new, rows, 0)
-    return state[0]
+    solved, failure = [], None
+    try:
+        for new in _fibers(rows, [piece.at((k + 1) / n) for k in range(n)]):
+            solved.append(new)
+    except (NonGenericError, TrackingAmbiguityError) as exc:
+        failure = exc
+    roots = np.array([fiber] + [f for f, _ in solved])
+    seps = np.array([_separations(fiber[None])[0]] + [s for _, s in solved])
+    best, holds = _match(roots[:-1], roots[1:], seps[:-1], seps[1:])
+    index = np.arange(len(fiber))
+    for k, new in enumerate(solved):
+        if holds[k]:
+            index = best[k][index]
+        else:
+            index = _advance(piece, k / n, (k + 1) / n,
+                             (roots[k][index], seps[k]), new, rows, 0)
+    if failure is not None:
+        raise failure
+    return roots[-1][index]
 
 
 def _circle_permutation(fiber, circle: _Arc, rows) -> Permutation:
     """Track ``fiber`` once around the closed ``circle``; entry k ends on
     entry perm(k)."""
     ends = np.array([_track(circle, fiber, rows), fiber], dtype=complex)
-    assignment = _match(*ends, *_separations(ends))
-    if assignment is None:
+    assignment, holds = _match(*ends, *_separations(ends))
+    if not holds:
         raise TrackingAmbiguityError(
             "could not identify the fiber after a circle with the fiber "
             "before it")
@@ -832,34 +855,39 @@ def _circle_permutation(fiber, circle: _Arc, rows) -> Permutation:
 # ---------------------------------------------------------------------------
 # the pipeline
 
-def _least_gap(values: list) -> float:
-    """The least |a - b| over pairs of the reals ``values``: the least gap
-    between neighbours once sorted, since rounded subtraction is monotone."""
-    ordered = sorted(values)
-    return min((b - a for a, b in zip(ordered, ordered[1:])),
-               default=math.inf)
+def _least_gap(values) -> np.ndarray:
+    """The least |a - b| over pairs of the reals in each row of ``values``:
+    the least gap between neighbours once sorted, since rounded subtraction
+    is monotone; infinity in a row of fewer than two."""
+    ordered = np.sort(values, axis=-1)
+    with np.errstate(over="ignore"):
+        gaps = ordered[..., 1:] - ordered[..., :-1]
+    return gaps.min(axis=-1, initial=math.inf)
 
 
 def _choose_sweep(points: list, r: int) -> tuple:
     """Deterministic sweep direction: candidate angles around pi/2, scored
-    by the least pairwise separation of the sweep coordinates."""
+    by the least pairwise separation of the sweep coordinates.  All
+    candidates are scored as one array; each coordinate is the real part
+    of z * conj(p_hat), computed as Python's complex product computes it,
+    in separate float64 operations, none fused with another."""
     if len(points) <= 1:
         return math.pi / 2, [z.real for z in points]
     count = 2 * r * r + 3
-    best = None
+    psis = []
     for idx in range(count):
         j = (idx + 1) // 2 * (1 if idx % 2 else -1)  # 0, -1, 1, -2, 2, ...
-        psi = math.pi / 2 + j * math.pi / (2 * count)
-        p_hat = cmath.exp(1j * (psi - math.pi / 2))
-        s = [(z * p_hat.conjugate()).real for z in points]
-        score = _least_gap(s)
-        if best is None or score > best[0]:
-            best = (score, psi, s)
-    score, psi, s = best
-    if score <= 0:
+        psis.append(math.pi / 2 + j * math.pi / (2 * count))
+    p_hat = np.array([cmath.exp(1j * (psi - math.pi / 2))
+                      for psi in psis])[:, None]
+    z = np.array(points, dtype=complex)
+    s = z.real * p_hat.real - z.imag * -p_hat.imag
+    scores = _least_gap(s)
+    best = int(np.argmax(scores))
+    if scores[best] <= 0:
         raise NonGenericError("could not separate loop targets along any "
                               "candidate sweep direction")
-    return psi, s
+    return psis[best], s[best].tolist()
 
 
 def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
@@ -1048,7 +1076,7 @@ def certify_projection(p: PlanePolynomial,
         result=result,
         finite_cycles_morse=finite_morse,
         infinity_kind=infinity_kind,
-        full_morse=is_morse(result.cover, checked=False),
+        full_morse=ctx.morse,
         genuinely_ramified=ctx.genuine.genuinely_ramified,
         two_transitive=transitivity(group) is Transitivity.TWO_TRANSITIVE,
         group_order=group.order,

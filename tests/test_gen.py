@@ -17,6 +17,7 @@ from ramify.cover import (
 )
 from ramify.fiber import CoverContext, TheoremViolationError
 from ramify.gen import (
+    _draw_parameters,
     _sample_cover,
     CapExceededError,
     CorpusSpec,
@@ -30,6 +31,7 @@ from ramify.gen import (
 )
 from ramify.perm import Permutation, parse_cycles
 
+import oracles
 from oracles import (
     o_canonical_form,
     o_centralizer_order,
@@ -403,6 +405,88 @@ def test_sampler_builds_permutations_only_for_transposition_products(
     assert len(built) <= (2 * d - 2) * len(products)
 
 
+#: (d, seeds) for the block sampler over the line.  The oracle's time grows
+#: with the draws a seed needs, tens of thousands at d = 9 for most seeds
+#: (62,661 at seed 0), so d = 9 takes two seeds that need 465 and 2,805
+#: draws: the second spans five blocks at the cap.
+BLOCK_CASES = [*[(d, range(4)) for d in range(2, 8)], (8, range(3)),
+               (9, (2, 6))]
+
+
+def assert_same_outcome(d, g, r, morse, seed):
+    """Both samplers, from equal generator states, return the same cover or
+    raise the same error, and leave the same state; True if they raised."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    outcomes = []
+    for sample, state in ((_sample_cover, rng), (o_sample_cover, oracle_rng)):
+        try:
+            outcomes.append(sample(state, d, g, r, morse))
+        except InfeasibleParametersError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert rng.getstate() == oracle_rng.getstate()
+    return isinstance(outcomes[0], str)
+
+
+@pytest.mark.parametrize("d, seeds", BLOCK_CASES,
+                         ids=[f"d{d}" for d, _ in BLOCK_CASES])
+def test_block_sampler_matches_the_oracle_over_the_line(d, seeds):
+    for seed in seeds:
+        for r in (2 * d - 2, 2 * d) if d < 8 else (2 * d - 2,):
+            assert not assert_same_outcome(d, 0, r, True, seed)
+
+
+def test_block_sampler_keeps_a_morse_corpus_stream():
+    """Five Morse genus-0 samples at d = 6..8 from one generator, as
+    ``verify_corpus`` draws them: the same covers, then the same state."""
+    corpus = CorpusSpec((6, 8), (0, 0), (10, 14), morse_only=True,
+                        samples=5, seed=3)
+    rng, oracle_rng = random.Random(3), random.Random(3)
+    covers = [_sample_cover(rng, *_draw_parameters(rng, corpus), True)
+              for _ in range(corpus.samples)]
+    expected = [o_sample_cover(oracle_rng,
+                               *_draw_parameters(oracle_rng, corpus), True)
+                for _ in range(corpus.samples)]
+    assert covers == expected
+    assert {c.degree for c in covers} == {6, 7, 8}
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_block_sampler_runs_out_of_budget_as_the_oracle(monkeypatch):
+    """With a budget of 700 draws (blocks of 64, 128, 256 and the last 252)
+    both samplers raise the same error from the same state: on d = 4,
+    r = 2, where no draw is transitive, and on d = 8, where seed 1 needs
+    6,218 draws; seed 4 needs 72 and still finds its cover."""
+    monkeypatch.setattr(ramify.gen, "REJECTION_BUDGET", 700)
+    monkeypatch.setattr(oracles, "REJECTION_BUDGET", 700)
+    assert assert_same_outcome(4, 0, 2, True, 0)
+    assert assert_same_outcome(8, 0, 14, True, 1)
+    assert not assert_same_outcome(8, 0, 14, True, 4)
+    with pytest.raises(InfeasibleParametersError,
+                       match="d=4 g=0 r=2 morse=True within 700 draws"):
+        _sample_cover(random.Random(0), 4, 0, 2, True)
+
+
+def test_cpython_draws_the_block_decode_relies_on():
+    """``getrandbits(32 * m)`` is the next m 32-bit words, least
+    significant first, and ``randrange(n)`` is the next word shifted right
+    to n's bit length, retried while at least n."""
+    for seed in range(3):
+        block, words = random.Random(seed), random.Random(seed)
+        assert block.getrandbits(32 * 7) == sum(
+            words.getrandbits(32) << 32 * i for i in range(7))
+        assert block.getstate() == words.getstate()
+    for n in (1, 2, 3, 6, 15, 21, 28, 36, 45, 66, 2 ** 31):
+        drawn, decoded = random.Random(n), random.Random(n)
+        shift = 32 - n.bit_length()
+        for _ in range(300):
+            value = decoded.getrandbits(32) >> shift
+            while value >= n:
+                value = decoded.getrandbits(32) >> shift
+            assert drawn.randrange(n) == value
+        assert drawn.getstate() == decoded.getstate()
+
+
 def test_random_mode_requires_seed():
     with pytest.raises(ValueError, match="seed"):
         CorpusSpec((2, 2), (0, 0), (2, 2), samples=3)
@@ -486,6 +570,29 @@ def test_check_cover_builds_the_monodromy_group_once(monodromy_builds):
     counters, _, violations = check_cover(MORSE7)
     assert not violations and counters["derived_cover"] == 1
     assert monodromy_builds == [MORSE7.all_generators()]
+
+
+@pytest.mark.parametrize("name", ["MORSE7", "D4", "RAMIFIED_G1"])
+def test_check_cover_reads_each_branch_cycle_once(monkeypatch, name):
+    """One table of each c_j's cycles serves the Morse test, the scheme
+    points, the S_d certificate and the derived cover with Y's genus.  The
+    Cayley oracle of a Galois cover formats group elements, so only calls
+    on the branch cycles themselves are counted."""
+    import test_cover
+    import test_fiber
+    cover = getattr(test_fiber if name == "MORSE7" else test_cover, name)
+    calls = []
+    real = Permutation.cycles
+
+    def cycles(self, include_fixed=False):
+        if any(self is cj for cj in cover.branch_cycles):
+            calls.append(self)
+        return real(self, include_fixed)
+
+    monkeypatch.setattr(Permutation, "cycles", cycles)
+    counters, _, violations = check_cover(cover)
+    assert not violations
+    assert len(calls) <= cover.branch_count
 
 
 def test_check_cover_validates_nothing(monkeypatch):

@@ -174,15 +174,14 @@ def test_transport_tracks_each_piece_once(monkeypatch, text):
     """One stub down to the rail, one rail segment, one ascent and one circle
     per target, and the stub and circle at infinity: no piece twice and no
     segment both ways."""
-    real = numono._advance
+    real = numono._track
     pieces = []
 
-    def advance(piece, ta, tb, old, new, rows, depth):
-        if ta == 0 and depth == 0:
-            pieces.append(piece)
-        return real(piece, ta, tb, old, new, rows, depth)
+    def track(piece, fiber, rows):
+        pieces.append(piece)
+        return real(piece, fiber, rows)
 
-    monkeypatch.setattr(numono, "_advance", advance)
+    monkeypatch.setattr(numono, "_track", track)
     result = track_monodromy(parse_poly(text))
     assert len(pieces) == len(set(pieces)) == 3 * len(result.loops) + 3
     segments = {(s.a, s.b) for s in pieces if isinstance(s, numono._Seg)}
@@ -266,8 +265,10 @@ def test_each_tracked_fiber_is_separated_once(monkeypatch, text):
 
     count(numono, "_fibers", lambda rows, zs: len(zs))
     count(numono, "_separations", len)
-    for name in ("_track", "_circle_permutation", "critical_values",
-                 "_match"):
+    # a batched call matches as many steps as its fibers' leading axis
+    count(numono, "_match", lambda old, *rest: len(old) if old.ndim > 1
+          else 1)
+    for name in ("_track", "_circle_permutation", "critical_values"):
         count(numono, name)
     track_monodromy(parse_poly(text))
     assert counts["_match"] > 100
