@@ -6,11 +6,11 @@ points (the orbitals).  Over each branch point, pairs of local points carry
 local branches (orbits of the cyclic group generated by the branch cycle),
 and components intersect exactly where one such point carries branches from
 two of them.  That intersection pattern is the dual graph.  The branches
-are read off cycle positions, not walked: over a pair of cycles of lengths
-(e, e') they are the gcd(e, e') residue classes of the position difference,
-each of lcm(e, e') pairs.  A cycle pair's branches are read once per cover
-and shared by every branch point where that pair occurs.  They are the
-cycles of c_j on the pairs, so each component's genus is read off them.
+are read off cycle positions, not walked: over a pair of cycles (kappa, lam)
+of lengths (e, l), branch s < gcd(e, l) holds lcm(e, l) pairs and
+(kappa[0], lam[s]), so it lies in that pair's orbital.  Two fixed points
+carry one branch of one pair, so the dual graph and the genera read only
+pairs with a moved cycle; only the report builds every scheme point.
 
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
@@ -24,12 +24,12 @@ inertia read off cycle positions as the branches are.
 
 All of these live on a CoverContext, which builds each on first use and at
 most once: the monodromy group G, the table of each c_j's cycles (read by
-the Morse test, the scheme points and the derived cover with Y's genus),
-the orbits on pairs with the orbitals and the pair -> orbital lookup, the
-scheme points, the dual graph, Stab_G(1), the HN test, the off-diagonal
-flag, the S_d certificate and the derived cover.  G is the one group built
-per cover, and Stab_G(1) shares its levels: validation reads the
-generators and builds none.  Each public
+the Morse test, the scheme points, the dual graph, the genera and the
+derived cover with Y's genus), the orbits on pairs with the orbitals and
+the pair -> orbital lookup, the scheme points, the dual graph, Stab_G(1),
+the HN test, the off-diagonal flag, the S_d certificate and the derived
+cover.  G is the one group built per cover, and Stab_G(1) shares its
+levels: validation reads the generators and builds none.  Each public
 function below is a view of a fresh context; ``gen.check_cover`` and
 ``numono.certify_projection`` keep one context for all their checks.
 Nothing is cached across covers.
@@ -267,14 +267,22 @@ class CoverContext:
                                           branches=branches))
         return tuple(points)
 
+    def _branches(self):
+        """Branch orbitals and size over each pair (kappa, lam) of cycles of a
+        c_j with a moved cycle; only two moved cycles give two branches."""
+        for cycles in self.cycles:
+            moved = [lam for lam in cycles if len(lam) > 1]
+            for kappa in cycles:
+                for lam in cycles if len(kappa) > 1 else moved:
+                    g = math.gcd(len(kappa), len(lam))
+                    yield ([self.orbital_of[kappa[0], lam[s]]
+                            for s in range(g)], len(kappa) * len(lam) // g)
+
     @cached_property
     def dual_graph(self) -> Graph:
-        edges = set()
-        for sp in self.scheme_points:
-            if len(sp.branches) > 1:
-                ids = sorted({b.orbital_id for b in sp.branches})
-                edges.update(itertools.combinations(ids, 2))
-        return Graph(range(len(self.orbitals)), edges)
+        return Graph(range(len(self.orbitals)), {
+            edge for ids, _ in self._branches() if len(ids) > 1
+            for edge in itertools.combinations(sorted(set(ids)), 2)})
 
     @cached_property
     def stabilizer(self) -> GeneratedGroup:
@@ -349,8 +357,7 @@ class CoverContext:
         Riemann-Hurwitz over X: its local branches over j are the cycles of
         c_j on its pairs.  The diagonal orbital gives the genus of Y."""
         return _riemann_hurwitz(orbital.size, self.cover.base_genus, sum(
-            b.size - 1 for sp in self.scheme_points for b in sp.branches
-            if b.orbital_id == orbital.id))
+            (n - 1) * ids.count(orbital.id) for ids, n in self._branches()))
 
     @cached_property
     def derived_cover(self) -> DerivedCover:
@@ -478,18 +485,18 @@ def orbitals(c: BranchedCover, checked: bool = True) -> tuple:
 
 def scheme_points(c: BranchedCover, checked: bool = True) -> tuple:
     """All points of the fiber square over branch points, with their local
-    branches.  c_j maps (kappa[i], kappa'[k]) to (kappa[i+1], kappa'[k+1]),
-    so on a pair of cycles of lengths (e, e') the class of k - i mod g, for
-    g = gcd(e, e'), is invariant; its g classes are the local branches, each
-    of lcm(e, e') pairs.  Class r has least pair (kappa[0], min kappa'[r::g]),
-    as every cycle lists its least point first.  The dual graph takes edges
-    only from points with two or more branches."""
+    branches: every pair (kappa, lam) of cycles of c_j, fixed points too,
+    read by ``analyze`` alone.  c_j maps (kappa[i], lam[k]) to
+    (kappa[i+1], lam[k+1]), so on lengths (e, l) the class of k - i mod g,
+    g = gcd(e, l), is invariant; its g classes are the branches, each of
+    lcm(e, l) pairs.  Class s holds (kappa[0], lam[s]) and has least pair
+    (kappa[0], min lam[s::g]), as every cycle lists its least point first."""
     return CoverContext(c, checked).scheme_points
 
 
 def dual_graph(c: BranchedCover, checked: bool = True) -> Graph:
-    """Simple graph on orbitals; distinct components are joined when some
-    scheme point carries local branches of both."""
+    """Simple graph on orbitals, joined where a pair (kappa, lam) of moved
+    cycles of c_j has branches in both: branch s holds (kappa[0], lam[s])."""
     return CoverContext(c, checked).dual_graph
 
 

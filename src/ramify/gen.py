@@ -395,7 +395,9 @@ class VerificationReport:
 
 def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     """Run every theorem check on one unvalidated cover, all on one
-    CoverContext; the off-diagonal genus is read off the local branches.
+    CoverContext.  The dual graph and the off-diagonal genus read only cycle
+    pairs (kappa, lam) with a moved cycle, whose branch s holds
+    (kappa[0], lam[s]); no scheme point is built.
 
     Returns (counters, vacuous_main, violations): which checks ran, whether
     theorem main was vacuous here, and violation strings (each carrying the
@@ -412,16 +414,15 @@ def check_cover(cover: BranchedCover, oracle_cap: int = 10080) -> tuple:
     ctx = CoverContext(cover, checked=False)
     group = ctx.group
     orbs = ctx.orbitals
-    graph = ctx.dual_graph
+    connected = is_connected(ctx.dual_graph).connected
     gr = ctx.genuine
     morse = ctx.morse
 
     # section 3 equivalence: HN = G iff the fiber square is connected
     counters["hn_vs_dual_graph"] += 1
-    if gr.genuinely_ramified != is_connected(graph).connected:
-        violation("hn_vs_dual_graph",
-                  f"HN test says {gr.genuinely_ramified}, dual graph says "
-                  f"{is_connected(graph).connected}")
+    if gr.genuinely_ramified != connected:
+        violation("hn_vs_dual_graph", f"HN test says {gr.genuinely_ramified}, "
+                  f"dual graph says {connected}")
 
     # theorem main: genuinely ramified => off-diagonal closure connected
     counters["theorem_main"] += 1

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ramify import fiber
 from ramify.cover import (BranchedCover, is_morse, relation_product,
                           total_space_genus, validate)
 from ramify.fiber import (
@@ -20,8 +21,9 @@ from ramify.fiber import (
     orbitals,
     scheme_points,
 )
-from ramify.gen import CorpusSpec, enumerate_covers, random_cover
+from ramify.gen import CorpusSpec, check_cover, enumerate_covers, random_cover
 from ramify.graphs import is_connected
+from ramify.numono import certify_projection, parse_poly
 from ramify.perm import Permutation, least_congruence, parse_cycles
 
 from oracles import (
@@ -228,12 +230,13 @@ def test_every_cycle_pair_reads_its_branches_once():
     assert all(len(ids) == 1 for ids in by_pair.values())
 
 
-def test_local_branches_match_the_orbit_walk_on_long_cycles():
-    """Cycles of lengths 2, 3, 4 and 6, so that gcd(e, e') takes the values
-    1, 2, 3, 4 and 6.  Where 1 < gcd(e, e') < e', a residue class holds
-    several positions of kappa', and cycles that do not ascend make its
-    least pair differ from the pair at its first position."""
-    gcds = set()
+def long_cycle_covers() -> list:
+    """Genus-0 covers with cycles of lengths 2, 3, 4 and 6, so that
+    gcd(e, e') takes the values 1, 2, 3, 4 and 6.  Where
+    1 < gcd(e, e') < e', a residue class holds several positions of kappa',
+    and cycles that do not ascend make its least pair differ from the pair
+    at its first position."""
+    covers = []
     for d, texts in ((6, ["(1 4 2 6 3 5)", "(1 3 2)(4 6 5)"]),
                      (6, ["(1 2 3 4 5 6)", "(1 4 2 3)(5 6)"]),
                      (6, ["(1 4 2 3)(5 6)", "(1 5)(2 6)(3 4)", "(1 2 3 4 5 6)"]),
@@ -242,9 +245,40 @@ def test_local_branches_match_the_orbit_walk_on_long_cycles():
         cover = BranchedCover(d, 0, (), frees.branch_cycles
                               + (relation_product(frees).inverse(),))
         assert validate(cover).valid
+        covers.append(cover)
+    return covers
+
+
+def test_local_branches_match_the_orbit_walk_on_long_cycles():
+    gcds = set()
+    for cover in long_cycle_covers():
         assert_branches_match_walk(cover)
         gcds |= {len(sp.branches) for sp in scheme_points(cover)}
     assert {1, 2, 3, 4, 6} <= gcds
+
+
+def test_no_check_builds_a_scheme_point(monkeypatch):
+    """``check_cover`` and ``certify_projection`` read the dual graph and
+    the genera off the cycle pairs with a moved cycle; only ``analyze``
+    builds the scheme points, all (number of cycles of c_j)^2 per j."""
+    made = []
+    real = fiber.SchemePoint
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fiber, "SchemePoint", counted)
+    cover = random_cover(CorpusSpec((8, 8), (0, 0), (14, 14), morse_only=True,
+                                    samples=1, seed=3), seed=3)
+    assert check_cover(cover)[2] == []
+    assert len(made) == 0
+    report = certify_projection(parse_poly("y^4 + x^4 + x*y - 1"))
+    assert report.sd_certificate.certified
+    assert len(made) == 0
+    analyze(cover)
+    assert len(made) == sum(len(cj.cycles(include_fixed=True)) ** 2
+                            for cj in cover.branch_cycles) == 14 * 7 ** 2
 
 
 # -- dual graph -------------------------------------------------------------
@@ -472,8 +506,11 @@ def test_component_genus_matches_the_oracle_on_morse_samples():
 
 
 def test_component_genus_matches_the_oracle_on_the_fixtures():
+    """The long-cycle covers add cycle pairs with gcd up to 6 and branch
+    classes of several positions, which the corpora do not have."""
     covers = (TREFOIL, TREFOIL_MORSE, D4, HYPERELLIPTIC6, ETALE_G1,
-              RAMIFIED_G1, GALOIS_V4, IDENTITY_COVER, MORSE7)
+              RAMIFIED_G1, GALOIS_V4, IDENTITY_COVER, MORSE7,
+              *long_cycle_covers())
     assert _component_genera_match_the_oracle(covers) > 0
 
 
