@@ -52,13 +52,12 @@ fiber it holds to the next grid fiber by nearest neighbours on a d x d
 distance array; every root's move must stay under the lesser of the two
 separations divided by ``SAFETY_FACTOR``, and the separation of the
 accepted fiber is carried into the next step, so no separation is computed
-twice along a piece.  A failing step is bisected,
-solving one midpoint at a time, at most ``MAX_DEPTH`` times and never below
-``STEP_TOLERANCE`` on the path parameter, which also bounds how close two
-critical values may be.  A grid point where the leading coefficient
-vanishes is refused when the walk reaches it, not before.
+twice along a piece.  A failing step is bisected, solving one midpoint at a
+time, never below ``STEP_TOLERANCE`` on the path parameter, which also
+bounds how close two critical values may be.  A grid point that cannot be
+solved refuses its piece before any of the piece's steps is matched.
 
-Tracking runs once, in float64 (``WORKING_DIGITS``).  Every exact value
+Tracking runs once, in float64.  Every exact value
 enters float64 through ``_complex``, which refuses one beyond its range as
 a ``NonGenericError``.  A failed relation is a ``RelationViolationError``:
 the step rule accepted a step it should not have, and more digits in the
@@ -72,7 +71,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from string import whitespace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -526,10 +525,8 @@ def _polish(coeffs: Sequence[complex], z: complex, steps: int = 3) -> complex:
 # ---------------------------------------------------------------------------
 # tracking constants and results
 
-WORKING_DIGITS = 16       # float64, the one precision tracking uses
 STEP_TOLERANCE = 1e-10    # bisection floor on the path parameter
 SAFETY_FACTOR = 3.0       # root move must stay under minsep/safety
-MAX_DEPTH = 40            # bisection depth per step
 
 
 @dataclass(frozen=True)
@@ -572,7 +569,7 @@ class MonodromyResult:
     infinity_cycle: Permutation
     genericity: GenericityReport
     context: CoverContext      # the assembled cover and its group
-    used_precision_digits = WORKING_DIGITS
+    used_precision_digits = 16  # float64, the one precision tracking uses
 
     @property
     def cover(self) -> BranchedCover:
@@ -710,14 +707,14 @@ def _infinity_pieces(x0: complex, targets: list, spread: float) -> tuple:
 # ---------------------------------------------------------------------------
 # fibers
 
-def _fibers(rows: Sequence, zs: Sequence[complex]) -> Iterator[tuple]:
-    """Yield the roots over each point of ``zs``, in order, with their
-    least separation; ``rows[j]`` holds the ascending complex coefficients
-    in x of y^j.  The companion matrices ``np.roots`` would build are solved
-    in one ``eigvals`` call, so the roots are its roots.  A point where a
-    non-constant leading coefficient numerically vanishes, or where the
-    coefficients divided by it leave the float64 range, raises only when it
-    is reached."""
+def _fibers(rows: Sequence, zs: Sequence[complex]) -> tuple:
+    """The roots over each point of ``zs`` and their least separations, as
+    arrays indexed like ``zs``; ``rows[j]`` holds the ascending complex
+    coefficients in x of y^j.  The companion matrices ``np.roots`` would
+    build are solved in one ``eigvals`` call, so the roots are its roots.
+    The first point of ``zs`` where a non-constant leading coefficient
+    numerically vanishes, or where the coefficients divided by it leave the
+    float64 range, is refused before any point is solved."""
     constant_lc = len(rows[-1]) == 1
     desc, refused = [], []
     for z in zs:
@@ -731,28 +728,27 @@ def _fibers(rows: Sequence, zs: Sequence[complex]) -> Iterator[tuple]:
     desc = np.array(desc, dtype=complex)
     with np.errstate(all="ignore"):
         finite = np.isfinite(desc[:, 1:] / desc[:, :1]).all(axis=1)
+    unsolvable = np.array(refused) | ~finite
+    if unsolvable.any():
+        k = int(unsolvable.argmax())
+        if refused[k]:
+            raise TrackingAmbiguityError(
+                f"leading coefficient numerically vanishes on the path "
+                f"at x = {zs[k]}")
+        raise NonGenericError(f"the fiber at x = {zs[k]} has coefficients "
+                              f"outside the float64 range")
     d = desc.shape[1] - 1
     roots = np.zeros((len(zs), d), dtype=complex)
-    solved = ~np.array(refused) & finite
     # np.roots strips a zero constant coefficient, so it solves a smaller
     # companion matrix and appends the root 0; it solves such points
-    batch = solved & (desc[:, -1] != 0)
+    batch = desc[:, -1] != 0
     companion = np.zeros((np.count_nonzero(batch), d, d), dtype=complex)
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1
     companion[:, 0, :] = -desc[batch, 1:] / desc[batch, :1]
     roots[batch] = np.linalg.eigvals(companion)
-    for k in np.flatnonzero(solved & ~batch):
+    for k in np.flatnonzero(~batch):
         roots[k] = np.roots(desc[k])
-    seps = _separations(roots)
-    for k, z in enumerate(zs):
-        if refused[k]:
-            raise TrackingAmbiguityError(
-                f"leading coefficient numerically vanishes on the path "
-                f"at x = {z}")
-        if not finite[k]:
-            raise NonGenericError(f"the fiber at x = {z} has coefficients "
-                                  f"outside the float64 range")
-        yield roots[k], seps[k]
+    return roots, _separations(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -791,52 +787,44 @@ def _match(old: np.ndarray, new: np.ndarray, old_sep, new_sep) -> tuple:
     return best, holds
 
 
-def _advance(piece, ta: float, tb: float, old: tuple, new: tuple, rows,
-             depth: int) -> np.ndarray:
+def _advance(piece, ta: float, tb: float, old, new, rows) -> np.ndarray:
     """Continue ``old``, the labelled fiber at ``ta`` and its separation,
     to ``new``, the fiber solved at ``tb`` and its separation: old[i] ->
-    new[0][result[i]].  A failing step is bisected."""
+    new[0][result[i]].  A failing step is bisected, depth first, and
+    refused once it is shorter than ``STEP_TOLERANCE``."""
     assignment, holds = _match(old[0], new[0], old[1], new[1])
     if holds:
         return assignment
-    if depth >= MAX_DEPTH or (tb - ta) < STEP_TOLERANCE:
+    if (tb - ta) < STEP_TOLERANCE:
         raise TrackingAmbiguityError(
-            f"root matching failed near x = {piece.at(tb)} after "
-            f"depth-{depth} refinement")
+            f"root matching failed near x = {piece.at(tb)}")
     tm = (ta + tb) / 2
-    mid = next(_fibers(rows, [piece.at(tm)]))
-    first = _advance(piece, ta, tm, old, mid, rows, depth + 1)
-    return _advance(piece, tm, tb, (mid[0][first], mid[1]), new, rows,
-                    depth + 1)
+    (mid,), (mid_sep,) = _fibers(rows, [piece.at(tm)])
+    first = _advance(piece, ta, tm, old, (mid, mid_sep), rows)
+    return _advance(piece, tm, tb, (mid[first], mid_sep), new, rows)
 
 
 def _track(piece, fiber, rows) -> np.ndarray:
     """Transport ``fiber`` along ``piece``: entry k of the result continues
-    entry k of ``fiber``.  The fibers over the piece's grid are solved
-    together and every step is matched in one operation, on the unlabelled
+    entry k of ``fiber``.  The piece's grid fibers are solved together, so
+    a point that cannot be solved refuses the piece before any step is
+    matched.  All steps are matched in one operation, on the unlabelled
     fibers; the labels follow by composing index maps, and only a step that
-    fails is bisected, on its labelled fiber.  A grid point that cannot be
-    solved raises when the steps before it are done."""
+    fails is bisected, on its labelled fiber."""
     n = piece.initial_steps
     fiber = np.asarray(fiber, dtype=complex)
-    solved, failure = [], None
-    try:
-        for new in _fibers(rows, [piece.at((k + 1) / n) for k in range(n)]):
-            solved.append(new)
-    except (NonGenericError, TrackingAmbiguityError) as exc:
-        failure = exc
-    roots = np.array([fiber] + [f for f, _ in solved])
-    seps = np.array([_separations(fiber[None])[0]] + [s for _, s in solved])
+    grid, grid_seps = _fibers(rows, [piece.at((k + 1) / n) for k in range(n)])
+    roots = np.concatenate([fiber[None], grid])
+    seps = np.concatenate([_separations(fiber[None]), grid_seps])
     best, holds = _match(roots[:-1], roots[1:], seps[:-1], seps[1:])
     index = np.arange(len(fiber))
-    for k, new in enumerate(solved):
+    for k in range(n):
         if holds[k]:
             index = best[k][index]
         else:
             index = _advance(piece, k / n, (k + 1) / n,
-                             (roots[k][index], seps[k]), new, rows, 0)
-    if failure is not None:
-        raise failure
+                             (roots[k][index], seps[k]),
+                             (roots[k + 1], seps[k + 1]), rows)
     return roots[-1][index]
 
 
@@ -927,7 +915,7 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
                      if j != i), default=abs(s_x0 - sweep[i]))
         radii[i] = min(near, s_gap) / 2
 
-    base_fiber = sorted(next(_fibers(rows, [x0]))[0],
+    base_fiber = sorted(_fibers(rows, [x0])[0][0],
                         key=lambda z: (z.real, z.imag))
     if len(base_fiber) != d:
         raise TrackingAmbiguityError("base fiber does not have d points")

@@ -134,18 +134,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._from_raw(_inverse(self._raw))
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = tuple(range(self.degree))
-        base = self._raw
-        while n:
-            if n & 1:
-                result = _compose(base, result)
-            base = _compose(base, base)
-            n >>= 1
-        return Permutation._from_raw(result)
-
     def conjugate(self, by: "Permutation") -> "Permutation":
         """by * self * by^-1."""
         return by * self * by.inverse()
@@ -186,9 +174,6 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self._raw)
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return (self.degree, self._raw) < (other.degree, other._raw)
-
     def __str__(self) -> str:
         return format_cycles(self)
 
@@ -223,7 +208,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     used: set = set()
     i = 0
     n = len(text)
-    saw_cycle = False
     while i < n:
         if text[i] in whitespace:
             i += 1
@@ -261,12 +245,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             i = j
         if not points:
             raise CycleParseError(f"empty cycle in {text!r}")
-        saw_cycle = True
         for a, b in zip(points, points[1:]):
             raw[a] = b
         raw[points[-1]] = points[0]
-    if not saw_cycle:
-        raise CycleParseError(f"no cycles in {text!r}")
     return Permutation._from_raw(tuple(raw))
 
 

@@ -40,6 +40,14 @@ def o_compose(a: tuple, b: tuple) -> tuple:
     return tuple(a[x] for x in b)
 
 
+def o_power(a: tuple, n: int) -> tuple:
+    """a^n for n >= 0, by n products on 0-based image tuples."""
+    result = tuple(range(len(a)))
+    for _ in range(n):
+        result = o_compose(a, result)
+    return result
+
+
 def o_inverse(a: tuple) -> tuple:
     inv = [0] * len(a)
     for i, x in enumerate(a):
@@ -327,7 +335,8 @@ def o_local_inertia(cover) -> list:
     for j, cj in enumerate(cover.branch_cycles, start=1):
         for kappa in cj.cycles(include_fixed=True):
             u = v[kappa[0]]
-            element = u.inverse() * cj ** len(kappa) * u
+            power = o_power(tuple(x - 1 for x in cj.images), len(kappa))
+            element = u.inverse() * Permutation([x + 1 for x in power]) * u
             out.append(LocalInertia(branch_index=j, cycle=kappa,
                                     element=element))
     return out
@@ -471,19 +480,17 @@ def scalar_match(old: list, new: list):
     return assignment
 
 
-def scalar_advance(piece, ta: float, tb: float, fiber: list, ctx,
-                   depth: int) -> list:
+def scalar_advance(piece, ta: float, tb: float, fiber: list, ctx) -> list:
     new_roots = ctx.fiber(piece.at(tb))
     assignment = scalar_match(fiber, new_roots)
     if assignment is not None:
         return [new_roots[j] for j in assignment]
-    if depth >= numono.MAX_DEPTH or (tb - ta) < numono.STEP_TOLERANCE:
+    if (tb - ta) < numono.STEP_TOLERANCE:
         raise numono.TrackingAmbiguityError(
-            f"root matching failed near x = {piece.at(tb)} after "
-            f"depth-{depth} refinement")
+            f"root matching failed near x = {piece.at(tb)}")
     tm = (ta + tb) / 2
-    mid = scalar_advance(piece, ta, tm, fiber, ctx, depth + 1)
-    return scalar_advance(piece, tm, tb, mid, ctx, depth + 1)
+    mid = scalar_advance(piece, ta, tm, fiber, ctx)
+    return scalar_advance(piece, tm, tb, mid, ctx)
 
 
 def scalar_track(piece, fiber: list, ctx) -> list:
@@ -491,7 +498,7 @@ def scalar_track(piece, fiber: list, ctx) -> list:
     entry k of ``fiber``."""
     n = piece.initial_steps
     for k in range(n):
-        fiber = scalar_advance(piece, k / n, (k + 1) / n, fiber, ctx, 0)
+        fiber = scalar_advance(piece, k / n, (k + 1) / n, fiber, ctx)
     return fiber
 
 

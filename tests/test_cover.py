@@ -119,6 +119,22 @@ def test_validate_degree_mismatch():
     assert any("degree" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("cover, violation", [
+    (BranchedCover(0, 0), "degree must be positive, got 0"),
+    (BranchedCover(2, -1), "base genus must be non-negative, got -1"),
+    (BranchedCover(3, 1, ((parse_cycles("(1 2)", 2), parse_cycles("id", 2)),),
+                   (parse_cycles("(1 2 3)", 3),) * 3),
+     "handle 1 alpha has degree 2, expected 3"),
+    (BranchedCover(2, 0, branch_cycles=(parse_cycles("(1 2)", 2),) * 2,
+                   labels=("x=0",)),
+     "1 labels for 2 branch cycles"),
+])
+def test_validate_reports_each_structural_violation(cover, violation):
+    report = validate(cover)
+    assert not report.valid
+    assert violation in report.violations
+
+
 @pytest.mark.parametrize("genus, handle_strs", [
     (1, []),
     (0, [("id", "id")]),
@@ -307,6 +323,27 @@ def test_cover_file_rejects_bad_types():
                               "handles": [], "branch_cycles": []})
     with pytest.raises(CoverFormatError):
         loads_cover("not json")
+
+
+_TREFOIL_DOC = json.loads(dumps_cover(TREFOIL))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "cover document must be a JSON object"),
+    (json.dumps({**_TREFOIL_DOC, "base_genus": -1}),
+     "base_genus must be a non-negative integer, got -1"),
+    (json.dumps({**_TREFOIL_DOC, "handles": {}}), "handles must be an array"),
+    (json.dumps({**_TREFOIL_DOC, "branch_cycles": "x"}),
+     "branch_cycles must be an array"),
+    (json.dumps({**_TREFOIL_DOC, "base_genus": 1, "handles": [["id"]]}),
+     "handle 1 must be a 2-element array of cycle strings"),
+    (json.dumps({**_TREFOIL_DOC, "labels": [1]}),
+     "labels must be an array of strings"),
+])
+def test_cover_file_refuses_each_malformed_field(text, message):
+    with pytest.raises(CoverFormatError) as refused:
+        loads_cover(text)
+    assert str(refused.value) == message
 
 
 def test_cover_file_rejects_non_string_branch_cycle():

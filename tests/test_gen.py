@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -15,7 +16,7 @@ from ramify.cover import (
     loads_cover,
     validate,
 )
-from ramify.fiber import CoverContext, TheoremViolationError
+from ramify.fiber import CoverContext, OracleReport, TheoremViolationError
 from ramify.gen import (
     _draw_parameters,
     _sample_cover,
@@ -29,7 +30,8 @@ from ramify.gen import (
     random_cover,
     verify_corpus,
 )
-from ramify.perm import Permutation, parse_cycles
+from ramify.graphs import ConnectivityVerdict
+from ramify.perm import Permutation, Transitivity, parse_cycles
 
 import oracles
 from oracles import (
@@ -148,7 +150,7 @@ GOLDEN_ENUMERATION = {
                            "6478416c804661e4c69f961612bec9d876661a2a5363ccf236148e2198afde61"),
 }
 
-#: The same over ``random_cover(spec, seed)`` for seeds 0..7.
+#: The same over ``random_cover`` of each spec with seeds 0..7.
 GOLDEN_SAMPLES = {
     "genus0": (CorpusSpec((3, 6), (0, 0), (2, 5), samples=1, seed=0),
                "8f31fac88322dfc4f54611f9157b14bdaf9b311ce6d3c267911ab3be4d0636d5"),
@@ -178,8 +180,8 @@ def test_enumeration_matches_recorded(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
 def test_random_covers_match_recorded(name):
     corpus, digest = GOLDEN_SAMPLES[name]
-    assert cover_digest(random_cover(corpus, seed) for seed in range(8)) \
-        == digest
+    assert cover_digest(random_cover(dataclasses.replace(corpus, seed=seed))
+                        for seed in range(8)) == digest
 
 
 # -- dedup canonical form ---------------------------------------------------
@@ -253,6 +255,11 @@ def test_random_cover_deterministic():
     s = spec(4, 0, 6, morse_only=True, samples=1, seed=99)
     a, b = random_cover(s), random_cover(s)
     assert a == b
+
+
+def test_random_cover_refuses_an_exhaustive_spec():
+    with pytest.raises(ValueError, match="random-mode spec"):
+        random_cover(CorpusSpec((2, 3), (0, 0), (2, 2)))
 
 
 def test_random_cover_valid_and_morse():
@@ -639,6 +646,59 @@ def test_wrong_component_genus_is_a_derived_cover_violation(monkeypatch):
     assert [v.split(" | cover: ")[0] for v in violations] == [
         f"derived_cover: genus over X {genus + 1} != genus over Y {genus}"]
     assert loads_cover(violations[0].split(" | cover: ")[1]) == MORSE7
+
+
+def _derived_with(**fields):
+    real = CoverContext.derived_cover.func
+    return property(lambda self: dataclasses.replace(real(self), **fields))
+
+
+#: Each check forced to fail by one patch: the check, the cover, the
+#: patched attribute and its stand-in, and the violation text.
+#: The derived cover is checked only for Morse covers of degree >= 3, whose
+#: group S_d has order d! > d, and the Cayley oracle only for Galois
+#: covers, of group order d; so the oracle is forced on a second cover.
+FORCED_VIOLATIONS = {
+    "hn_vs_dual_graph": (
+        "hn_vs_dual_graph", "TREFOIL_MORSE", ramify.gen, "is_connected",
+        lambda graph: ConnectivityVerdict(False, False),
+        "HN test says True, dual graph says False"),
+    "theorem_main": (
+        "theorem_main", "TREFOIL_MORSE", CoverContext, "offdiag",
+        property(lambda self: ConnectivityVerdict(False, False)),
+        "genuinely ramified but off-diagonal closure disconnected"),
+    "two_transitive_vs_orbitals": (
+        "two_transitive_vs_orbitals", "TREFOIL_MORSE", ramify.gen,
+        "transitivity", lambda group: Transitivity.TRANSITIVE,
+        "two_transitive=False but 2 orbitals"),
+    "derived_cover_morse": (
+        "derived_cover", "TREFOIL_MORSE", CoverContext, "derived_cover",
+        _derived_with(morse=False), "derived cover not Morse"),
+    "derived_cover_genuine": (
+        "derived_cover", "TREFOIL_MORSE", CoverContext, "derived_cover",
+        _derived_with(genuinely_ramified=False),
+        "derived cover not genuinely ramified"),
+    "cayley_oracle": (
+        "cayley_oracle", "GALOIS_V4", CoverContext, "cayley_oracle",
+        lambda self, cap: OracleReport(False, None, None, None, None, False),
+        "quotient graph differs from dual graph"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_VIOLATIONS))
+def test_each_check_violation_is_collected_not_raised(monkeypatch, case):
+    """A check that fails is recorded as its name, its text and the
+    serialized cover, and ``check_cover`` returns; a forced fact may also
+    fail a later check that reads it (a disconnected off-diagonal closure
+    fails the S_d certificate too)."""
+    import test_cover
+    check, name, owner, attr, patch, text = FORCED_VIOLATIONS[case]
+    cover = getattr(test_cover, name)
+    monkeypatch.setattr(owner, attr, patch)
+    counters, _, violations = check_cover(cover)
+    assert counters[check] == 1
+    assert [v for v in violations if v.startswith(f"{check}: ")] == [
+        f"{check}: {text} | cover: {dumps_cover(cover).strip()}"]
 
 
 @pytest.mark.parametrize("corpus", [

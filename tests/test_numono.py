@@ -95,6 +95,28 @@ def test_singular_curve_refused():
         track_monodromy(parse_poly("y^2 - x^3"))
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("x^2 + x", ValueError, "y-degree 0 < 2"),
+    ("y - y", ValueError, "zero polynomial"),
+    ("(y - x)^2*(y + 1)", NonGenericError, "not squarefree in y"),
+])
+def test_polynomial_outside_the_model_refused(text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x*y^2 - x^2 - x", SingularCurveError, "vertical-line component"),
+    # the critical values are +-1e-12 i
+    ("y^2 - x^2 + 1/10^24", NonGenericError,
+     "critical values within tolerance of each other (separation 2e-12)"),
+])
+def test_curve_outside_the_model_refused_before_tracking(text, error,
+                                                         message):
+    with pytest.raises(error, match=re.escape(message)):
+        track_monodromy(parse_poly(text))
+
+
 @pytest.mark.parametrize("text", [
     "y^4 - 2*x*y^2 + x^3 - 1",
     # totally ramified over 0: the discriminant has a multiple root there
@@ -204,9 +226,9 @@ def test_batched_fibers_equal_per_point_roots(monkeypatch, text):
     solved = []
 
     def fibers(rows, zs):
-        for z, (roots, sep) in zip(zs, real(rows, zs)):
-            solved.append((z, roots, sep))
-            yield roots, sep
+        roots, seps = real(rows, zs)
+        solved.extend(zip(zs, roots, seps))
+        return roots, seps
 
     monkeypatch.setattr(numono, "_fibers", fibers)
     track_monodromy(p)
@@ -225,24 +247,36 @@ def test_batched_fibers_equal_per_point_roots(monkeypatch, text):
 ])
 def test_batched_fibers_keep_np_roots_at_a_zero_constant_term(text, zs):
     scalar = ScalarFloat64(parse_poly(text))
-    fibers = list(numono._fibers(scalar.coeff_polys, zs))
-    assert [_bits(roots) for roots, _ in fibers] == \
+    roots, seps = numono._fibers(scalar.coeff_polys, zs)
+    assert [_bits(fiber) for fiber in roots] == \
         [_bits(scalar.fiber(z)) for z in zs]
-    assert [sep for _, sep in fibers] == [min_sep(scalar.fiber(z))
-                                          for z in zs]
-    assert 0 in fibers[zs.index(0j)][0]
-    assert _bits(next(numono._fibers(scalar.coeff_polys, [0j]))[0]) == \
+    assert list(seps) == [min_sep(scalar.fiber(z)) for z in zs]
+    assert 0 in roots[zs.index(0j)]
+    assert _bits(numono._fibers(scalar.coeff_polys, [0j])[0][0]) == \
         _bits(scalar.fiber(0j))
 
 
-def test_refused_grid_point_raises_only_when_reached():
-    """A point where the leading coefficient vanishes does not stop the
-    points before it, so the order of errors along a path is kept."""
+def test_first_unsolvable_grid_point_refuses_the_call(monkeypatch):
+    """The first point of a grid that cannot be solved refuses the whole
+    call before any point is solved, and the message names it: a vanishing
+    leading coefficient as a TrackingAmbiguityError, coefficients beyond
+    float64 as a NonGenericError, whichever comes first."""
+    solves = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: solves.append(a) or eigvals(a))
     rows = ScalarFloat64(parse_poly("x*y^2 + y + x^2 - 3")).coeff_polys
-    fibers = numono._fibers(rows, [1 + 0j, 1j, 0j, 2 + 0j])
-    assert len(next(fibers)[0]) == len(next(fibers)[0]) == 2
-    with pytest.raises(TrackingAmbiguityError, match="at x = 0j"):
-        next(fibers)
+    with pytest.raises(TrackingAmbiguityError, match=r"at x = 0j$"):
+        numono._fibers(rows, [1 + 0j, 1j, 0j, 2 + 0j])
+    # the leading coefficient 1e300*x vanishes at 0; at 1e10 it overflows
+    # with the constant coefficient, so only the float64 test refuses there
+    rows = [[-1 + 0j, -1e300 + 0j], [0j], [0j, 1e300 + 0j]]
+    with pytest.raises(TrackingAmbiguityError, match=r"at x = 0j$"):
+        numono._fibers(rows, [1 + 0j, 0j, 1e10 + 0j])
+    with pytest.raises(NonGenericError, match=r"x = \(10000000000\+0j\)"):
+        numono._fibers(rows, [1 + 0j, 1e10 + 0j, 0j])
+    assert solves == []
+    assert len(numono._fibers(rows, [1 + 0j, 2 + 0j])[0]) == 2
 
 
 @pytest.mark.parametrize("text", ["y^4 + x^4 + x*y - 1",
@@ -691,16 +725,30 @@ def test_tracking_ambiguity_is_not_retried(monkeypatch):
 def test_fiber_refused_where_the_leading_coefficient_vanishes():
     rows = ScalarFloat64(parse_poly("x*y^2 + y + x^2 - 3")).coeff_polys
     with pytest.raises(TrackingAmbiguityError, match="leading coefficient"):
-        next(numono._fibers(rows, [0j]))
-    assert len(next(numono._fibers(rows, [1j]))[0]) == 2
+        numono._fibers(rows, [0j])
+    assert len(numono._fibers(rows, [1j])[0][0]) == 2
 
 
 def test_step_that_never_matches_is_refused(monkeypatch):
+    """No step holds, so the first step of the first piece is bisected
+    depth first until it is shorter than ``STEP_TOLERANCE``: from 1/8 of
+    the piece that takes 31 halvings, each solving one midpoint, after the
+    one-point solve of the base fiber."""
     passes = _tracking_passes(monkeypatch)
+    real = numono._fibers
+    single = []
+
+    def fibers(rows, zs):
+        if len(zs) == 1:
+            single.append(zs[0])
+        return real(rows, zs)
+
+    monkeypatch.setattr(numono, "_fibers", fibers)
     monkeypatch.setattr(numono, "SAFETY_FACTOR", 1e12)
     with pytest.raises(TrackingAmbiguityError, match="root matching failed"):
         track_monodromy(parse_poly("y^2 - x^3 + x"))
     assert len(passes) == 1
+    assert len(single) == 32
 
 
 def test_circle_whose_end_cannot_be_matched_is_refused(monkeypatch):
@@ -719,8 +767,8 @@ def test_short_base_fiber_is_refused(monkeypatch):
     real = numono._fibers
 
     def fibers(rows, zs):
-        for roots, sep in real(rows, zs):
-            yield roots[1:], sep
+        roots, seps = real(rows, zs)
+        return roots[:, 1:], seps
 
     monkeypatch.setattr(numono, "_fibers", fibers)
     with pytest.raises(TrackingAmbiguityError, match="base fiber"):
@@ -856,12 +904,11 @@ def test_constant_leading_coefficient_is_never_refused():
 
 def test_fiber_with_coefficients_beyond_float64_is_non_generic():
     """A point where the monic fiber polynomial leaves the float64 range is
-    refused when it is reached, as a NonGenericError."""
+    refused, as a NonGenericError."""
     rows = [[-1 + 0j, -1e300 + 0j], [0j], [1 + 0j]]
-    fibers = numono._fibers(rows, [1 + 0j, 1e10 + 0j])
-    assert len(next(fibers)[0]) == 2
+    assert len(numono._fibers(rows, [1 + 0j])[0][0]) == 2
     with pytest.raises(NonGenericError, match="outside the float64 range"):
-        next(fibers)
+        numono._fibers(rows, [1 + 0j, 1e10 + 0j])
 
 
 def test_package_import_leaves_sympy_unloaded():
