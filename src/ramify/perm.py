@@ -7,28 +7,33 @@ tuples are 0-based and private.
 
 Groups are immutable: the stabilizer chain (full ascending base
 1, 2, ..., d) is built once at construction, so instances can be shared
-freely across threads.  Every chain grows by one path, ``_extend``, which
-sifts one element in and re-completes the levels it touched; a level
-keeps its transversal and the Schreier generators it has already sifted,
-so none is sifted twice.  Stab(p) and the transversal at p are read off
-the chain of a group fixing 1..p-1, shared rather than rebuilt, and are
-refused for any other p; no chain is copied or joined.  Nothing else is
-precomputed: transitivity and two-transitivity are the sizes of the first
-two basic orbits of the chain.  Orbits, on points or on ordered pairs of
-points, need no chain at all: one breadth-first search over integer points
-along 0-based image tables, a pair (p, q) being the point (p-1)d + q-1 of
-the pair action.  Nor do the orbits of a normal closure: they are the
-blocks of the least congruence joining each x to s(x), by union-find on
-pairs of points.  A point is an int of 1..d wherever one is taken.
+freely across threads.  A group's chain is first grown from seeded random
+subproducts of its generators, sifting no Schreier generator, and kept
+only once every basic orbit is full, which proves the group is S_d.  Every
+other chain, and every normal closure's, grows by the exact path,
+``_extend``, which sifts one element in and re-completes the levels it
+touched; a level keeps its transversal and the Schreier generators it has
+already sifted, so none is sifted twice.  Stab(p) and the transversal at
+p are read off the chain of a group fixing 1..p-1, shared rather than
+rebuilt, and are refused for any other p; no chain is copied or joined.
+Nothing else is precomputed: transitivity and two-transitivity are the
+sizes of the first two basic orbits of the chain.  Orbits, on points or
+on ordered pairs of points, need no chain at all: one breadth-first search
+over integer points along 0-based image tables, a pair (p, q) being the
+point (p-1)d + q-1 of the pair action.  Nor do the orbits of a normal
+closure: they are the blocks of the least congruence joining each x to
+s(x), by union-find on pairs of points.  A point is an int of 1..d
+wherever one is taken.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from enum import Enum
 from string import whitespace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class CycleParseError(ValueError):
@@ -48,7 +53,7 @@ class MembershipError(ValueError):
 
 def _compose(a: tuple, b: tuple) -> tuple:
     """(a o b)(i) = a(b(i)) on 0-based tuples."""
-    return tuple(a[x] for x in b)
+    return tuple([a[x] for x in b])
 
 
 def _inverse(a: tuple) -> tuple:
@@ -252,7 +257,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer chain (incremental Schreier-Sims, full ascending base)
+# stabilizer chain (random Schreier-Sims for S_d, else incremental
+# deterministic Schreier-Sims; full ascending base)
 #
 # Level k holds the strong generators first moved at base point k; the
 # generating set of the stabilizer of points 0..k-1 is the union of the
@@ -274,6 +280,14 @@ class _Level:
         # orbit point q -> raw u with u(self.point) = q, and its inverse
         self.transversal, self.inverses = {point: ident}, {point: ident}
         self.sifted: dict = {}
+
+
+#: Seed of the Random, local to each build, that draws the random
+#: subproducts of ``_symmetric_chain``: every build of a group is the same.
+_SUBPRODUCT_SEED = 0
+#: Random subproducts that may sift to the identity before
+#: ``_symmetric_chain`` gives up.
+_IDENTITY_SIFTS = 16
 
 
 def _gens_at(levels: list, i: int) -> list:
@@ -305,6 +319,85 @@ def _extend(levels: list, h: tuple) -> bool:
     for j in range(k, -1, -1):
         _complete_level(levels, j)
     return True
+
+
+def _close_orbit(levels: list, i: int, g: tuple, closed: list) -> int:
+    """Grow level i's orbit and transversal along g, a generator just added
+    to a level >= i, sifting no Schreier generator; returns the number of
+    points added.  ``closed[i]`` counts the orbit points (a prefix) whose
+    images under the other generators of levels >= i are in the orbit:
+    those points meet g alone, the rest every generator."""
+    lev = levels[i]
+    orbit, trans, inverses = lev.orbit, lev.transversal, lev.inverses
+    gens, n, start = [g], 0, len(lev.orbit)
+    while n < len(orbit):
+        if n == closed[i]:
+            gens = _gens_at(levels, i)
+        q = orbit[n]
+        n += 1
+        for h in gens:
+            r = h[q]
+            if r not in trans:
+                u = _compose(h, trans[q])
+                orbit.append(r)
+                trans[r], inverses[r] = u, _inverse(u)
+    closed[i] = n
+    return n - start
+
+
+def _random_walk(raws: list) -> Iterator[tuple]:
+    """x <- w x from the identity on, for w the random subproducts of raws
+    drawn by a Random seeded with ``_SUBPRODUCT_SEED``, made on first use."""
+    rng = random.Random(_SUBPRODUCT_SEED)
+    x = tuple(range(len(raws[0])))
+    while True:
+        bits = rng.getrandbits(len(raws))
+        for i in range(len(raws) - 1, -1, -1):
+            if bits >> i & 1:
+                x = _compose(raws[i], x)
+        yield x
+
+
+def _symmetric_chain(degree: int, raws: list) -> list | None:
+    """A complete chain of S_d, if random subproducts of the generators
+    raws prove that they generate S_d; else None, at once if every
+    generator is even.
+
+    Each generator, then each x <- w x for w a random subproduct of the
+    generators, is sifted; a residue joins the level it stuck at, and the
+    orbits of that level and the levels before it are closed under their
+    generators.  Once the orbit lengths sum to d(d+1)/2 every level is
+    full: each transversal element lies in the group and fixes the base
+    points before its level, so the d! products of transversal elements
+    are distinct elements of the group, which is S_d, and the chain is a
+    complete one of S_d.  Once ``_IDENTITY_SIFTS`` subproducts have sifted
+    to the identity the chain is given up, so at most that many sifts more
+    than there are residues are spent on a group that is not S_d."""
+    if all((degree - len(_orbits([h], degree))) % 2 == 0 for h in raws):
+        return None     # even generators generate a subgroup of A_d
+    levels = [_Level(k, degree) for k in range(degree)]
+    closed = [0] * degree
+
+    def sift(h: tuple) -> int:
+        """Sift h in; returns the number of orbit points its residue adds."""
+        residue, k = _strip_from(h, levels)
+        if residue is None:
+            return 0
+        levels[k].gens.append(residue)
+        return sum(_close_orbit(levels, j, residue, closed)
+                   for j in range(k, -1, -1))
+
+    size = degree + sum(sift(h) for h in raws)
+    walk = _random_walk(raws)
+    identities = 0
+    while size < degree * (degree + 1) // 2:
+        if identities == _IDENTITY_SIFTS:
+            return None
+        added = sift(next(walk))
+        if not added:
+            identities += 1
+        size += added
+    return levels
 
 
 def _complete_level(levels: list, i: int) -> None:
@@ -353,7 +446,13 @@ class GeneratedGroup:
     """Subgroup of S_d given by generators.
 
     The stabilizer chain and exact order are built at construction and
-    never change.
+    never change.  The chain is first built from random subproducts of the
+    generators (``_symmetric_chain``); when its basic orbits fill, with
+    lengths d, d-1, ..., 1, the group has d! distinct products of
+    transversal elements, so it is S_d, and that chain is complete.  That
+    is the group of every Morse, genuinely ramified cover.  Otherwise the
+    partial chain is dropped and the chain is built by ``_extend`` from
+    the generators on fresh levels, exactly, as for any group.
     """
 
     __slots__ = ("degree", "generators", "_levels", "_order")
@@ -368,9 +467,11 @@ class GeneratedGroup:
             if g.degree != degree:
                 raise DegreeMismatchError(
                     f"generator of degree {g.degree} in a group of degree {degree}")
-        levels = [_Level(k, degree) for k in range(degree)]
-        for g in gens:
-            _extend(levels, g._raw)
+        levels = _symmetric_chain(degree, [g._raw for g in gens])
+        if levels is None:
+            levels = [_Level(k, degree) for k in range(degree)]
+            for g in gens:
+                _extend(levels, g._raw)
         self._set(degree, gens, levels)
 
     @classmethod
@@ -529,11 +630,15 @@ def least_congruence(g: GeneratedGroup, pairs: Iterable) -> tuple:
     each s, so its orbits form such a partition, and the kernel of any such
     partition is normal and holds each s, so holds N."""
     d = g.degree
-    joins = []
-    for x, y in pairs:
-        if not (_is_point(x, d) and _is_point(y, d)):
-            raise ValueError(f"not a pair of points of 1..{d}: {(x, y)!r}")
-        joins.append((x - 1, y - 1))
+    pairs = list(pairs)
+    entries = list(itertools.chain.from_iterable(pairs))
+    # each distinct entry is tested once; a refusal names the first bad pair
+    if not ({*map(type, entries)} <= {int}
+            and all(1 <= x <= d for x in set(entries))):
+        for x, y in pairs:
+            if not (_is_point(x, d) and _is_point(y, d)):
+                raise ValueError(f"not a pair of points of 1..{d}: {(x, y)!r}")
+    joins = [(x - 1, y - 1) for x, y in pairs]
     parent = list(range(d))
 
     def find(x: int) -> int:

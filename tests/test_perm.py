@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -206,17 +207,12 @@ def test_order_matches_naive_closure(g):
 @settings(max_examples=40, deadline=None)
 @given(small_groups_st())
 def test_membership_matches_naive_closure(g):
+    """Membership agrees with the closure on every element of S_d."""
     raw_closure = o_closure([tuple(x - 1 for x in p.images)
                              for p in g.generators])
-    closure = {Permutation(tuple(x + 1 for x in t)) for t in raw_closure}
-    for p in itertools.islice(closure, 30):
-        assert p in g
-    rng = random.Random(7)
-    for _ in range(10):
-        images = list(range(1, g.degree + 1))
-        rng.shuffle(images)
-        q = Permutation(images)
-        assert (q in g) == (q in closure)
+    for images in itertools.permutations(range(g.degree)):
+        member = Permutation([x + 1 for x in images]) in g
+        assert member == (images in raw_closure)
 
 
 def test_elements_enumeration():
@@ -549,11 +545,146 @@ def test_build_sifts_each_schreier_generator_once(d, monkeypatch):
         assert sifts[i] <= size * n_gens - (size - 1)
 
 
-@pytest.mark.parametrize("d", range(6, 13))
-def test_morse_braid_walk_group_is_symmetric(d):
+# -- chain build ------------------------------------------------------------
+
+def _record(monkeypatch, *names):
+    """Patch each named function of ``ramify.perm`` to log its calls."""
+    import ramify.perm as perm_module
+
+    calls = []
+    for name in names:
+        def counted(*args, _inner=getattr(perm_module, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(perm_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [*range(6, 13), 24])
+def test_morse_braid_walk_group_is_symmetric(d, monkeypatch):
+    """A braid-walk tuple generates S_d: random subproducts fill every basic
+    orbit, so neither ``_extend`` nor ``_complete_level`` runs."""
+    calls = _record(monkeypatch, "_extend", "_complete_level")
     rng = random.Random(f"symmetric/{d}")
     g = GeneratedGroup(d, braid_walk_tuple(rng, d))
+    assert calls == []
     assert g.order == math.factorial(d)
+    assert [len(lev.orbit) for lev in g._levels] == list(range(d, 0, -1))
+
+
+NOT_SYMMETRIC = {  # name: (degree, generators, order)
+    "a5": (5, ["(1 2 3)", "(1 2 4)", "(1 2 5)"], 60),
+    "a6": (6, ["(1 2 3)", "(1 2 4)", "(1 2 5)", "(1 2 6)"], 360),
+    "psl_2_7": (7, ["(1 2 3 4 5 6 7)", "(1 2)(3 5)"], 168),
+    "f21": (7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"], 21),
+    "d4": (4, ["(1 2 3 4)", "(1 3)"], 8),
+    "v4": (4, ["(1 2)(3 4)", "(1 3)(2 4)"], 4),
+    "c6": (6, ["(1 2 3 4 5 6)"], 6),
+    "s3_x_s3": (6, ["(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)"], 36),
+    "s7_fixing_8": (8, ["(1 2)", "(1 2 3 4 5 6 7)"], 5040),
+}
+EVEN = ["a5", "a6", "f21", "psl_2_7", "v4"]
+
+
+@pytest.mark.parametrize("name", sorted(NOT_SYMMETRIC))
+def test_group_that_is_not_symmetric_falls_back(name, monkeypatch):
+    """Any group but S_d gets the chain ``_extend`` builds, one generator at
+    a time on fresh levels, and its exact order."""
+    d, texts, order = NOT_SYMMETRIC[name]
+    gens = [perm(t, d) for t in texts]
+    calls = _record(monkeypatch, "_extend")
+    g = GeneratedGroup(d, gens)
+    assert calls == ["_extend"] * len(gens)
+    assert g.order == order == len(
+        o_closure([tuple(x - 1 for x in s.images) for s in gens]))
+
+
+def _sifts_before_fallback(monkeypatch):
+    """Log (start, member) of each ``_strip_from`` call before the first
+    ``_extend``."""
+    import ramify.perm as perm_module
+
+    sifts, fallen = [], []
+    strip, extend = perm_module._strip_from, perm_module._extend
+
+    def counted_strip(h, levels, start=0):
+        residue, k = strip(h, levels, start)
+        if not fallen:
+            sifts.append((start, residue is None))
+        return residue, k
+
+    def counted_extend(levels, h):
+        fallen.append(h)
+        return extend(levels, h)
+
+    monkeypatch.setattr(perm_module, "_strip_from", counted_strip)
+    monkeypatch.setattr(perm_module, "_extend", counted_extend)
+    return sifts
+
+
+@pytest.mark.parametrize("name", EVEN)
+def test_even_generators_skip_the_random_step(name, monkeypatch):
+    d, texts, _ = NOT_SYMMETRIC[name]
+    sifts = _sifts_before_fallback(monkeypatch)
+    GeneratedGroup(d, [perm(t, d) for t in texts])
+    assert sifts == []
+
+
+@pytest.mark.parametrize("name", sorted(set(NOT_SYMMETRIC) - set(EVEN)))
+def test_random_step_is_bounded_by_its_identity_sifts(name, monkeypatch):
+    """Before the fallback every sift starts at level 0, and the random
+    subproducts number at most _IDENTITY_SIFTS plus the residues: exactly
+    _IDENTITY_SIFTS of them sift to the identity."""
+    import ramify.perm as perm_module
+
+    d, texts, _ = NOT_SYMMETRIC[name]
+    sifts = _sifts_before_fallback(monkeypatch)
+    GeneratedGroup(d, [perm(t, d) for t in texts])
+    assert all(start == 0 for start, _ in sifts)
+    members = [member for _, member in sifts]
+    subproducts = members[len(texts):]
+    assert subproducts.count(True) == perm_module._IDENTITY_SIFTS
+    assert len(subproducts) <= (perm_module._IDENTITY_SIFTS
+                                + members.count(False))
+
+
+@pytest.mark.parametrize("d, texts", [
+    (12, None), NOT_SYMMETRIC["d4"][:2], NOT_SYMMETRIC["s3_x_s3"][:2]],
+    ids=["s12", "d4", "s3_x_s3"])
+def test_two_builds_of_a_group_give_one_chain(d, texts):
+    """The subproducts come from a Random local to the build: neither
+    another build between the two nor the module's generator changes
+    them, and the build draws nothing from the module's generator."""
+    gens = (braid_walk_tuple(random.Random("two-builds"), d) if texts is None
+            else [perm(t, d) for t in texts])
+    first = _chain_snapshot(GeneratedGroup(d, gens))
+    GeneratedGroup(5, [perm("(1 2)", 5), perm("(1 2 3 4 5)", 5)])
+    state = random.getstate()
+    try:
+        random.seed("not the build's seed")
+        seeded = random.getstate()
+        second = _chain_snapshot(GeneratedGroup(d, gens))
+        assert random.getstate() == seeded
+    finally:
+        random.setstate(state)
+    assert second == first
+
+
+GOLDEN_CHAIN_12 = \
+    "cbb2047f9a4ee34402bba8577ed04df99719a58cbd461deea22578c67874eed7"
+
+
+def test_random_subproduct_chain_is_pinned(monkeypatch):
+    """One d = 12 chain, which random subproducts completed, pinned by a
+    digest: a change to CPython's ``Random`` draws fails here."""
+    sifts = _sifts_before_fallback(monkeypatch)
+    gens = braid_walk_tuple(random.Random("pinned-chain"), 12)
+    g = GeneratedGroup(12, gens)
+    assert len(sifts) > len(gens)
+    text = repr([(lev.gens, lev.orbit, sorted(lev.transversal.items()))
+                 for lev in g._levels])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CHAIN_12
 
 
 # -- normal closure ---------------------------------------------------------
