@@ -360,8 +360,7 @@ def _random_walk(raws: list) -> Iterator[tuple]:
 
 def _symmetric_chain(degree: int, raws: list) -> list | None:
     """A complete chain of S_d, if random subproducts of the generators
-    raws prove that they generate S_d; else None, at once if every
-    generator is even.
+    raws prove that they generate S_d; else None.
 
     Each generator, then each x <- w x for w a random subproduct of the
     generators, is sifted; a residue joins the level it stuck at, and the
@@ -373,8 +372,6 @@ def _symmetric_chain(degree: int, raws: list) -> list | None:
     complete one of S_d.  Once ``_IDENTITY_SIFTS`` subproducts have sifted
     to the identity the chain is given up, so at most that many sifts more
     than there are residues are spent on a group that is not S_d."""
-    if all((degree - len(_orbits([h], degree))) % 2 == 0 for h in raws):
-        return None     # even generators generate a subgroup of A_d
     levels = [_Level(k, degree) for k in range(degree)]
     closed = [0] * degree
 
