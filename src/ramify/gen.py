@@ -37,7 +37,7 @@ from .cover import BranchedCover, InvalidCoverError, dumps_cover
 from .fiber import CoverContext, TheoremViolationError
 from .graphs import is_connected
 from .perm import (Permutation, Transitivity, _compose, _inverse,
-                   _is_identity, _orbits, transitivity)
+                   _is_identity, _moved, _orbits, transitivity)
 
 #: Hard enumeration caps per base genus.
 ENUMERATION_CAPS = {0: 5, 1: 3}
@@ -156,10 +156,6 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
 
 def _commutator(a: tuple, b: tuple) -> tuple:
     return _compose(a, _compose(b, _compose(_inverse(a), _inverse(b))))
-
-
-def _moved(raw) -> int:
-    return sum(x != i for i, x in enumerate(raw))
 
 
 def _completed(handles, frees, prod, r: int,

@@ -7,10 +7,11 @@ tuples are 0-based and private.
 
 Groups are immutable: the stabilizer chain (full ascending base
 1, 2, ..., d) is built once at construction, so instances can be shared
-freely across threads.  A group's chain is first grown from seeded random
-subproducts of its generators, sifting no Schreier generator, and kept
-only once every basic orbit is full, which proves the group is S_d.  Every
-other chain, and every normal closure's, grows by the exact path,
+freely across threads.  S_d is recognised exactly and its chain written
+down, not built: x ~ y when x = y or (x y) lies in G is a G-invariant
+equivalence, so if a generator is a transposition (a b) and the least
+G-invariant partition joining a and b is one block, G holds every
+transposition.  Every other chain, and every normal closure's, grows by
 ``_extend``, which sifts one element in and re-completes the levels it
 touched; a level keeps its transversal and the Schreier generators it has
 already sifted, so none is sifted twice.  Stab(p) and the transversal at
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from enum import Enum
 from string import whitespace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class CycleParseError(ValueError):
@@ -65,6 +65,11 @@ def _inverse(a: tuple) -> tuple:
 
 def _is_identity(a: tuple) -> bool:
     return a == tuple(range(len(a)))
+
+
+def _moved(a: tuple) -> int:
+    """The number of points a moves: 2 exactly for a transposition."""
+    return sum(x != i for i, x in enumerate(a))
 
 
 def _is_point(x, d: int) -> bool:
@@ -170,8 +175,7 @@ class Permutation:
                             reverse=True))
 
     def is_transposition(self) -> bool:
-        cyc = self.cycles()
-        return len(cyc) == 1 and len(cyc[0]) == 2
+        return _moved(self._raw) == 2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._raw == other._raw
@@ -257,12 +261,14 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer chain (random Schreier-Sims for S_d, else incremental
-# deterministic Schreier-Sims; full ascending base)
+# stabilizer chain (S_d written down, else incremental deterministic
+# Schreier-Sims; full ascending base)
 #
 # Level k holds the strong generators first moved at base point k; the
 # generating set of the stabilizer of points 0..k-1 is the union of the
-# generator lists of levels k, k+1, ..., d-1.
+# generator lists of levels k, k+1, ..., d-1.  S_d's chain is written down
+# from the invariant-equivalence argument of ``_symmetric_chain``; every
+# other group's grows by ``_extend``.
 
 class _Level:
     """One level of a chain.  The orbit only grows and a representative,
@@ -280,14 +286,6 @@ class _Level:
         # orbit point q -> raw u with u(self.point) = q, and its inverse
         self.transversal, self.inverses = {point: ident}, {point: ident}
         self.sifted: dict = {}
-
-
-#: Seed of the Random, local to each build, that draws the random
-#: subproducts of ``_symmetric_chain``: every build of a group is the same.
-_SUBPRODUCT_SEED = 0
-#: Random subproducts that may sift to the identity before
-#: ``_symmetric_chain`` gives up.
-_IDENTITY_SIFTS = 16
 
 
 def _gens_at(levels: list, i: int) -> list:
@@ -321,79 +319,35 @@ def _extend(levels: list, h: tuple) -> bool:
     return True
 
 
-def _close_orbit(levels: list, i: int, g: tuple, closed: list) -> int:
-    """Grow level i's orbit and transversal along g, a generator just added
-    to a level >= i, sifting no Schreier generator; returns the number of
-    points added.  ``closed[i]`` counts the orbit points (a prefix) whose
-    images under the other generators of levels >= i are in the orbit:
-    those points meet g alone, the rest every generator."""
-    lev = levels[i]
-    orbit, trans, inverses = lev.orbit, lev.transversal, lev.inverses
-    gens, n, start = [g], 0, len(lev.orbit)
-    while n < len(orbit):
-        if n == closed[i]:
-            gens = _gens_at(levels, i)
-        q = orbit[n]
-        n += 1
-        for h in gens:
-            r = h[q]
-            if r not in trans:
-                u = _compose(h, trans[q])
-                orbit.append(r)
-                trans[r], inverses[r] = u, _inverse(u)
-    closed[i] = n
-    return n - start
-
-
-def _random_walk(raws: list) -> Iterator[tuple]:
-    """x <- w x from the identity on, for w the random subproducts of raws
-    drawn by a Random seeded with ``_SUBPRODUCT_SEED``, made on first use."""
-    rng = random.Random(_SUBPRODUCT_SEED)
-    x = tuple(range(len(raws[0])))
-    while True:
-        bits = rng.getrandbits(len(raws))
-        for i in range(len(raws) - 1, -1, -1):
-            if bits >> i & 1:
-                x = _compose(raws[i], x)
-        yield x
-
-
 def _symmetric_chain(degree: int, raws: list) -> list | None:
-    """A complete chain of S_d, if random subproducts of the generators
-    raws prove that they generate S_d; else None.
+    """The chain of S_d written down, if the generators raws generate S_d
+    by an exact test; else None, and the chain is built by ``_extend``.
 
-    Each generator, then each x <- w x for w a random subproduct of the
-    generators, is sifted; a residue joins the level it stuck at, and the
-    orbits of that level and the levels before it are closed under their
-    generators.  Once the orbit lengths sum to d(d+1)/2 every level is
-    full: each transversal element lies in the group and fixes the base
-    points before its level, so the d! products of transversal elements
-    are distinct elements of the group, which is S_d, and the chain is a
-    complete one of S_d.  Once ``_IDENTITY_SIFTS`` subproducts have sifted
-    to the identity the chain is given up, so at most that many sifts more
-    than there are residues are spent on a group that is not S_d."""
+    Say x ~ y when x = y or the transposition (x y) lies in G.  This is an
+    equivalence, as (x y)(y z)(x y) = (x z), and G-invariant, as
+    g (x y) g^-1 = (g(x) g(y)).  So if a generator is a transposition (a b),
+    the least G-invariant partition joining a and b refines ~, and when it
+    is one block G holds every transposition: G = S_d.  Conversely S_d is
+    primitive, so for S_d with a transposition generator that partition is
+    always one block.  The chain needs no sift: level k's orbit is k..d-1,
+    each q of it reached by the transposition (k q), its own inverse, and
+    level k's generator is (k k+1), so the levels from k on generate
+    Sym(k..d-1)."""
+    swap = next((raw for raw in raws if _moved(raw) == 2), None)
+    if swap is None:
+        return None
+    joins = [tuple(x for i, x in enumerate(swap) if x != i)]
+    if len(_congruence(raws, degree, joins)) > 1:
+        return None
     levels = [_Level(k, degree) for k in range(degree)]
-    closed = [0] * degree
-
-    def sift(h: tuple) -> int:
-        """Sift h in; returns the number of orbit points its residue adds."""
-        residue, k = _strip_from(h, levels)
-        if residue is None:
-            return 0
-        levels[k].gens.append(residue)
-        return sum(_close_orbit(levels, j, residue, closed)
-                   for j in range(k, -1, -1))
-
-    size = degree + sum(sift(h) for h in raws)
-    walk = _random_walk(raws)
-    identities = 0
-    while size < degree * (degree + 1) // 2:
-        if identities == _IDENTITY_SIFTS:
-            return None
-        added = sift(next(walk))
-        if not added:
-            identities += 1
-        size += added
+    ident = list(range(degree))
+    for k, lev in enumerate(levels):
+        for q in range(k + 1, degree):
+            images = ident.copy()
+            images[k], images[q] = q, k
+            lev.orbit.append(q)
+            lev.transversal[q] = lev.inverses[q] = tuple(images)
+        lev.gens = [lev.transversal[k + 1]] if k + 1 < degree else []
     return levels
 
 
@@ -443,13 +397,12 @@ class GeneratedGroup:
     """Subgroup of S_d given by generators.
 
     The stabilizer chain and exact order are built at construction and
-    never change.  The chain is first built from random subproducts of the
-    generators (``_symmetric_chain``); when its basic orbits fill, with
-    lengths d, d-1, ..., 1, the group has d! distinct products of
-    transversal elements, so it is S_d, and that chain is complete.  That
-    is the group of every Morse, genuinely ramified cover.  Otherwise the
-    partial chain is dropped and the chain is built by ``_extend`` from
-    the generators on fresh levels, exactly, as for any group.
+    never change.  A group with a transposition generator (a b) whose least
+    invariant partition joining a and b is one block holds every
+    transposition, as x ~ y iff (x y) in G is an invariant equivalence, so
+    it is S_d and its chain is written down (``_symmetric_chain``).  That
+    is the group of every Morse, genuinely ramified cover.  Every other
+    group's chain is built by ``_extend`` from the generators, exactly.
     """
 
     __slots__ = ("degree", "generators", "_levels", "_order")
@@ -464,11 +417,12 @@ class GeneratedGroup:
             if g.degree != degree:
                 raise DegreeMismatchError(
                     f"generator of degree {g.degree} in a group of degree {degree}")
-        levels = _symmetric_chain(degree, [g._raw for g in gens])
+        raws = [g._raw for g in gens]
+        levels = _symmetric_chain(degree, raws)
         if levels is None:
             levels = [_Level(k, degree) for k in range(degree)]
-            for g in gens:
-                _extend(levels, g._raw)
+            for h in raws:
+                _extend(levels, h)
         self._set(degree, gens, levels)
 
     @classmethod
@@ -636,6 +590,14 @@ def least_congruence(g: GeneratedGroup, pairs: Iterable) -> tuple:
             if not (_is_point(x, d) and _is_point(y, d)):
                 raise ValueError(f"not a pair of points of 1..{d}: {(x, y)!r}")
     joins = [(x - 1, y - 1) for x, y in pairs]
+    return tuple(tuple([x + 1 for x in b]) for b in
+                 _congruence([h._raw for h in g.generators], d, joins))
+
+
+def _congruence(raws: Sequence, d: int, joins: Iterable) -> list:
+    """Blocks of 0-based points, sorted and in order of least point, of the
+    least partition of 0..d-1 invariant under the maps ``raws`` and joining
+    each 0-based pair of ``joins``: the union-find of ``least_congruence``."""
     parent = list(range(d))
 
     def find(x: int) -> int:
@@ -644,10 +606,9 @@ def least_congruence(g: GeneratedGroup, pairs: Iterable) -> tuple:
             x = parent[x]
         return x
 
-    gens = [h._raw for h in g.generators]
     merged: list = []   # the list iterator sees the pairs appended meanwhile
     queue = itertools.chain(joins, ((h[x], h[y]) for x, y in merged
-                                    for h in gens))
+                                    for h in raws))
     for x, y in queue:
         rx, ry = find(x), find(y)
         if rx != ry:
@@ -655,8 +616,8 @@ def least_congruence(g: GeneratedGroup, pairs: Iterable) -> tuple:
             merged.append((x, y))
     blocks: dict = {}
     for x in range(d):
-        blocks.setdefault(find(x), []).append(x + 1)
-    return tuple(tuple(b) for b in blocks.values())
+        blocks.setdefault(find(x), []).append(x)
+    return list(blocks.values())
 
 
 def transitivity(g: GeneratedGroup) -> Transitivity:

@@ -1,11 +1,14 @@
 """The package metadata in pyproject.toml points only at code that exists,
-and the package's checks survive ``python -O``."""
+the package's checks survive ``python -O``, and only the sampler draws
+random numbers."""
 
 import ast
 import importlib
 import re
 import tomllib
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "ramify"
@@ -50,11 +53,47 @@ def test_python_floor_is_the_version_ci_runs():
     assert set(ci) == {ci[0]}
 
 
+def package_nodes():
+    """(module file name, AST node) for every node of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
+def imports_random(node) -> bool:
+    """Whether an AST node imports the standard ``random`` module or a
+    name from it."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "random"
+                   for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").split(".")[0] == "random")
+
+
 def test_package_has_no_assert_statement():
     """``python -O`` strips assert statements, so no check in the package
     may be one."""
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_sampler_imports_random():
+    """The group layer and every check are deterministic: of the package's
+    modules only ``gen``, whose seeded sampler draws covers, imports
+    ``random``."""
+    found = {name for name, node in package_nodes() if imports_random(node)}
+    assert found == {"gen.py"}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import random", True),
+    ("import os, random as r", True),
+    ("from random import Random", True),
+    ("from . import random", False),
+    ("import numpy.random", False),
+    ("from numpy import random", False),
+])
+def test_random_import_is_detected(source, expected):
+    node = ast.parse(source).body[0]
+    assert imports_random(node) is expected

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 import random
@@ -520,31 +519,6 @@ def test_shared_suffix_survives_closure_and_join(gens):
     assert [[p in x for p in probes] for x in groups] == members
 
 
-@pytest.mark.parametrize("d", [4, 7, 10])
-def test_build_sifts_each_schreier_generator_once(d, monkeypatch):
-    """Level i sifts its Schreier generators u_r^-1 g u_q from level i + 1
-    on; with no pair (q, g) sifted twice there are at most
-    |orbit| * |gens| - (|orbit| - 1) of them, the orbit's tree edges
-    giving the identity."""
-    import ramify.perm as perm_module
-
-    sifts = [0] * d
-    strip = perm_module._strip_from
-
-    def counted(h, levels, start=0):
-        if start:
-            sifts[start - 1] += 1
-        return strip(h, levels, start)
-
-    monkeypatch.setattr(perm_module, "_strip_from", counted)
-    rng = random.Random(f"sift-once/{d}")
-    g = GeneratedGroup(d, braid_walk_tuple(rng, d))
-    for i, lev in enumerate(g._levels):
-        size = len(lev.transversal)
-        n_gens = sum(len(deeper.gens) for deeper in g._levels[i:])
-        assert sifts[i] <= size * n_gens - (size - 1)
-
-
 # -- chain build ------------------------------------------------------------
 
 def _record(monkeypatch, *names):
@@ -563,8 +537,9 @@ def _record(monkeypatch, *names):
 
 @pytest.mark.parametrize("d", [*range(6, 13), 24])
 def test_morse_braid_walk_group_is_symmetric(d, monkeypatch):
-    """A braid-walk tuple generates S_d: random subproducts fill every basic
-    orbit, so neither ``_extend`` nor ``_complete_level`` runs."""
+    """A braid-walk tuple generates S_d and has a transposition generator,
+    so its chain is written down: neither ``_extend`` nor
+    ``_complete_level`` runs."""
     calls = _record(monkeypatch, "_extend", "_complete_level")
     rng = random.Random(f"symmetric/{d}")
     g = GeneratedGroup(d, braid_walk_tuple(rng, d))
@@ -602,10 +577,13 @@ def test_group_that_is_not_symmetric_falls_back(name, monkeypatch):
 @pytest.mark.parametrize("d", [4, 7, 10])
 @pytest.mark.parametrize("build", ["alternating", "normal_closure"])
 def test_exact_build_sifts_each_schreier_generator_once(build, d, monkeypatch):
-    """The bound of ``test_build_sifts_each_schreier_generator_once`` on
-    chains that the exact path builds: A_d from its 3-cycles (1 2 k), and
-    the normal closure of (1 2) in S_d.  Their Schreier generators are
-    sifted, so the bound is not met by sifting none."""
+    """Level i sifts its Schreier generators u_r^-1 g u_q from level i + 1
+    on; with no pair (q, g) sifted twice there are at most
+    |orbit| * |gens| - (|orbit| - 1) of them, the orbit's tree edges
+    giving the identity.  Checked on chains that the exact path builds:
+    A_d from its 3-cycles (1 2 k), and the normal closure of (1 2) in S_d.
+    Their Schreier generators are sifted, so the bound is not met by
+    sifting none."""
     import ramify.perm as perm_module
 
     s_d = GeneratedGroup(d, braid_walk_tuple(random.Random(f"closure/{d}"), d))
@@ -629,54 +607,91 @@ def test_exact_build_sifts_each_schreier_generator_once(build, d, monkeypatch):
         assert sifts[i] <= size * n_gens - (size - 1)
 
 
-def _sifts_before_fallback(monkeypatch):
-    """Log (start, member) of each ``_strip_from`` call before the first
-    ``_extend``."""
-    import ramify.perm as perm_module
-
-    sifts, fallen = [], []
-    strip, extend = perm_module._strip_from, perm_module._extend
-
-    def counted_strip(h, levels, start=0):
-        residue, k = strip(h, levels, start)
-        if not fallen:
-            sifts.append((start, residue is None))
-        return residue, k
-
-    def counted_extend(levels, h):
-        fallen.append(h)
-        return extend(levels, h)
-
-    monkeypatch.setattr(perm_module, "_strip_from", counted_strip)
-    monkeypatch.setattr(perm_module, "_extend", counted_extend)
-    return sifts
+def test_probe_cover_builds_without_extend(monkeypatch):
+    """The braid cover seeded "probe/10/33" has group S_10 and
+    transposition generators, so its chain is written down with neither
+    ``_extend`` nor ``_complete_level``."""
+    calls = _record(monkeypatch, "_extend", "_complete_level")
+    g = GeneratedGroup(10, braid_walk_tuple(random.Random("probe/10/33"), 10))
+    assert calls == []
+    assert g.order == math.factorial(10)
 
 
-@pytest.mark.parametrize("name", sorted(NOT_SYMMETRIC))
-def test_random_step_is_bounded_by_its_identity_sifts(name, monkeypatch):
-    """Before the fallback every sift starts at level 0, and the random
-    subproducts number at most _IDENTITY_SIFTS plus the residues: exactly
-    _IDENTITY_SIFTS of them sift to the identity."""
-    import ramify.perm as perm_module
+@pytest.mark.parametrize("d", range(5, 9))
+def test_symmetric_group_without_a_transposition_is_built(d, monkeypatch):
+    """<(1 2 ... d), (1 2 ... d-1)> is S_d, but no generator is a
+    transposition, so ``_extend`` builds its chain."""
+    gens = [Permutation.from_cycle(range(1, d + 1), d),
+            Permutation.from_cycle(range(1, d), d)]
+    calls = _record(monkeypatch, "_extend")
+    g = GeneratedGroup(d, gens)
+    assert calls == ["_extend"] * len(gens)
+    assert g.order == math.factorial(d)
 
-    d, texts, _ = NOT_SYMMETRIC[name]
-    sifts = _sifts_before_fallback(monkeypatch)
-    GeneratedGroup(d, [perm(t, d) for t in texts])
-    assert all(start == 0 for start, _ in sifts)
-    members = [member for _, member in sifts]
-    subproducts = members[len(texts):]
-    assert subproducts.count(True) == perm_module._IDENTITY_SIFTS
-    assert len(subproducts) <= (perm_module._IDENTITY_SIFTS
-                                + members.count(False))
+
+def _swap(d, a, b):
+    """The 0-based image tuple of the transposition (a b) of 0..d-1."""
+    images = list(range(d))
+    images[a], images[b] = b, a
+    return tuple(images)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 12])
+def test_symmetric_chain_is_written_down(d):
+    """Level k's orbit is k..d-1, each q of it reached by (k q), which is
+    its own inverse; level k's generator is (k k+1), so Stab_G(1) has the
+    d - 2 generators (2 3), ..., (d-1 d)."""
+    g = GeneratedGroup(d, [perm("(1 2)", d),
+                           Permutation.from_cycle(range(1, d + 1), d)])
+    for k, lev in enumerate(g._levels):
+        assert lev.point == k
+        assert lev.orbit == list(range(k, d))
+        assert lev.transversal == lev.inverses == {
+            q: _swap(d, k, q) for q in range(k, d)}
+        assert lev.gens == ([_swap(d, k, k + 1)] if k + 1 < d else [])
+    stab = point_stabilizer(g, 1)
+    assert [s.cycles() for s in stab.generators] == (
+        [((k, k + 1),) for k in range(2, d)] or [()])
+    assert stab.order == math.factorial(d - 1)
+
+
+@st.composite
+def generating_sets_st(draw):
+    """1 to 3 generators of degree 2..6, each a transposition or any
+    permutation."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    points = list(range(1, d + 1))
+    transposition = st.lists(st.sampled_from(points), min_size=2, max_size=2,
+                             unique=True).map(
+        lambda ab: Permutation.from_cycle(ab, d))
+    anything = st.permutations(points).map(Permutation)
+    return d, draw(st.lists(transposition | anything, min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generating_sets_st())
+def test_chain_is_written_down_exactly_for_symmetric_groups(generating_set):
+    """The chain is written down, with no ``_extend``, exactly when a
+    generator is a transposition and the closure has d! elements; the order
+    is the closure's size either way."""
+    d, gens = generating_set
+    closure = o_closure([tuple(x - 1 for x in s.images) for s in gens])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record(mp, "_extend")
+        g = GeneratedGroup(d, gens)
+    has_transposition = any([len(c) for c in s.cycles()] == [2] for s in gens)
+    assert (calls == []) == (has_transposition
+                             and len(closure) == math.factorial(d))
+    assert g.order == len(closure)
 
 
 @pytest.mark.parametrize("d, texts", [
     (12, None), NOT_SYMMETRIC["d4"][:2], NOT_SYMMETRIC["s3_x_s3"][:2]],
     ids=["s12", "d4", "s3_x_s3"])
 def test_two_builds_of_a_group_give_one_chain(d, texts):
-    """The subproducts come from a Random local to the build: neither
-    another build between the two nor the module's generator changes
-    them, and the build draws nothing from the module's generator."""
+    """A build is deterministic: neither another build between the two nor
+    the module's random generator changes the chain, and the build draws
+    nothing from that generator."""
     gens = (braid_walk_tuple(random.Random("two-builds"), d) if texts is None
             else [perm(t, d) for t in texts])
     first = _chain_snapshot(GeneratedGroup(d, gens))
@@ -690,22 +705,6 @@ def test_two_builds_of_a_group_give_one_chain(d, texts):
     finally:
         random.setstate(state)
     assert second == first
-
-
-GOLDEN_CHAIN_12 = \
-    "cbb2047f9a4ee34402bba8577ed04df99719a58cbd461deea22578c67874eed7"
-
-
-def test_random_subproduct_chain_is_pinned(monkeypatch):
-    """One d = 12 chain, which random subproducts completed, pinned by a
-    digest: a change to CPython's ``Random`` draws fails here."""
-    sifts = _sifts_before_fallback(monkeypatch)
-    gens = braid_walk_tuple(random.Random("pinned-chain"), 12)
-    g = GeneratedGroup(12, gens)
-    assert len(sifts) > len(gens)
-    text = repr([(lev.gens, lev.orbit, sorted(lev.transversal.items()))
-                 for lev in g._levels])
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CHAIN_12
 
 
 # -- normal closure ---------------------------------------------------------
