@@ -10,7 +10,11 @@ are read off cycle positions, not walked: over a pair of cycles (kappa, lam)
 of lengths (e, l), branch s < gcd(e, l) holds lcm(e, l) pairs and
 (kappa[0], lam[s]), so it lies in that pair's orbital.  Two fixed points
 carry one branch of one pair, so the dual graph and the genera read only
-pairs with a moved cycle; only the report builds every scheme point.
+pairs with a moved cycle; only the report builds every scheme point.  A
+cycle pair recurs at many branch points, so the report builds each distinct
+pair's record (the pair and its branches) once per cover and its JSON lists
+once per document, and each point over it adds one slotted SchemePoint and
+one JSON dict.
 
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
@@ -60,7 +64,7 @@ class TheoremViolationError(RuntimeError):
     a counterexample (i.e. a bug) and is always fatal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Orbital:
     """G-orbit on ordered pairs of fiber points: one irreducible component
     of the fiber square."""
@@ -70,14 +74,14 @@ class Orbital:
     is_diagonal: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalBranch:
     orbital_id: int
     size: int
     representative: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemePoint:
     """A point of the fiber square over branch point j: an ordered pair of
     local points of Y, i.e. of cycles of c_j (fixed points count as
@@ -132,6 +136,23 @@ class FiberReport:
     sd_certificate: SdCertification
 
     def to_json_dict(self) -> dict:
+        """The ``fiber-report/1`` document, for serialisation only: the
+        points over one cycle pair share its "cycles" and "branches" lists,
+        built on the pair's first point, so the document must not be
+        mutated.  Each call builds its own lists."""
+        shared: dict = {}   # cycle pair -> its "cycles" and "branches" lists
+        points = []
+        for sp in self.scheme_points:
+            lists = shared.get(sp.cycle_pair)
+            if lists is None:
+                kappa, kappa2 = sp.cycle_pair
+                lists = shared[sp.cycle_pair] = (
+                    [list(kappa), list(kappa2)],
+                    [{"orbital": b.orbital_id, "size": b.size,
+                      "representative": list(b.representative)}
+                     for b in sp.branches])
+            points.append({"branch_index": sp.branch_index,
+                           "cycles": lists[0], "branches": lists[1]})
         return {
             "schema": "fiber-report/1",
             "degree": self.degree,
@@ -140,18 +161,7 @@ class FiberReport:
                  "size": o.size, "is_diagonal": o.is_diagonal}
                 for o in self.orbitals
             ],
-            "scheme_points": [
-                {
-                    "branch_index": sp.branch_index,
-                    "cycles": [list(sp.cycle_pair[0]), list(sp.cycle_pair[1])],
-                    "branches": [
-                        {"orbital": b.orbital_id, "size": b.size,
-                         "representative": list(b.representative)}
-                        for b in sp.branches
-                    ],
-                }
-                for sp in self.scheme_points
-            ],
+            "scheme_points": points,
             "dual_graph": {
                 "vertices": list(self.dual_graph.labels),
                 "edges": [list(e) for e in self.dual_graph.edges],
@@ -248,23 +258,24 @@ class CoverContext:
     @cached_property
     def scheme_points(self) -> tuple:
         lookup = self.orbital_of
-        shared: dict = {}   # cycle pair -> its branches, alike at every j
+        shared: dict = {}   # cycle pair -> (pair, branches), alike at every j
         points = []
         for j, cycles in enumerate(self.cycles, start=1):
             for pair in itertools.product(cycles, repeat=2):
-                branches = shared.get(pair)
-                if branches is None:
+                rec = shared.get(pair)
+                if rec is None:
                     kappa, kappa2 = pair
                     g = math.gcd(len(kappa), len(kappa2))
                     size = math.lcm(len(kappa), len(kappa2))
                     # class r has least pair (kappa[0], min kappa2[r::g])
                     reps = sorted((kappa[0], min(kappa2[r::g]))
                                   for r in range(g))
-                    branches = shared[pair] = tuple(
+                    rec = shared[pair] = (pair, tuple(
                         LocalBranch(orbital_id=lookup[rep], size=size,
-                                    representative=rep) for rep in reps)
-                points.append(SchemePoint(branch_index=j, cycle_pair=pair,
-                                          branches=branches))
+                                    representative=rep) for rep in reps))
+                # rebinding pair to the shared tuple lets product reuse its own
+                pair, branches = rec
+                points.append(SchemePoint(j, pair, branches))
         return tuple(points)
 
     def _branches(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -221,14 +222,29 @@ def test_local_branches_match_the_orbit_walk_on_d4():
 
 
 def test_every_cycle_pair_reads_its_branches_once():
-    """A cycle pair that occurs at several branch points shares one tuple of
-    branches there."""
+    """A cycle pair that occurs at several branch points shares one pair
+    tuple and one tuple of branches there."""
     points = CoverContext(braid_walk_covers(12, count=1)[0]).scheme_points
     by_pair: dict = {}
     for sp in points:
-        by_pair.setdefault(sp.cycle_pair, set()).add(id(sp.branches))
+        by_pair.setdefault(sp.cycle_pair, set()).add(
+            (id(sp.cycle_pair), id(sp.branches)))
     assert len(by_pair) < len(points)
     assert all(len(ids) == 1 for ids in by_pair.values())
+
+
+def test_report_records_have_no_instance_dict():
+    """Orbitals, local branches and scheme points are slotted: a point
+    costs one object, not an object and its attribute dict."""
+    report = analyze(braid_walk_covers(9, count=1)[0])
+    records = (report.orbitals[0], report.scheme_points[0],
+               report.scheme_points[0].branches[0])
+    assert [type(r).__name__ for r in records] == [
+        "Orbital", "SchemePoint", "LocalBranch"]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
 
 
 def long_cycle_covers() -> list:
@@ -850,9 +866,12 @@ def test_analyze_flags_consistent():
             cover.degree >= 2 and len(report.orbitals) == 2)
 
 
-#: SHA-256 of ``json.dumps(analyze(c).to_json_dict())``, recorded from the
-#: implementation that rebuilt every derived object on each use, with the
-#: headline verdicts: genuinely ramified, orbitals, |G|, S_d certified.
+#: SHA-256 of ``json.dumps(analyze(c).to_json_dict())`` with the headline
+#: verdicts: genuinely ramified, orbitals, |G|, S_d certified.  The first
+#: six were recorded from the implementation that rebuilt every derived
+#: object on each use.  The last two, a d = 12 braid walk (2,662 points)
+#: and a cover whose cycle pairs have gcd 1, 2, 3, 4 and 6, were recorded
+#: before the points over one cycle pair shared their records.
 GOLDEN_ANALYZE = {
     "galois_v4": (GALOIS_V4, True, 4, 4, False,
                   "64a2a7997a7772b7cc7039a8dc32b8e29cb2d236373a237f6a2497a251a7c6d2"),
@@ -866,6 +885,10 @@ GOLDEN_ANALYZE = {
                     "4aff3c78edf34f8a6c68af8550f2905ea92d567c1f4da45e1d6314ed5a163b08"),
     "morse7": (MORSE7, True, 2, 5040, True,
                "860b9c32b95b193641fb6d8702909a607c27a5a009c16de24c7ce6e9529c513a"),
+    "braid12": (braid_walk_covers(12, count=1)[0], True, 2, 479001600, True,
+                "507f012d8f5239227ac0c23567e4f26cf94805ba5b8bb6ef3d425a307d4c9e17"),
+    "long_cycles": (long_cycle_covers()[2], True, 2, 720, False,
+                    "c4173e457fb2d81fcaf3c0d5d82747c60122942e008231f81351fdff62d49806"),
 }
 
 
@@ -877,6 +900,32 @@ def test_analyze_json_matches_recorded(name):
             doc["galois_closure_order"], doc["sd_certificate"]["certified"]) \
         == (gr, n_orbitals, order, certified)
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cover", [braid_walk_covers(10, count=1)[0], MORSE7],
+                         ids=["braid10", "morse7"])
+def test_report_json_shares_each_cycle_pair_once(cover):
+    """The points over one cycle pair share its "cycles" and "branches"
+    lists; the document still round-trips through JSON, and no list is
+    shared between two calls."""
+    report = analyze(cover)
+    doc = report.to_json_dict()
+    points = doc["scheme_points"]
+    pairs = {sp.cycle_pair for sp in report.scheme_points}
+    assert len(pairs) < len(points)
+    assert len({id(p["cycles"]) for p in points}) == len(pairs)
+    assert len({id(p["branches"]) for p in points}) == len(pairs)
+    assert json.loads(json.dumps(doc)) == doc
+
+    other = report.to_json_dict()
+    assert other == doc
+    before = json.dumps(other)
+    for p in points:
+        p["cycles"][0].append(0)
+        p["branches"][0]["representative"].append(0)
+        p["branches"].append(None)
+    assert json.dumps(other) == before
+    assert json.dumps(report.to_json_dict()) == before
 
 
 @pytest.mark.parametrize("cover", [MORSE7, D4, ETALE_G1, GALOIS_V4])
