@@ -8,7 +8,12 @@ forces the last, which cuts the search space by |S_d|.  ``_completed``
 decides each candidate once, on raw tuples: a cover only when the forced
 cycle is not the identity (in Morse mode, is a transposition) and one
 search from point 0 reaches every point.  Dedup keeps the first cover of
-each conjugacy class in enumeration order, keyed by ``canonical_form``.
+each conjugacy class in enumeration order.  It runs on raw tuples too: a
+candidate is keyed by ``_raw_key`` of its raw generators, whose search
+from point 0 is the transitivity test, and ``Permutation``s and a
+``BranchedCover`` are built only for the first cover of a class.  The key
+is the one ``canonical_form`` gives, which searches from fewer start points
+than there are points and drops a start at its first losing row.
 
 A Morse draw over the line (genus 0, r >= 2) is r - 1 values of
 ``randrange(n)``, n = d(d - 1)/2, and CPython draws each from the next
@@ -90,33 +95,89 @@ class CorpusSpec:
 
 
 def canonical_form(c: BranchedCover) -> tuple:
-    """Canonical labelling of the Schreier graph: from each start point a
-    BFS along a_1, b_1, ..., then the branch cycles numbers the points as
-    it reaches them, every generator's 0-based images are renumbered so,
-    and the least key is kept: a conjugation invariant, equal only for
-    conjugate covers.  Raises InvalidCoverError on intransitive input."""
+    """Canonical labelling of the Schreier graph: (degree, base genus,
+    ``_raw_key`` of the generators), the least renumbering of a_1, b_1,
+    ..., then the branch cycles that a BFS from some start point gives.  A
+    conjugation invariant, equal only for conjugate covers.  Raises
+    InvalidCoverError on intransitive input, naming the search from point
+    1."""
     d = c.degree
     gens = [p._raw for p in c.all_generators()]
-    best = None
-    for start in range(d):
-        label = {start: 0}
-        order = [start]
-        for x in order:
-            for g in gens:
-                if g[x] not in label:
-                    label[g[x]] = len(order)
-                    order.append(g[x])
-        if len(order) < d:
-            raise InvalidCoverError([f"generators reach {len(order)} of {d} "
-                                     f"points from point {start + 1}"])
-        key = tuple(tuple([label[g[x]] for x in order]) for g in gens)
-        best = key if best is None else min(best, key)
-    return (d, c.base_genus, best)
+    key = _raw_key(gens, d)
+    if key is None:
+        raise InvalidCoverError([
+            f"generators reach {len(_orbits(gens, d, (0,))[0])} of {d} "
+            f"points from point 1"])
+    return (d, c.base_genus, key)
+
+
+def _raw_key(gens: list, d: int) -> tuple | None:
+    """Canonical labelling of the Schreier graph of the raw 0-based
+    generators ``gens`` (a_1, b_1, ..., then the branch cycles) on d
+    points, or None when one search from point 0 misses a point.  From a
+    start point a BFS along the generators in order numbers the points as
+    it reaches them; renumbering every generator's images so gives one row
+    per generator, and the key is the least tuple of rows over all starts.
+
+    The first search runs from point 0 and its rows are the first best.
+    Any other start is dropped at the first row greater than the best's,
+    and only starts that can give the least key are searched.  A BFS from
+    s reaches g_0(s) first, so row 0 begins with 0 when g_0 fixes s and
+    with 1 when it does not: when g_0 has fixed points, the least key
+    starts at one of them.  Otherwise order[1] = g_0(s), and the second
+    entry of row 0 is the label of g_0^2(s): 0 when g_0^2(s) = s, and at
+    least 2 otherwise, since g_0^2(s) = g_0(s) would make s fixed.  So
+    when g_0 has 2-cycles the least key starts on one of them; with no
+    fixed point, g_0^2(s) = s says exactly that s lies on a 2-cycle.  Only
+    when g_0 has neither is every point a start."""
+    label, order = _labelling(gens, d, 0)
+    if len(order) < d:
+        return None
+    best = tuple(tuple([label[g[x]] for x in order]) for g in gens)
+    starts = range(d)
+    if gens:
+        g0 = gens[0]
+        starts = ([x for x in starts if g0[x] == x]
+                  or [x for x in starts if g0[g0[x]] == x] or starts)
+    for s in starts:
+        if not s:
+            continue
+        label, order = _labelling(gens, d, s)
+        rows = []
+        less = False
+        for g, least in zip(gens, best):
+            row = tuple([label[g[x]] for x in order])
+            if not less and row != least:
+                if row > least:
+                    break
+                less = True
+            rows.append(row)
+        else:
+            if less:
+                best = tuple(rows)
+    return best
+
+
+def _labelling(gens: list, d: int, s: int) -> tuple:
+    """The BFS from s behind ``_raw_key``: each point's label (-1 when not
+    reached) and the points in the order they were reached."""
+    label = [-1] * d
+    label[s] = 0
+    order = [s]
+    for x in order:
+        for g in gens:
+            y = g[x]
+            if label[y] < 0:
+                label[y] = len(order)
+                order.append(y)
+    return label, order
 
 
 def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
     """All valid covers in deterministic order; the last branch cycle is
-    forced by the surface relation."""
+    forced by the surface relation.  With ``spec.dedup``, only the first
+    cover of each conjugacy class: candidates are keyed by ``_raw_key`` on
+    their raw generators, and only a kept cover is built."""
     d_lo, d_hi = spec.degrees
     g_lo, g_hi = spec.base_genera
     r_lo, r_hi = spec.branch_counts
@@ -127,31 +188,34 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
             raise CapExceededError(
                 f"degree cap for genus {g} is {ENUMERATION_CAPS[g]}, "
                 f"requested {d_hi}")
-    seen: set = set()
     for d in range(d_lo, d_hi + 1):
         raws = list(itertools.permutations(range(d)))
         cycle_pool = [p for p in raws if not _is_identity(p)
                       and (not spec.morse_only or _moved(p) == 2)]
         for g in range(g_lo, g_hi + 1):
+            seen: set = set()   # no class spans two (d, g)
             for handles in itertools.product(
                     itertools.product(raws, repeat=2), repeat=g):
                 comm = tuple(range(d))
                 for a, b in handles:
                     comm = _compose(comm, _commutator(a, b))
+                flat = list(itertools.chain(*handles))
                 for r in range(r_lo, r_hi + 1):
                     for frees in itertools.product(cycle_pool,
                                                    repeat=max(r - 1, 0)):
                         prod = functools.reduce(_compose, frees, comm)
-                        cover = _completed(handles, frees, prod, r,
-                                           spec.morse_only)
-                        if cover is None:
+                        cycles = _forced(frees, prod, r, spec.morse_only)
+                        if cycles is None:
                             continue
+                        gens = [*flat, *cycles]
                         if spec.dedup:
-                            key = canonical_form(cover)
-                            if key in seen:
+                            key = _raw_key(gens, d)
+                            if key is None or key in seen:
                                 continue
                             seen.add(key)
-                        yield cover
+                        elif not _transitive(gens, d):
+                            continue
+                        yield _built(d, handles, cycles)
 
 
 def _commutator(a: tuple, b: tuple) -> tuple:
@@ -163,25 +227,44 @@ def _completed(handles, frees, prod, r: int,
     """The cover with raw 0-based handle pairs ``handles`` and free branch
     cycles ``frees`` (non-identity), whose relation product is the raw
     ``prod``, followed by the branch cycle the surface relation forces
-    (none when r = 0).  None when r = 0 and ``prod`` is not the identity,
-    when the forced cycle is the identity or, in Morse mode, not a
-    transposition, or when one search from point 0 along the raw generators
-    misses a point: everything else holds by construction.  A refused
-    candidate builds no ``Permutation``, and none builds a group."""
+    (none when r = 0).  None when ``_forced`` refuses the candidate, or
+    when one search from point 0 along the raw generators misses a point:
+    everything else holds by construction.  A refused candidate builds no
+    ``Permutation``, and none builds a group."""
+    cycles = _forced(frees, prod, r, morse)
+    d = len(prod)
+    if cycles is None or not _transitive(
+            [*itertools.chain(*handles), *cycles], d):
+        return None
+    return _built(d, handles, cycles)
+
+
+def _transitive(gens: list, d: int) -> bool:
+    """Whether one search from point 0 along the raw generators reaches
+    all d points."""
+    return len(_orbits(gens, d, (0,))[0]) == d
+
+
+def _forced(frees, prod, r: int, morse: bool) -> tuple | None:
+    """The raw branch cycles: ``frees`` followed by the inverse of the
+    relation product ``prod`` (none when r = 0).  None when r = 0 and
+    ``prod`` is not the identity, or when the forced cycle is the identity
+    or, in Morse mode, not a transposition."""
     moved = _moved(prod)
     if r > 0:
         if moved == 0 or (morse and moved != 2):
             return None
-        frees = (*frees, _inverse(prod))
-    elif moved:
-        return None
-    d = len(prod)
-    if len(_orbits([*itertools.chain(*handles), *frees], d, (0,))[0]) < d:
-        return None
+        return (*frees, _inverse(prod))
+    return None if moved else tuple(frees)
+
+
+def _built(d: int, handles, cycles) -> BranchedCover:
+    """The cover of degree d with raw 0-based handle pairs and branch
+    cycles."""
     build = Permutation._from_raw
     return BranchedCover(d, len(handles),
                          [(build(a), build(b)) for a, b in handles],
-                         [build(c) for c in frees])
+                         [build(c) for c in cycles])
 
 
 def random_cover(spec: CorpusSpec) -> BranchedCover:

@@ -184,6 +184,31 @@ def o_canonical_form(cover) -> tuple:
     return (cover.degree, cover.base_genus, best)
 
 
+def o_canonical_form_scan(cover) -> tuple:
+    """``canonical_form`` with every point a start and no early abandon:
+    from each start a BFS along the generators in order numbers the points
+    as it reaches them, every generator's images are renumbered so, and the
+    least tuple of rows is kept.  Raises InvalidCoverError when the search
+    from a start misses a point."""
+    d = cover.degree
+    gens = o_generators(cover)
+    best = None
+    for start in range(d):
+        label = {start: 0}
+        order = [start]
+        for x in order:
+            for g in gens:
+                if g[x] not in label:
+                    label[g[x]] = len(order)
+                    order.append(g[x])
+        if len(order) < d:
+            raise InvalidCoverError([f"generators reach {len(order)} of {d} "
+                                     f"points from point {start + 1}"])
+        key = tuple(tuple([label[g[x]] for x in order]) for g in gens)
+        best = key if best is None else min(best, key)
+    return (d, cover.base_genus, best)
+
+
 def o_completed(prefix: BranchedCover, r: int,
                 morse: bool) -> BranchedCover | None:
     """``prefix`` followed by the branch cycle the surface relation forces

@@ -14,6 +14,7 @@ from ramify.cover import (
     dumps_cover,
     is_morse,
     loads_cover,
+    relation_product,
     validate,
 )
 from ramify.fiber import CoverContext, OracleReport, TheoremViolationError
@@ -36,12 +37,14 @@ from ramify.perm import Permutation, Transitivity, parse_cycles
 import oracles
 from oracles import (
     o_canonical_form,
+    o_canonical_form_scan,
     o_centralizer_order,
     o_count_valid_tuples,
     o_enumerate_covers,
     o_sample_cover,
     relabel,
 )
+from test_fiber import MORSE7
 
 
 def spec(d, g, r, **kw):
@@ -247,6 +250,96 @@ def test_canonical_form_refuses_intransitive_cover(cycles):
     gens = tuple(parse_cycles(c, 4) for c in cycles)
     with pytest.raises(InvalidCoverError, match="reach . of 4 points"):
         canonical_form(BranchedCover(4, 0, (), gens))
+
+
+def test_canonical_form_refusal_names_point_one():
+    """The first search runs from point 1, though g_0 = (1 2) fixes only 3
+    and 4, the starts that could give the least key."""
+    gens = tuple(parse_cycles("(1 2)", 4) for _ in range(2))
+    with pytest.raises(InvalidCoverError) as refused:
+        canonical_form(BranchedCover(4, 0, (), gens))
+    assert refused.value.violations == (
+        "generators reach 2 of 4 points from point 1",)
+
+
+#: The strata of the benchmark's exhaustive corpus: genus 0 with d <= 4 and
+#: r <= 4, genus 1 with d <= 3 and r <= 3.
+EXHAUSTIVE_CORPUS = (CorpusSpec((1, 4), (0, 0), (0, 4)),
+                     CorpusSpec((1, 3), (1, 1), (0, 3)))
+
+
+def test_canonical_form_matches_the_every_start_scan():
+    """Pruned starts and early abandon keep every key of the exhaustive
+    corpus, not only its partition into classes."""
+    covers = [c for corpus in EXHAUSTIVE_CORPUS
+              for c in enumerate_covers(corpus)]
+    assert len(covers) == 12_653
+    assert [canonical_form(c) for c in covers] \
+        == [o_canonical_form_scan(c) for c in covers]
+
+
+def first_generator_kind(g0) -> str:
+    if any(g0[x] == x for x in range(len(g0))):
+        return "fixed_points"
+    if any(g0[g0[x]] == x for x in range(len(g0))):
+        return "two_cycles"
+    return "neither"
+
+
+@pytest.mark.parametrize("kind, least_degree", [
+    ("fixed_points", 1), ("two_cycles", 2), ("neither", 3)])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_canonical_form_matches_the_scan_by_first_generator(kind,
+                                                           least_degree,
+                                                           data):
+    """Whichever start rule g_0 selects, the key is the scan's, or both
+    refuse with the same text.  The last branch cycle, if any, is forced
+    by the relation; transitivity is left to chance."""
+    d = data.draw(st.integers(least_degree, 7), label="d")
+    g = data.draw(st.integers(0, 1), label="g")
+    r = data.draw(st.integers(2 - 2 * g, 3), label="r")
+    perms = st.permutations(list(range(1, d + 1)))
+    g0 = data.draw(perms.filter(
+        lambda p: first_generator_kind([x - 1 for x in p]) == kind),
+        label="g_0")
+    gens = [Permutation(g0), *(Permutation(data.draw(perms))
+                               for _ in range(2 * g + max(r - 1, 0) - 1))]
+    handles = tuple(zip(gens[:2 * g:2], gens[1:2 * g:2]))
+    cycles = tuple(gens[2 * g:])
+    if r:
+        last = relation_product(BranchedCover(d, g, handles, cycles))
+        cycles += (last.inverse(),)
+    cover = BranchedCover(d, g, handles, cycles)
+    try:
+        expected = o_canonical_form_scan(cover)
+    except InvalidCoverError as exc:
+        with pytest.raises(InvalidCoverError) as refused:
+            canonical_form(cover)
+        assert refused.value.violations == exc.violations
+    else:
+        assert canonical_form(cover) == expected
+
+
+def test_canonical_form_of_degree_one_without_generators():
+    cover = BranchedCover(1, 0, (), ())
+    assert canonical_form(cover) == o_canonical_form_scan(cover) == (1, 0, ())
+
+
+def test_dedup_builds_permutations_only_for_kept_covers(monkeypatch):
+    """Dedup keys raw tuples, so a cover whose class was already seen builds
+    no ``Permutation``: one per generator of each class, 4 at r = 4."""
+    from_raw = Permutation._from_raw.__func__
+    built = []
+
+    def counted_from_raw(cls, raw):
+        built.append(raw)
+        return from_raw(cls, raw)
+
+    monkeypatch.setattr(Permutation, "_from_raw",
+                        classmethod(counted_from_raw))
+    classes = list(enumerate_covers(spec(4, 0, 4, dedup=True)))
+    assert classes and len(built) == len(classes) * 4
 
 
 # -- random covers -----------------------------------------------------------
@@ -573,7 +666,6 @@ def test_report_serialization_stable():
 
 
 def test_check_cover_builds_the_monodromy_group_once(monodromy_builds):
-    from test_fiber import MORSE7
     counters, _, violations = check_cover(MORSE7)
     assert not violations and counters["derived_cover"] == 1
     assert monodromy_builds == [MORSE7.all_generators()]
@@ -607,7 +699,6 @@ def test_check_cover_validates_nothing(monkeypatch):
     cover, the input or a derived one, is validated."""
     import ramify.cover
     import ramify.fiber
-    from test_fiber import MORSE7
 
     calls = []
     real_require, real_violations = (ramify.fiber.require_valid,
@@ -635,8 +726,6 @@ def test_wrong_component_genus_is_a_derived_cover_violation(monkeypatch):
     """The genus of Y' over Y, from the local inertia, and the off-diagonal
     component's genus over X, from the local branches, are two
     computations: one off by one is exactly one violation naming both."""
-    from test_fiber import MORSE7
-
     genus = CoverContext(MORSE7).derived_cover.total_space_genus
     real = CoverContext.component_genus
     monkeypatch.setattr(CoverContext, "component_genus",
