@@ -21,22 +21,22 @@ Genuine ramification is decided two independent ways: group-theoretically
 cycles) and by connectivity of the dual graph; their agreement is a test in
 the suite, never an assumption here.  Neither HN nor N is built: [G : HN]
 = d / |N.1| for H = Stab_G(1), and the N-orbits are the blocks of the least
-G-congruence joining x and c_j(x), found by union-find on the points: the
-fibers of Y -> Z for the largest etale Z -> X that the cover factors
-through.  The derived cover's test is the same identity at point 2, its
-inertia read off cycle positions as the branches are.
+G-congruence joining x and c_j(x), by ``perm._congruence`` on 0-based
+points: the fibers of Y -> Z for the largest etale Z -> X that the cover
+factors through.  The derived cover's test is the same identity at point
+2, its inertia read off cycle positions as the branches are.
 
 All of these live on a CoverContext, which builds each on first use and at
-most once: the monodromy group G, the table of each c_j's cycles (read by
-the Morse test, the scheme points, the dual graph, the genera and the
-derived cover with Y's genus), the orbits on pairs with the orbitals and
-the pair -> orbital lookup, the scheme points, the dual graph, Stab_G(1),
-the HN test, the off-diagonal flag, the S_d certificate and the derived
+most once: the monodromy group G, the table of each c_j's cycles, the
+orbits on pairs with the orbitals and the pair -> orbital lookup, the
+scheme points, the branches over cycle pairs with a moved cycle (read by
+the dual graph and the genera), the dual graph, Stab_G(1), the Morse and
+HN tests, the off-diagonal flag, the S_d certificate and the derived
 cover.  G is the one group built per cover, and Stab_G(1) shares its
-levels: validation reads the generators and builds none.  Each public
-function below is a view of a fresh context; ``gen.check_cover`` and
-``numono.certify_projection`` keep one context for all their checks.
-Nothing is cached across covers.
+levels: validation and the HN test read the generators and build none.
+Each public function below is a view of a fresh context;
+``gen.check_cover`` and ``numono.certify_projection`` keep one context
+for all their checks.  Nothing is cached across covers.
 """
 
 from __future__ import annotations
@@ -49,14 +49,14 @@ from functools import cached_property
 from .cover import (
     BranchedCover,
     _riemann_hurwitz,
+    is_morse,
     monodromy_group,
     require_valid,
 )
 from .graphs import (ConnectivityVerdict, Graph, delete_vertex, is_connected,
                      quotient_by_partition)
-from .perm import (GeneratedGroup, Transitivity, format_cycles,
-                   least_congruence, orbits, point_stabilizer, transitivity,
-                   transversal)
+from .perm import (GeneratedGroup, Transitivity, _congruence, format_cycles,
+                   orbits, point_stabilizer, transitivity, transversal)
 
 
 class TheoremViolationError(RuntimeError):
@@ -234,9 +234,8 @@ class CoverContext:
 
     @cached_property
     def morse(self) -> bool:
-        """Every c_j a transposition, that is d - 1 cycles."""
-        d = self.cover.degree
-        return all(len(cycles) == d - 1 for cycles in self.cycles)
+        """Every c_j a transposition: ``cover.is_morse``."""
+        return is_morse(self.cover, checked=False)
 
     @cached_property
     def pair_orbits(self) -> tuple:
@@ -278,22 +277,29 @@ class CoverContext:
                 points.append(SchemePoint(j, pair, branches))
         return tuple(points)
 
-    def _branches(self):
-        """Branch orbitals and size over each pair (kappa, lam) of cycles of a
-        c_j with a moved cycle; only two moved cycles give two branches."""
+    @cached_property
+    def _branches(self) -> tuple:
+        """One walk over the pairs (kappa, lam) of cycles of a c_j with a
+        moved cycle, for the dual graph and the genera: the edges joining the
+        orbitals of a pair's branches (only two moved cycles give two), and
+        each orbital's ramification over X, summing size - 1 over branches."""
+        lookup, edges = self.orbital_of, set()
+        ramification = [0] * len(self.orbitals)
         for cycles in self.cycles:
             moved = [lam for lam in cycles if len(lam) > 1]
             for kappa in cycles:
                 for lam in cycles if len(kappa) > 1 else moved:
                     g = math.gcd(len(kappa), len(lam))
-                    yield ([self.orbital_of[kappa[0], lam[s]]
-                            for s in range(g)], len(kappa) * len(lam) // g)
+                    ids = [lookup[kappa[0], lam[s]] for s in range(g)]
+                    for i in ids:
+                        ramification[i] += len(kappa) * len(lam) // g - 1
+                    if g > 1:
+                        edges.update(itertools.combinations(sorted(set(ids)), 2))
+        return edges, ramification
 
     @cached_property
     def dual_graph(self) -> Graph:
-        return Graph(range(len(self.orbitals)), {
-            edge for ids, _ in self._branches() if len(ids) > 1
-            for edge in itertools.combinations(sorted(set(ids)), 2)})
+        return Graph(range(len(self.orbitals)), self._branches[0])
 
     @cached_property
     def stabilizer(self) -> GeneratedGroup:
@@ -301,10 +307,11 @@ class CoverContext:
 
     @cached_property
     def genuine(self) -> GenuineRamification:
-        blocks = least_congruence(self.group, [
-            (x, y) for cj in self.cover.branch_cycles
-            for x, y in enumerate(cj.images, start=1) if x != y])
-        index = self.cover.degree // len(blocks[0])
+        c = self.cover
+        blocks = _congruence([p._raw for p in c.all_generators()], c.degree, [
+            (x, y) for cj in c.branch_cycles
+            for x, y in enumerate(cj._raw) if x != y])
+        index = c.degree // len(blocks[0])
         return GenuineRamification(genuinely_ramified=index == 1,
                                    etale_subcover_degree=index)
 
@@ -350,7 +357,7 @@ class CoverContext:
                 "2 orbitals but the monodromy group is not two-transitive")
         steps.append("monodromy group is two-transitive")
 
-        if not any(len(cycles) == d - 1 for cycles in self.cycles):
+        if not any(cj.is_transposition() for cj in c.branch_cycles):
             raise TheoremViolationError("Morse cover without a transposition")
         steps.append("a branch cycle is a transposition, so the group contains one")
 
@@ -367,8 +374,8 @@ class CoverContext:
         """Genus of the orbital's component of the fiber square by
         Riemann-Hurwitz over X: its local branches over j are the cycles of
         c_j on its pairs.  The diagonal orbital gives the genus of Y."""
-        return _riemann_hurwitz(orbital.size, self.cover.base_genus, sum(
-            (n - 1) * ids.count(orbital.id) for ids, n in self._branches()))
+        return _riemann_hurwitz(orbital.size, self.cover.base_genus,
+                                self._branches[1][orbital.id])
 
     @cached_property
     def derived_cover(self) -> DerivedCover:
@@ -377,21 +384,21 @@ class CoverContext:
         if d < 2:
             raise ValueError("derived cover needs degree >= 2")
         group = self.group
-        back = {}  # p -> 1-based table of u^-1, for the u in G mapping 1 to p
+        back = {}  # p -> 0-based table of u^-1, for the u in G mapping 1 to p
         for p, u in transversal(group, 1).items():
             if u(1) != p or u not in group:
                 raise TheoremViolationError(
                     f"{u} maps 1 to {u(1)}, not {p}, or lies outside G, so "
                     f"inertia conjugated by it does not lie in Stab_G(1)")
-            back[p] = (0, *u.inverse().images)
+            back[p] = u.inverse()._raw
 
         # t = u^-1 c_j^e u as in derived_cover_q1: its steps from positions
         # below n - gcd(e, n) miss one step of each of its cycles on u^-1 lam,
         # so join each, and count its ramification: 1 iff t is a transposition
         joins, morse = [], True
         for cycles in self.cycles:
-            # a fixed point of c_j moves under no power
-            moved = [lam for lam in cycles if len(lam) > 1]
+            # a fixed point of c_j moves under no power; points made 0-based
+            moved = [[x - 1 for x in lam] for lam in cycles if len(lam) > 1]
             for kappa in cycles:
                 e, inv, before = len(kappa), back[kappa[0]], len(joins)
                 for lam in moved:
@@ -405,7 +412,8 @@ class CoverContext:
 
         # H'N' = Stab_G(1) iff |N'.2| = |Stab_G(1).2| (level 1 of G's chain),
         # transitive or not; no join meets 1, so 2 lies in the second block
-        blocks = least_congruence(self.stabilizer, joins)
+        blocks = _congruence([h._raw for h in self.stabilizer.generators], d,
+                             joins)
         gr = len(blocks[1]) == len(group._levels[1].orbit)
 
         genus = None
@@ -429,7 +437,7 @@ class CoverContext:
         if group.order > cap:
             return OracleReport(True, f"group order {group.order} exceeds cap {cap}",
                                 None, None, None, None)
-        elements = group.elements(cap=cap)
+        elements = group.elements()
 
         connection: set = set()
         for cj in c.branch_cycles:
@@ -515,7 +523,7 @@ def genuinely_ramified(c: BranchedCover, checked: bool = True) -> GenuineRamific
     """Group-theoretic test: HN = G for H = Stab_G(1) and N the normal
     closure of the branch cycles.  The witness is the degree [G : HN] of the
     maximal etale subcover, d / |N.1|, where the N-orbits are the blocks of
-    ``perm.least_congruence`` for G and the pairs (x, c_j(x))."""
+    ``perm._congruence`` for G and the 0-based pairs (x, c_j(x))."""
     return CoverContext(c, checked).genuine
 
 
@@ -535,7 +543,7 @@ def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:
     cycles on u^-1 lam, so ramification n - gcd(e, n), and no t is built.
     Genuinely ramified iff H'N' = H for H' = Stab_H(2) and N' the normal
     closure of the inertia in H, that is iff |N'.2| = |H.2|, with N'.2 a
-    block of ``perm.least_congruence`` for H and the pairs of t's steps."""
+    block of ``perm._congruence`` for H and the 0-based pairs of t's steps."""
     return CoverContext(c, checked).derived_cover
 
 

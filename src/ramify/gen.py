@@ -38,7 +38,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .cover import BranchedCover, InvalidCoverError, dumps_cover
+from .cover import (BranchedCover, InvalidCoverError, _structural_violations,
+                    dumps_cover)
 from .fiber import CoverContext, TheoremViolationError
 from .graphs import is_connected
 from .perm import (Permutation, Transitivity, _compose, _inverse,
@@ -99,8 +100,11 @@ def canonical_form(c: BranchedCover) -> tuple:
     ``_raw_key`` of the generators), the least renumbering of a_1, b_1,
     ..., then the branch cycles that a BFS from some start point gives.  A
     conjugation invariant, equal only for conjugate covers.  Raises
-    InvalidCoverError on intransitive input, naming the search from point
-    1."""
+    InvalidCoverError on input ``validate`` finds structurally invalid, and
+    on intransitive input, naming the search from point 1."""
+    violations = _structural_violations(c)
+    if violations:
+        raise InvalidCoverError(violations)
     d = c.degree
     gens = [p._raw for p in c.all_generators()]
     key = _raw_key(gens, d)

@@ -495,6 +495,9 @@ def _complex(q: Fraction) -> complex:
     return z
 
 
+_POLISH_STEPS = 3   # Newton steps on each root that np.roots returns
+
+
 def _polished_roots(coeffs: Sequence[complex]) -> list:
     """The roots of the ascending coefficients ``coeffs`` by ``np.roots``,
     each Newton-polished against them, sorted by (re, im).  A root beyond
@@ -512,9 +515,9 @@ def _polished_roots(coeffs: Sequence[complex]) -> list:
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def _polish(coeffs: Sequence[complex], z: complex, steps: int = 3) -> complex:
+def _polish(coeffs: Sequence[complex], z: complex) -> complex:
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         dv = _horner(deriv, z)
         if dv == 0:
             return z

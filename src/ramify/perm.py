@@ -571,33 +571,17 @@ def normal_closure(sub: Iterable[Permutation], g: GeneratedGroup) -> GeneratedGr
         or (Permutation.identity(g.degree),), levels)
 
 
-def least_congruence(g: GeneratedGroup, pairs: Iterable) -> tuple:
-    """Blocks, sorted and in order of least point, of the least g-invariant
-    partition of 1..d joining x and y for each pair (x, y) of points of 1..d
-    in pairs (else ValueError): Atkinson's union-find, which queues the
-    fewer than d pairs whose union merged two blocks and unites their images
-    under each generator of g.  For the pairs (x, s(x)) of s in g these are
-    the orbits of the normal closure N of those s: N is normal and holds
-    each s, so its orbits form such a partition, and the kernel of any such
-    partition is normal and holds each s, so holds N."""
-    d = g.degree
-    pairs = list(pairs)
-    entries = list(itertools.chain.from_iterable(pairs))
-    # each distinct entry is tested once; a refusal names the first bad pair
-    if not ({*map(type, entries)} <= {int}
-            and all(1 <= x <= d for x in set(entries))):
-        for x, y in pairs:
-            if not (_is_point(x, d) and _is_point(y, d)):
-                raise ValueError(f"not a pair of points of 1..{d}: {(x, y)!r}")
-    joins = [(x - 1, y - 1) for x, y in pairs]
-    return tuple(tuple([x + 1 for x in b]) for b in
-                 _congruence([h._raw for h in g.generators], d, joins))
-
-
 def _congruence(raws: Sequence, d: int, joins: Iterable) -> list:
     """Blocks of 0-based points, sorted and in order of least point, of the
     least partition of 0..d-1 invariant under the maps ``raws`` and joining
-    each 0-based pair of ``joins``: the union-find of ``least_congruence``."""
+    each 0-based pair of ``joins``: Atkinson's union-find, which queues the
+    fewer than d pairs whose union merged two blocks and unites their images
+    under each map.  The caller passes valid 0-based points; nothing is
+    checked.  When ``raws`` generate a group G and the joins are the pairs
+    (x, s(x)) of elements s of G, the blocks are the orbits of the normal
+    closure N of those s: N is normal and holds each s, so its orbits form
+    such a partition, and the kernel of any such partition is normal and
+    holds each s, so holds N."""
     parent = list(range(d))
 
     def find(x: int) -> int:

@@ -25,7 +25,7 @@ from ramify.fiber import (
 from ramify.gen import CorpusSpec, check_cover, enumerate_covers, random_cover
 from ramify.graphs import is_connected
 from ramify.numono import certify_projection, parse_poly
-from ramify.perm import Permutation, least_congruence, parse_cycles
+from ramify.perm import Permutation, _congruence, parse_cycles
 
 from oracles import (
     o_closure,
@@ -771,9 +771,10 @@ def assert_blocks_witness_the_etale_subcover(cover):
     every branch cycle fixes each one.  The check reads only the blocks and
     the generators."""
     ctx = CoverContext(cover)
-    blocks = least_congruence(ctx.group, [
-        (x, cj(x)) for cj in cover.branch_cycles
-        for x in range(1, cover.degree + 1)])
+    blocks = tuple(tuple(x + 1 for x in b) for b in _congruence(
+        [h._raw for h in ctx.group.generators], cover.degree,
+        [(x - 1, cj(x) - 1) for cj in cover.branch_cycles
+         for x in range(1, cover.degree + 1)]))
     parts = {frozenset(b) for b in blocks}
     assert set().union(*parts) == set(range(1, cover.degree + 1))
     for s in cover.all_generators():

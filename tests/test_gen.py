@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -250,6 +251,20 @@ def test_canonical_form_refuses_intransitive_cover(cycles):
     gens = tuple(parse_cycles(c, 4) for c in cycles)
     with pytest.raises(InvalidCoverError, match="reach . of 4 points"):
         canonical_form(BranchedCover(4, 0, (), gens))
+
+
+@pytest.mark.parametrize("cover", [
+    BranchedCover(0, 0),
+    BranchedCover(2, 0, (), [parse_cycles("(1 2 3)", 3)] * 2),
+    BranchedCover(3, 0, (), [parse_cycles("(1 2)", 2)] * 2),
+    BranchedCover(2, 1, (), [parse_cycles("(1 2)", 2)] * 2),
+], ids=["degree_zero", "long_cycles", "short_cycles", "no_handle_pair"])
+def test_canonical_form_refuses_structurally_invalid_cover(cover):
+    """A cover whose structure ``validate`` refuses is refused with the
+    same violations before it is keyed."""
+    with pytest.raises(InvalidCoverError) as refused:
+        canonical_form(cover)
+    assert refused.value.violations == validate(cover).violations
 
 
 def test_canonical_form_refusal_names_point_one():
@@ -692,6 +707,34 @@ def test_check_cover_reads_each_branch_cycle_once(monkeypatch, name):
     counters, _, violations = check_cover(cover)
     assert not violations
     assert len(calls) <= cover.branch_count
+
+
+@pytest.mark.parametrize("name", ["MORSE7", "TREFOIL_MORSE"])
+def test_check_cover_walks_the_ramified_cycle_pairs_once(monkeypatch, name):
+    """The dual graph and the off-diagonal genus read one walk over the
+    cycle pairs (kappa, lam) of a c_j with a moved cycle, which looks up
+    the orbitals of their gcd(e, l) branches once per cover."""
+    import test_cover
+    cover = MORSE7 if name == "MORSE7" else test_cover.TREFOIL_MORSE
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, pair):
+            reads.append(pair)
+            return super().__getitem__(pair)
+
+    class Counted(CoverContext):
+        @functools.cached_property
+        def orbital_of(self):
+            return Counting(CoverContext.orbital_of.func(self))
+
+    monkeypatch.setattr(ramify.gen, "CoverContext", Counted)
+    counters, _, violations = check_cover(cover)
+    assert not violations and counters["derived_cover"] == 1
+    tables = [cj.cycles(include_fixed=True) for cj in cover.branch_cycles]
+    assert len(reads) == sum(math.gcd(len(k), len(lam)) for cycles in tables
+                             for k in cycles for lam in cycles
+                             if len(k) > 1 or len(lam) > 1)
 
 
 def test_check_cover_validates_nothing(monkeypatch):
