@@ -28,12 +28,14 @@ factors through.  The derived cover's test is the same identity at point
 
 All of these live on a CoverContext, which builds each on first use and at
 most once: the monodromy group G, the table of each c_j's cycles, the
-orbits on pairs with the orbitals and the pair -> orbital lookup, the
-scheme points, the branches over cycle pairs with a moved cycle (read by
-the dual graph and the genera), the dual graph, Stab_G(1), the Morse and
-HN tests, the off-diagonal flag, the S_d certificate and the derived
-cover.  G is the one group built per cover, and Stab_G(1) shares its
-levels: validation and the HN test read the generators and build none.
+orbitals with a table from the code d(p-1) + q-1 of each pair (p, q) to
+its orbital (``perm._pair_orbits`` of the raw generators), the scheme
+points, the branches over cycle pairs with a moved cycle (read by the dual
+graph and the genera), the dual graph, Stab_G(1), the Morse and HN tests,
+the off-diagonal flag, the S_d certificate and the derived cover.  G, the
+one group built per cover, serves its order, two-transitivity, Stab_G(1)
+(sharing its levels) and elements alone: validation, the orbitals, the
+dual graph and the HN test read the generators and build none.
 Each public function below is a view of a fresh context;
 ``gen.check_cover`` and ``numono.certify_projection`` keep one context
 for all their checks.  Nothing is cached across covers.
@@ -55,8 +57,8 @@ from .cover import (
 )
 from .graphs import (ConnectivityVerdict, Graph, delete_vertex, is_connected,
                      quotient_by_partition)
-from .perm import (GeneratedGroup, Transitivity, _congruence, format_cycles,
-                   orbits, point_stabilizer, transitivity, transversal)
+from .perm import (GeneratedGroup, Transitivity, _congruence, _pair_orbits,
+                   format_cycles, point_stabilizer, transitivity, transversal)
 
 
 class TheoremViolationError(RuntimeError):
@@ -239,24 +241,28 @@ class CoverContext:
 
     @cached_property
     def pair_orbits(self) -> tuple:
-        pairs = itertools.product(range(1, self.cover.degree + 1), repeat=2)
-        return orbits(self.group, pairs)
+        c = self.cover
+        return _pair_orbits([h._raw for h in c.all_generators()], c.degree)
 
     @cached_property
     def orbitals(self) -> tuple:
-        return tuple(Orbital(id=i, representative=part[0], size=len(part),
-                             is_diagonal=part[0][0] == part[0][1])
-                     for i, part in enumerate(self.pair_orbits))
+        d, out = self.cover.degree, []
+        for i, part in enumerate(self.pair_orbits):
+            p, q = divmod(part[0], d)
+            out.append(Orbital(i, (p + 1, q + 1), len(part), p == q))
+        return tuple(out)
 
     @cached_property
-    def orbital_of(self) -> dict:
-        """Ordered pair -> id of its orbital."""
-        return {pair: i for i, part in enumerate(self.pair_orbits)
-                for pair in part}
+    def orbital_of(self) -> list:
+        lookup = [0] * self.cover.degree ** 2
+        for i, part in enumerate(self.pair_orbits):
+            for code in part:
+                lookup[code] = i
+        return lookup
 
     @cached_property
     def scheme_points(self) -> tuple:
-        lookup = self.orbital_of
+        d, lookup = self.cover.degree, self.orbital_of
         shared: dict = {}   # cycle pair -> (pair, branches), alike at every j
         points = []
         for j, cycles in enumerate(self.cycles, start=1):
@@ -270,8 +276,9 @@ class CoverContext:
                     reps = sorted((kappa[0], min(kappa2[r::g]))
                                   for r in range(g))
                     rec = shared[pair] = (pair, tuple(
-                        LocalBranch(orbital_id=lookup[rep], size=size,
-                                    representative=rep) for rep in reps))
+                        LocalBranch(orbital_id=lookup[d * p + q - d - 1],
+                                    size=size, representative=(p, q))
+                        for p, q in reps))
                 # rebinding pair to the shared tuple lets product reuse its own
                 pair, branches = rec
                 points.append(SchemePoint(j, pair, branches))
@@ -283,14 +290,15 @@ class CoverContext:
         moved cycle, for the dual graph and the genera: the edges joining the
         orbitals of a pair's branches (only two moved cycles give two), and
         each orbital's ramification over X, summing size - 1 over branches."""
-        lookup, edges = self.orbital_of, set()
+        d, lookup, edges = self.cover.degree, self.orbital_of, set()
         ramification = [0] * len(self.orbitals)
         for cycles in self.cycles:
             moved = [lam for lam in cycles if len(lam) > 1]
             for kappa in cycles:
+                row = d * kappa[0] - d - 1   # code of (kappa[0], q) is row + q
                 for lam in cycles if len(kappa) > 1 else moved:
                     g = math.gcd(len(kappa), len(lam))
-                    ids = [lookup[kappa[0], lam[s]] for s in range(g)]
+                    ids = [lookup[row + lam[s]] for s in range(g)]
                     for i in ids:
                         ramification[i] += len(kappa) * len(lam) // g - 1
                     if g > 1:
@@ -460,9 +468,9 @@ class CoverContext:
                     edges.add((a, b) if a < b else (b, a))
         cayley = Graph(labels.values(), edges)
 
-        parts: dict = {}
+        parts: dict = {}   # the code of the pair (1, g(1)) is g(1) - 1
         for g in elements:
-            parts.setdefault(self.orbital_of[(1, g(1))], []).append(labels[g])
+            parts.setdefault(self.orbital_of[g(1) - 1], []).append(labels[g])
         names = sorted(parts)
         quotient = quotient_by_partition(cayley, [parts[n] for n in names],
                                          names=names)

@@ -18,13 +18,13 @@ already sifted, so none is sifted twice.  Stab(p) and the transversal at
 p are read off the chain of a group fixing 1..p-1, shared rather than
 rebuilt, and are refused for any other p; no chain is copied or joined.
 Nothing else is precomputed: transitivity and two-transitivity are the
-sizes of the first two basic orbits of the chain.  Orbits, on points or
-on ordered pairs of points, need no chain at all: one breadth-first search
-over integer points along 0-based image tables, a pair (p, q) being the
-point (p-1)d + q-1 of the pair action.  Nor do the orbits of a normal
-closure: they are the blocks of the least congruence joining each x to
-s(x), by union-find on pairs of points.  A point is an int of 1..d
-wherever one is taken.
+sizes of the first two basic orbits of the chain.  Orbits need no chain
+at all: one breadth-first search over integer points along 0-based image
+tables.  On ordered pairs it is ``_pair_orbits``, on raw generators, the
+pair (p, q) being the point d(p-1) + q-1; ``orbits`` is its checked front
+end, for pairs only.  Nor do the orbits of a normal closure: they are the
+blocks of the least congruence joining each x to s(x), by union-find on
+pairs of points.  A point is an int of 1..d wherever one is taken.
 """
 
 from __future__ import annotations
@@ -449,10 +449,8 @@ class GeneratedGroup:
         residue, _ = _strip_from(p._raw, self._levels)
         return residue is None
 
-    def elements(self, cap: int | None = None) -> tuple:
-        """All elements, sorted by image tuple.  Raises if order exceeds cap."""
-        if cap is not None and self._order > cap:
-            raise ValueError(f"group order {self._order} exceeds cap {cap}")
+    def elements(self) -> tuple:
+        """All elements, sorted by image tuple."""
         raws = [tuple(range(self.degree))]
         for lev in reversed(self._levels):
             if len(lev.transversal) == 1:
@@ -467,30 +465,29 @@ class GeneratedGroup:
         return f"GeneratedGroup(d={self.degree}, order={self._order}, <{gens}>)"
 
 
-def orbits(g: GeneratedGroup, domain: Iterable | None = None) -> tuple:
-    """Orbits through the domain, each sorted, in order of least domain
-    item: the points 1..d by default, given points, or given ordered pairs
-    (p, q) under h(p, q) = (h(p), h(q)).  A pair is searched as the point
-    (p-1)d + q-1 of the pair action, so code order is pair order.  The
-    first item says which the domain holds; an item that is not of that
-    kind, an int of 1..d or a 2-tuple of them, raises ValueError."""
-    d = g.degree
-    raws = [gen._raw for gen in g.generators]
-    items = range(1, d + 1) if domain is None else tuple(domain)
-    pairs = bool(items) and isinstance(items[0], tuple)
-    for x in items:
-        if not ((isinstance(x, tuple) and len(x) == 2 and _is_point(x[0], d)
-                 and _is_point(x[1], d)) if pairs else _is_point(x, d)):
-            raise ValueError(f"not a {'pair of points' if pairs else 'point'}"
-                             f" of 1..{d}: {x!r}")
-    items = sorted(set(items))
-    if not pairs:
-        return tuple(tuple([x + 1 for x in part])
-                     for part in _orbits(raws, d, [p - 1 for p in items]))
-    tables = [[d * raw[x] + raw[y] for x in range(d) for y in range(d)]
+def orbits(g: GeneratedGroup, pairs: Iterable) -> tuple:
+    """The orbits of g through the given ordered pairs of points, each
+    sorted, in order of least pair, by ``_pair_orbits``.  An item that is
+    not a 2-tuple of ints of 1..d raises ValueError."""
+    d, codes = g.degree, set()
+    for x in pairs:
+        if not (isinstance(x, tuple) and len(x) == 2 and _is_point(x[0], d)
+                and _is_point(x[1], d)):
+            raise ValueError(f"not a pair of points of 1..{d}: {x!r}")
+        codes.add(d * x[0] + x[1] - d - 1)
+    parts = _pair_orbits([h._raw for h in g.generators], d, sorted(codes))
+    return tuple(tuple([(c // d + 1, c % d + 1) for c in part])
+                 for part in parts)
+
+
+def _pair_orbits(raws: Sequence, d: int,
+                 starts: Iterable | None = None) -> tuple:
+    """``_orbits`` of the 0-based maps ``raws`` on ordered pairs, the pair
+    (p, q) of 1..d being the code d(p-1) + q-1, so code order is pair
+    order: one d*d table per map.  Nothing is checked."""
+    tables = [[r + y for r in [d * x for x in raw] for y in raw]
               for raw in raws]
-    return tuple(tuple([(c // d + 1, c % d + 1) for c in part]) for part in
-                 _orbits(tables, d * d, [d * p + q - d - 1 for p, q in items]))
+    return _orbits(tables, d * d, starts)
 
 
 def _orbits(raws: Sequence, n: int, starts: Iterable | None = None) -> tuple:

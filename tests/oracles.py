@@ -102,6 +102,19 @@ def o_point_orbits(gens: list, n: int) -> list:
     return parts
 
 
+def o_pair_orbits(gens: list, n: int) -> list:
+    """Orbits on ordered pairs of 0..n-1, as sorted tuples of 1-based pairs
+    ordered by least pair, each walked as a set of tuples."""
+    seen: set = set()
+    parts = []
+    for pair in itertools.product(range(n), repeat=2):
+        if pair not in seen:
+            orb = o_orbit(gens, pair, lambda g, t: (g[t[0]], g[t[1]]))
+            seen |= orb
+            parts.append(tuple(sorted((p + 1, q + 1) for p, q in orb)))
+    return parts
+
+
 def o_is_transitive(gens: list, n: int) -> bool:
     return len(o_point_orbits(gens, n)) == 1
 
@@ -112,13 +125,8 @@ def o_transitivity(gens: list, n: int) -> str:
     pairs, the diagonal and the rest."""
     if len(o_point_orbits(gens, n)) != 1:
         return "intransitive"
-    seen: set = set()
-    pair_orbits = 0
-    for pair in itertools.product(range(n), repeat=2):
-        if pair not in seen:
-            seen |= o_orbit(gens, pair, lambda g, t: (g[t[0]], g[t[1]]))
-            pair_orbits += 1
-    return "two_transitive" if n >= 2 and pair_orbits == 2 else "transitive"
+    two = n >= 2 and len(o_pair_orbits(gens, n)) == 2
+    return "two_transitive" if two else "transitive"
 
 
 def o_stabilizer(elements: set, point0: int) -> set:
@@ -372,19 +380,13 @@ def o_dual_graph(cover, walk: list) -> Graph:
     the generators on ordered pairs, numbered by least pair, and every
     scheme point of ``walk = o_local_branches(cover)``, one-branch points
     included, joins each two orbitals among its branches."""
-    gens = o_generators(cover)
-    orbital: dict = {}
-    n = 0
-    for pair in itertools.product(range(cover.degree), repeat=2):
-        if pair not in orbital:
-            orbit = o_orbit(gens, pair, lambda g, t: (g[t[0]], g[t[1]]))
-            orbital.update(dict.fromkeys(orbit, n))
-            n += 1
+    parts = o_pair_orbits(o_generators(cover), cover.degree)
+    orbital = {pair: i for i, part in enumerate(parts) for pair in part}
     edges = set()
     for _, _, branches in walk:
-        ids = sorted({orbital[(a - 1, b - 1)] for (a, b), _ in branches})
+        ids = sorted({orbital[pair] for pair, _ in branches})
         edges.update(itertools.combinations(ids, 2))
-    return Graph(range(n), edges)
+    return Graph(range(len(parts)), edges)
 
 
 def naive_closure(generators: list, cap: int = 10080) -> frozenset:

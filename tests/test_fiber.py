@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ramify import fiber
-from ramify.cover import (BranchedCover, is_morse, relation_product,
-                          total_space_genus, validate)
+from ramify.cover import (BranchedCover, is_morse, monodromy_group,
+                          relation_product, total_space_genus, validate)
 from ramify.fiber import (
     CoverContext,
     TheoremViolationError,
@@ -25,7 +25,7 @@ from ramify.fiber import (
 from ramify.gen import CorpusSpec, check_cover, enumerate_covers, random_cover
 from ramify.graphs import is_connected
 from ramify.numono import certify_projection, parse_poly
-from ramify.perm import Permutation, _congruence, parse_cycles
+from ramify.perm import Permutation, _congruence, orbits, parse_cycles
 
 from oracles import (
     o_closure,
@@ -37,6 +37,7 @@ from oracles import (
     o_local_branches,
     o_local_inertia,
     o_normal_closure,
+    o_pair_orbits,
     o_power,
     o_stabilizer,
     o_transitivity,
@@ -181,8 +182,10 @@ def assert_branches_match_walk(cover):
            for sp in ctx.scheme_points]
     walk = o_local_branches(cover)
     assert got == walk
-    assert all(b.orbital_id == ctx.orbital_of[b.representative]
-               for sp in ctx.scheme_points for b in sp.branches)
+    d = cover.degree
+    assert all(b.orbital_id == ctx.orbital_of[d * p + q - d - 1]
+               for sp in ctx.scheme_points for b in sp.branches
+               for p, q in [b.representative])
     assert ctx.dual_graph == o_dual_graph(cover, walk)
 
 
@@ -272,6 +275,39 @@ def test_local_branches_match_the_orbit_walk_on_long_cycles():
         assert_branches_match_walk(cover)
         gcds |= {len(sp.branches) for sp in scheme_points(cover)}
     assert {1, 2, 3, 4, 6} <= gcds
+
+
+def assert_orbitals_match_the_pair_action(cover):
+    """The context's orbitals and its table from the code d(p-1) + q-1 of
+    each pair (p, q) to an orbital id, read off the raw generators, against
+    ``perm.orbits`` of the monodromy group on every pair and against the
+    pair-orbit oracle; ``cover`` is valid."""
+    d = cover.degree
+    ctx = CoverContext(cover, checked=False)
+    parts = orbits(monodromy_group(cover, checked=False),
+                   itertools.product(range(1, d + 1), repeat=2))
+    assert list(parts) == o_pair_orbits(o_generators(cover), d)
+    assert [(o.id, o.representative, o.size, o.is_diagonal)
+            for o in ctx.orbitals] == [
+        (i, part[0], len(part), part[0][0] == part[0][1])
+        for i, part in enumerate(parts)]
+    table = [None] * (d * d)
+    for i, part in enumerate(parts):
+        for p, q in part:
+            table[d * p + q - d - 1] = i
+    assert ctx.orbital_of == table
+
+
+@pytest.mark.parametrize("covers", [
+    lambda: enumerate_covers(CorpusSpec((1, 4), (0, 0), (0, 4), dedup=True)),
+    lambda: enumerate_covers(CorpusSpec((1, 3), (1, 1), (0, 3), dedup=True)),
+    lambda: [c for d in (9, 10, 11, 12) for c in braid_walk_covers(d)],
+    long_cycle_covers,
+], ids=["exhaustive_genus0", "exhaustive_genus1", "braid_walks",
+        "long_cycles"])
+def test_orbitals_match_the_pair_action(covers):
+    for cover in covers():
+        assert_orbitals_match_the_pair_action(cover)
 
 
 def test_no_check_builds_a_scheme_point(monkeypatch):
@@ -937,23 +973,45 @@ def test_analyze_builds_the_monodromy_group_once(cover, monodromy_builds):
 
 def test_the_orbitals_bfs_is_the_only_orbit_computation(monkeypatch):
     """Transitivity is read off the chain, so analysing and checking a cover
-    run one orbit BFS, over pairs, for the orbitals."""
+    run one orbit BFS, over every pair code, for the orbitals, and never
+    the validating ``perm.orbits``."""
     import ramify.fiber
     import ramify.perm
     from ramify.gen import check_cover
 
-    real = ramify.perm.orbits
-    domains = []
+    real = ramify.perm._pair_orbits
+    starts = []
 
-    def counted(g, domain=None):
-        domains.append(domain is not None)
-        return real(g, domain)
+    def counted(raws, d, start_codes=None):
+        starts.append(start_codes)
+        return real(raws, d, start_codes)
 
-    monkeypatch.setattr(ramify.perm, "orbits", counted)
-    monkeypatch.setattr(ramify.fiber, "orbits", counted)
+    def refuse(*args):
+        raise AssertionError("perm.orbits was called")
+
+    monkeypatch.setattr(ramify.perm, "_pair_orbits", counted)
+    monkeypatch.setattr(ramify.fiber, "_pair_orbits", counted)
+    monkeypatch.setattr(ramify.perm, "orbits", refuse)
     analyze(MORSE7)
-    assert domains == [True]
-    domains.clear()
+    assert starts == [None]
+    starts.clear()
     counters, _, violations = check_cover(MORSE7)
     assert counters["derived_cover"] == 1 and not violations
-    assert domains == [True]
+    assert starts == [None]
+
+
+@pytest.mark.parametrize("cover", [MORSE7, D4, ETALE_G1, GALOIS_V4])
+def test_the_orbitals_build_no_group(cover, monkeypatch):
+    """A fresh context reads its orbitals, their code table, the dual graph
+    and the off-diagonal flag off the cover's raw generators: it builds no
+    GeneratedGroup for them."""
+    from ramify.perm import GeneratedGroup
+
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    ctx = CoverContext(cover)
+    monkeypatch.setattr(GeneratedGroup, "_set", refuse)
+    assert ctx.orbitals and ctx.orbital_of
+    assert ctx.dual_graph == dual_graph(cover) and ctx.offdiag
+    assert "group" not in vars(ctx)

@@ -129,6 +129,28 @@ def test_enumerate_cap():
         list(enumerate_covers(spec(2, 2, 2)))
 
 
+@pytest.mark.parametrize("corpus", [
+    CorpusSpec((4, 4), (0, 0), (9, 9)),
+    CorpusSpec((2, 5), (0, 0), (0, 4)),
+    CorpusSpec((4, 4), (0, 0), (9, 9), morse_only=True),
+], ids=["d4_r9", "d2_to_5_r4", "morse_d4_r9"])
+def test_enumerate_refuses_strata_past_the_candidate_bound(corpus):
+    """The degree caps leave r free: d = 4, r = 9 holds 23^8 (about
+    7.8e10) candidates, d = 5, r = 4 holds 119^3, Morse d = 4, r = 9 holds
+    6^8.  Each is refused before the first candidate, even where a smaller
+    degree of the spec comes first."""
+    with pytest.raises(CapExceededError, match="candidates"):
+        next(enumerate_covers(corpus))
+
+
+def test_enumerate_allows_strata_under_the_candidate_bound():
+    """d = 4, r = 5 (23^4 candidates) and Morse d = 4, r = 8 (6^7) are the
+    largest strata the bound allows."""
+    for corpus in (CorpusSpec((4, 4), (0, 0), (5, 5)),
+                   CorpusSpec((4, 4), (0, 0), (8, 8), morse_only=True)):
+        assert next(enumerate_covers(corpus)).degree == 4
+
+
 def test_enumerate_deterministic_order():
     a = [dumps_cover(c) for c in enumerate_covers(spec(3, 0, 3))]
     b = [dumps_cover(c) for c in enumerate_covers(spec(3, 0, 3))]
@@ -718,10 +740,10 @@ def test_check_cover_walks_the_ramified_cycle_pairs_once(monkeypatch, name):
     cover = MORSE7 if name == "MORSE7" else test_cover.TREFOIL_MORSE
     reads = []
 
-    class Counting(dict):
-        def __getitem__(self, pair):
-            reads.append(pair)
-            return super().__getitem__(pair)
+    class Counting(list):
+        def __getitem__(self, code):
+            reads.append(code)
+            return super().__getitem__(code)
 
     class Counted(CoverContext):
         @functools.cached_property

@@ -208,7 +208,7 @@ def test_deletion_lemma_random(n, seed):
 def cayley_graph(group: GeneratedGroup, connection: list) -> Graph:
     """Undirected Cayley graph on the group elements for an inverse-closed
     connection set."""
-    elems = group.elements(cap=10080)
+    elems = group.elements()
     label = {p: str(p) for p in elems}
     edges = set()
     for p in elems:

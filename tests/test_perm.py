@@ -13,6 +13,8 @@ from ramify.perm import (
     Permutation,
     Transitivity,
     _congruence,
+    _orbits,
+    _pair_orbits,
     format_cycles,
     normal_closure,
     orbits,
@@ -26,7 +28,7 @@ from oracles import (
     naive_closure,
     o_closure,
     o_normal_closure,
-    o_orbit,
+    o_pair_orbits,
     o_point_orbits,
     o_stabilizer,
     o_transitivity,
@@ -217,15 +219,17 @@ def test_membership_matches_naive_closure(g):
 def test_elements_enumeration():
     g = GeneratedGroup(3, [perm("(1 2 3)", 3)])
     assert [str(p) for p in g.elements()] == ["id", "(1 2 3)", "(1 3 2)"]
-    with pytest.raises(ValueError):
-        GeneratedGroup(5, [perm("(1 2 3 4 5)", 5), perm("(1 2)", 5)]).elements(cap=100)
 
 
 # -- orbits -----------------------------------------------------------------
 
+def _raws(g):
+    return [tuple(x - 1 for x in p.images) for p in g.generators]
+
+
 def test_orbits_c2_on_three_points():
     g = GeneratedGroup(3, [perm("(1 2)", 3)])
-    assert orbits(g) == ((1, 2), (3,))
+    assert _orbits(_raws(g), 3) == ((0, 1), (2,))
 
 
 def test_orbits_d4_on_pairs():
@@ -247,26 +251,21 @@ def test_orbits_s3_on_pairs():
 @settings(max_examples=40, deadline=None)
 @given(small_groups_st())
 def test_orbits_match_oracle(g):
-    raw = [tuple(x - 1 for x in p.images) for p in g.generators]
-    expected = [tuple(x + 1 for x in part)
-                for part in o_point_orbits(raw, g.degree)]
-    assert list(orbits(g)) == expected
+    raw = _raws(g)
+    assert list(_orbits(raw, g.degree)) == o_point_orbits(raw, g.degree)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_groups_st())
 def test_pair_orbits_match_oracle(g):
+    """``orbits`` on every pair and ``_pair_orbits`` on the codes agree
+    with the pair-orbit oracle."""
     d = g.degree
-    raw = [tuple(x - 1 for x in p.images) for p in g.generators]
-    seen: set = set()
-    expected = []
-    for pair in itertools.product(range(d), repeat=2):
-        if pair not in seen:
-            orb = o_orbit(raw, pair, lambda h, t: (h[t[0]], h[t[1]]))
-            seen |= orb
-            expected.append(tuple(sorted((p + 1, q + 1) for p, q in orb)))
+    expected = o_pair_orbits(_raws(g), d)
     pairs = itertools.product(range(1, d + 1), repeat=2)
     assert list(orbits(g, pairs)) == expected
+    assert [tuple((c // d + 1, c % d + 1) for c in part)
+            for part in _pair_orbits(_raws(g), d)] == expected
 
 
 @pytest.mark.parametrize("point", [0, -1, 4, 1.0, True, "1"],
@@ -292,20 +291,26 @@ def test_degree_zero_is_refused(call):
 
 @pytest.mark.parametrize("domain", [
     [(0, 1)], [(1, 4)], [(1, 2), (2, 0)], [(1, 1, 1)], [0], [4], [1.5],
-    [(1.5, 2)], [True], [(1, True)], [1, (1, 2)], [(1, 2), 1], [[1, 2]]],
+    [(1.5, 2)], [True], [(1, True)], [1, (1, 2)], [(1, 2), 1], [[1, 2]],
+    [1], [3, 2]],
     ids=["pair_0_1", "pair_1_4", "second_pair", "triple", "point_0",
          "point_4", "float_point", "float_in_pair", "bool_point",
-         "bool_in_pair", "point_then_pair", "pair_then_point", "list_pair"])
+         "bool_in_pair", "point_then_pair", "pair_then_point", "list_pair",
+         "point_1", "points"])
 def test_orbits_refuse_items_off_the_points(domain):
-    # (1, 4) and (2, 1) would share the code of the pair action
+    # (1, 4) and (2, 1) would share the code of the pair action; orbits
+    # take ordered pairs only, so a point, even of 1..d, is refused
     g = GeneratedGroup(3, [perm("(1 2 3)", 3)])
     with pytest.raises(ValueError):
         orbits(g, domain)
 
 
 def test_orbits_through_given_points():
+    raw = _raws(GeneratedGroup(4, [perm("(1 3)", 4)]))
+    assert _orbits(raw, 4, [2, 1]) == ((0, 2), (1,))
+    assert _orbits(raw, 4, []) == ()
     g = GeneratedGroup(4, [perm("(1 3)", 4)])
-    assert orbits(g, [3, 2]) == ((2,), (1, 3))
+    assert orbits(g, [(3, 3), (2, 2), (3, 3)]) == (((2, 2),), ((1, 1), (3, 3)))
     assert orbits(g, []) == ()
 
 
@@ -364,7 +369,7 @@ def assert_refused_past_first_moved(g):
 @given(small_groups_st(), st.integers(min_value=1, max_value=6))
 def test_orbit_stabilizer_identity(g, p):
     p = 1 + (p - 1) % first_moved(g)
-    orbit = next(part for part in orbits(g) if p in part)
+    orbit = next(part for part in _orbits(_raws(g), g.degree) if p - 1 in part)
     assert point_stabilizer(g, p).order * len(orbit) == g.order
     assert_refused_past_first_moved(g)
 
@@ -738,7 +743,7 @@ def test_normal_closure_membership_required():
 @settings(max_examples=25, deadline=None)
 @given(small_groups_st(max_degree=5), st.data())
 def test_normal_closure_matches_oracle(g, data):
-    elements = list(g.elements(cap=10080))
+    elements = list(g.elements())
     sub = [data.draw(st.sampled_from(elements))]
     n = normal_closure(sub, g)
     for s in sub:
@@ -847,10 +852,6 @@ def test_transitivity_conjugation_invariant(g, s):
     assert transitivity(conj) is transitivity(g)
 
 
-def _raws(g):
-    return [tuple(x - 1 for x in p.images) for p in g.generators]
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_groups_st(max_degree=7), st.data())
 def test_transitivity_matches_brute_force_orbits(g, data):
@@ -877,14 +878,16 @@ def test_transitivity_matches_brute_force_in_degree_one():
 
 def test_chain_reads_make_no_orbit_bfs(monkeypatch):
     """Groups, their stabilizers, closures and joins, transitivity and the
-    validation of a valid cover read the stabilizer chain, never orbits."""
+    validation of a valid cover read the stabilizer chain, never the pair
+    search or any other orbit search in ``perm``."""
     import ramify.perm
     from ramify.cover import BranchedCover, validate
 
     def refuse(*args, **kwargs):
-        raise AssertionError("perm.orbits was called")
+        raise AssertionError("an orbit search in perm was called")
 
-    monkeypatch.setattr(ramify.perm, "orbits", refuse)
+    for name in ("orbits", "_pair_orbits", "_orbits"):
+        monkeypatch.setattr(ramify.perm, name, refuse)
     cycles = braid_walk_tuple(random.Random("chain-reads"), 6)
     g = GeneratedGroup(6, cycles)
     stab = point_stabilizer(g, 1)
