@@ -8,12 +8,15 @@ forces the last, which cuts the search space by |S_d|.  ``_completed``
 decides each candidate once, on raw tuples: a cover only when the forced
 cycle is not the identity (in Morse mode, is a transposition) and one
 search from point 0 reaches every point.  Dedup keeps the first cover of
-each conjugacy class in enumeration order.  It runs on raw tuples too: a
-candidate is keyed by ``_raw_key`` of its raw generators, whose search
-from point 0 is the transitivity test, and ``Permutation``s and a
-``BranchedCover`` are built only for the first cover of a class.  The key
-is the one ``canonical_form`` gives, which searches from fewer start points
-than there are points and drops a start at its first losing row.
+each conjugacy class in enumeration order.  That cover's first free
+generator is the least element of its own conjugacy class, so a candidate
+whose first free generator is not is skipped before it is keyed.  Dedup
+runs on raw tuples: a candidate is keyed by ``_raw_key`` of its raw
+generators, whose search from point 0 is the transitivity test, and
+``Permutation``s and a ``BranchedCover`` are built only for the first cover
+of a class.  The key is the one ``canonical_form`` gives, which searches
+from fewer start points than there are points and drops a start at its
+first losing row.
 
 A Morse draw over the line (genus 0, r >= 2) is r - 1 values of
 ``randrange(n)``, n = d(d - 1)/2, and CPython draws each from the next
@@ -50,10 +53,10 @@ from .perm import (Permutation, Transitivity, _compose, _inverse,
 ENUMERATION_CAPS = {0: 5, 1: 3}
 
 #: Most candidates an exhaustive stratum (d, g, r) may hold:
-#: (d!)^(2g) * |cycle pool|^max(r - 1, 0).  The largest strata under it
-#: take 2-4 s on a 2-core x86-64 host: d = 4, g = 0, r = 5 (279,841
-#: candidates) 2.3 s, 4.0 s with dedup; Morse d = 4, r = 8 (279,936) 2.0 s,
-#: 2.9 s with dedup.
+#: (d!)^(2g) * max(|cycle pool|, 2)^max(r - 1, 0).  The largest strata
+#: under it take up to 2.5 s on a 2-core x86-64 host: d = 4, g = 0, r = 5
+#: (279,841 candidates) 2.5 s, 0.8 s with dedup; Morse d = 4, r = 8
+#: (279,936) 2.2 s, 0.6 s with dedup.
 MAX_STRATUM_CANDIDATES = 300_000
 
 #: Rejection-sampling budget for random covers, in draws.
@@ -191,7 +194,18 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
     cover of each conjugacy class: candidates are keyed by ``_raw_key`` on
     their raw generators, and only a kept cover is built.  Refuses, before
     the first candidate, a degree above its genus's cap and a stratum of
-    more than ``MAX_STRATUM_CANDIDATES`` candidates."""
+    more than ``MAX_STRATUM_CANDIDATES`` candidates.
+
+    Dedup keys only candidates whose first free generator (a_1 at genus
+    >= 1, c_1 at genus 0) is the first raw tuple of its cycle type, the
+    least element of its conjugacy class.  Within a stratum (d, g, r),
+    candidates come in lexicographic order of their free generators, and
+    conjugating one by any sigma in S_d gives a candidate of the same
+    stratum and class, since the pools, the relation product and validity
+    are all invariant.  A cover whose first free generator x is not least
+    is conjugate to one that starts with the least element of x's class and
+    so comes earlier.  The first cover of each class is therefore never
+    skipped, and the kept stream is that of keying every candidate."""
     d_lo, d_hi = spec.degrees
     g_lo, g_hi = spec.base_genera
     r_lo, r_hi = spec.branch_counts
@@ -202,21 +216,28 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
             raise CapExceededError(
                 f"degree cap for genus {g} is {ENUMERATION_CAPS[g]}, "
                 f"requested {d_hi}")
-    # r = r_hi is each (d, g)'s largest stratum; a pool of 2 or more passes
-    # the bound within its bit length of free cycles, so r - 1 is clamped
+    # r = r_hi is each (d, g)'s largest stratum.  A pool counts as at least
+    # 2, so no r above 19 passes, at d = 1 and d = 2 too, and r - 1 is
+    # clamped at the bound's bit length, where 2^(r - 1) already exceeds it
     frees = min(max(r_hi - 1, 0), MAX_STRATUM_CANDIDATES.bit_length())
     for d in range(d_lo, d_hi + 1):
         pool = math.comb(d, 2) if spec.morse_only else math.factorial(d) - 1
         for g in range(g_lo, g_hi + 1):
-            candidates = math.factorial(d) ** (2 * g) * pool ** frees
+            candidates = math.factorial(d) ** (2 * g) * max(pool, 2) ** frees
             if candidates > MAX_STRATUM_CANDIDATES:
                 raise CapExceededError(
-                    f"the stratum d = {d}, g = {g}, r = {r_hi} has more "
+                    f"the stratum d = {d}, g = {g}, r = {r_hi} counts more "
                     f"than {MAX_STRATUM_CANDIDATES} candidates")
     for d in range(d_lo, d_hi + 1):
         raws = list(itertools.permutations(range(d)))
         cycle_pool = [p for p in raws if not _is_identity(p)
                       and (not spec.morse_only or _moved(p) == 2)]
+        leasts = set()   # under dedup, the first raw tuple of each cycle type
+        if spec.dedup:
+            types: dict = {}
+            for p in raws:
+                types.setdefault(tuple(sorted(map(len, _orbits([p], d)))), p)
+            leasts = set(types.values())
         for g in range(g_lo, g_hi + 1):
             seen: set = set()   # no class spans two (d, g)
             for handles in itertools.product(
@@ -228,6 +249,9 @@ def enumerate_covers(spec: CorpusSpec) -> Iterator[BranchedCover]:
                 for r in range(r_lo, r_hi + 1):
                     for frees in itertools.product(cycle_pool,
                                                    repeat=max(r - 1, 0)):
+                        free = flat or frees
+                        if spec.dedup and free and free[0] not in leasts:
+                            continue
                         prod = functools.reduce(_compose, frees, comm)
                         cycles = _forced(frees, prod, r, spec.morse_only)
                         if cycles is None:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -104,9 +105,17 @@ EXHAUSTIVE_STRATA = [(g, d, r) for g, d_max, r_max in ((0, 4, 4), (1, 3, 3))
                          ids=[f"g{g}_d{d}_r{r}" for g, d, r in EXHAUSTIVE_STRATA])
 def test_enumeration_matches_permutation_building_oracle(g, d, r, morse):
     """The raw completion keeps exactly the candidates that building each
-    one as a cover and validating it keeps, in the same order."""
-    assert list(enumerate_covers(spec(d, g, r, morse_only=morse))) \
-        == o_enumerate_covers(d, g, r, morse)
+    one as a cover and validating it keeps, in the same order.  Dedup skips
+    every candidate whose first free generator is not the least of its
+    conjugacy class, yet keeps the first cover of each class of that
+    stream, cover for cover and in order."""
+    covers = o_enumerate_covers(d, g, r, morse)
+    assert list(enumerate_covers(spec(d, g, r, morse_only=morse))) == covers
+    firsts: dict = {}
+    for cover in covers:
+        firsts.setdefault(canonical_form(cover), cover)
+    assert list(enumerate_covers(spec(d, g, r, morse_only=morse,
+                                      dedup=True))) == list(firsts.values())
 
 
 def test_enumerate_all_valid():
@@ -133,12 +142,19 @@ def test_enumerate_cap():
     CorpusSpec((4, 4), (0, 0), (9, 9)),
     CorpusSpec((2, 5), (0, 0), (0, 4)),
     CorpusSpec((4, 4), (0, 0), (9, 9), morse_only=True),
-], ids=["d4_r9", "d2_to_5_r4", "morse_d4_r9"])
+    CorpusSpec((2, 2), (0, 0), (0, 20_000)),
+    CorpusSpec((1, 1), (0, 0), (0, 10 ** 9)),
+    CorpusSpec((1, 2), (1, 1), (0, 10 ** 9)),
+], ids=["d4_r9", "d2_to_5_r4", "morse_d4_r9", "d2_r20000", "d1_r1e9",
+        "genus1_d1_to_2_r1e9"])
 def test_enumerate_refuses_strata_past_the_candidate_bound(corpus):
     """The degree caps leave r free: d = 4, r = 9 holds 23^8 (about
     7.8e10) candidates, d = 5, r = 4 holds 119^3, Morse d = 4, r = 9 holds
-    6^8.  Each is refused before the first candidate, even where a smaller
-    degree of the spec comes first."""
+    6^8.  At d = 1 and d = 2 a stratum holds at most one candidate, but it
+    composes r - 1 cycles and every r up to r_hi is walked, so the pool is
+    counted as at least 2 and r above 19 is refused.  Each is refused
+    before the first candidate, even where a smaller degree of the spec
+    comes first."""
     with pytest.raises(CapExceededError, match="candidates"):
         next(enumerate_covers(corpus))
 
@@ -377,6 +393,33 @@ def test_dedup_builds_permutations_only_for_kept_covers(monkeypatch):
                         classmethod(counted_from_raw))
     classes = list(enumerate_covers(spec(4, 0, 4, dedup=True)))
     assert classes and len(built) == len(classes) * 4
+
+
+def test_dedup_keys_only_candidates_with_a_least_first_cycle(monkeypatch):
+    """At d = 4, r = 4 a candidate is keyed only when c_1 is the first
+    tuple of its cycle type and the forced cycle c_4 is not the identity:
+    4 choices of c_1 and 23^2 - 22 of (c_2, c_3), not all 23^3."""
+    keyed = []
+    raw_key = ramify.gen._raw_key
+
+    def counted_raw_key(gens, d):
+        keyed.append(gens[0])
+        return raw_key(gens, d)
+
+    monkeypatch.setattr(ramify.gen, "_raw_key", counted_raw_key)
+    classes = list(enumerate_covers(spec(4, 0, 4, dedup=True)))
+    perms = list(itertools.permutations(range(4)))
+    firsts: dict = {}
+    for p in perms:
+        firsts.setdefault(
+            tuple(sorted(map(len, oracles.o_point_orbits([p], 4)))), p)
+    leasts = set(firsts.values()) - {perms[0]}
+    expected = sum(
+        1 for frees in itertools.product(perms[1:], repeat=3)
+        if frees[0] in leasts
+        and functools.reduce(oracles.o_compose, frees) != perms[0])
+    assert classes and set(keyed) == leasts
+    assert len(keyed) == expected == 4 * (23 ** 2 - 22)
 
 
 # -- random covers -----------------------------------------------------------
