@@ -55,10 +55,10 @@ from .cover import (
     monodromy_group,
     require_valid,
 )
-from .graphs import (ConnectivityVerdict, Graph, delete_vertex, is_connected,
-                     quotient_by_partition)
-from .perm import (GeneratedGroup, Transitivity, _congruence, _pair_orbits,
-                   format_cycles, point_stabilizer, transitivity, transversal)
+from .graphs import ConnectivityVerdict, Graph, delete_vertex, is_connected
+from .perm import (GeneratedGroup, Transitivity, _compose, _congruence,
+                   _inverse, _is_identity, _pair_orbits, point_stabilizer,
+                   transitivity, transversal)
 
 
 class TheoremViolationError(RuntimeError):
@@ -195,7 +195,11 @@ class DerivedCover:
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Cayley-graph oracle at the Galois-closure level, quotiented back down.
+    """Cayley-graph oracle at the Galois-closure level, quotiented back down
+    along gamma -> orbital of (1, gamma(1)), read as orbital_of[gamma(1) - 1].
+    G is transitive, so every orbital holds a pair (1, q) and is a vertex of
+    the quotient.  The Cayley graph's vertices are element indices in
+    ``group.elements()`` order.
 
     For Galois covers the quotient must coincide with the dual graph; for
     non-Galois covers only quotient-connected => dual-connected is backed by
@@ -440,48 +444,34 @@ class CoverContext:
         )
 
     def cayley_oracle(self, cap: int) -> OracleReport:
-        c = self.cover
         group = self.group
         if group.order > cap:
             return OracleReport(True, f"group order {group.order} exceeds cap {cap}",
                                 None, None, None, None)
-        elements = group.elements()
+        elements = [g._raw for g in group.elements()]
+        index = {g: i for i, g in enumerate(elements)}
 
-        connection: set = set()
-        for cj in c.branch_cycles:
-            powers = []
-            p = cj
-            while not p.is_identity():
-                powers.append(p)
-                p = p * cj
-            for g in elements:
-                for s in powers:
-                    connection.add(s.conjugate(g))
-
-        labels = {g: format_cycles(g) for g in elements}
-        edges = set()
+        powers = set()   # the non-identity powers of each c_j
+        for cj in self.cover.branch_cycles:
+            s = cj._raw
+            while not _is_identity(s):
+                powers.add(s)
+                s = _compose(s, cj._raw)
+        connection = set()   # their conjugates g s g^-1
         for g in elements:
-            for s in connection:
-                h = s * g
-                a, b = labels[g], labels[h]
-                if a != b:
-                    edges.add((a, b) if a < b else (b, a))
-        cayley = Graph(labels.values(), edges)
+            inv = _inverse(g)
+            connection.update(_compose(_compose(g, s), inv) for s in powers)
 
-        parts: dict = {}   # the code of the pair (1, g(1)) is g(1) - 1
-        for g in elements:
-            parts.setdefault(self.orbital_of[g(1) - 1], []).append(labels[g])
-        names = sorted(parts)
-        quotient = quotient_by_partition(cayley, [parts[n] for n in names],
-                                         names=names)
-        return OracleReport(
-            skipped=False,
-            reason=None,
-            cayley_graph=cayley,
-            quotient=quotient,
-            quotient_connected=is_connected(quotient).connected,
-            matches_dual=quotient == self.dual_graph,
-        )
+        # vertex i is elements[i], joined to s g; (1, g(1)) has code g(1) - 1
+        cayley = Graph(range(len(elements)), {
+            (i, index[_compose(s, g)])
+            for i, g in enumerate(elements) for s in connection})
+        part = [self.orbital_of[g[0]] for g in elements]
+        quotient = Graph(set(part), ((part[a], part[b]) for a, b in cayley.edges
+                                     if part[a] != part[b]))
+        return OracleReport(False, None, cayley, quotient,
+                            is_connected(quotient).connected,
+                            quotient == self.dual_graph)
 
     @cached_property
     def report(self) -> FiberReport:
@@ -557,9 +547,12 @@ def derived_cover_q1(c: BranchedCover, checked: bool = True) -> DerivedCover:
 
 def cayley_quotient_oracle(c: BranchedCover, cap: int = 10080,
                            checked: bool = True) -> OracleReport:
-    """Galois-closure-level oracle: the graph on the elements of G with an
-    edge when gamma . gamma'^-1 lies in a conjugate of some <c_j> minus the
-    identity, quotiented along gamma -> orbital of (1, gamma(1))."""
+    """Galois-closure-level oracle: the graph on the elements of G, as
+    indices in ``group.elements()`` order, with an edge when
+    gamma . gamma'^-1 lies in a conjugate of some <c_j> minus the identity,
+    quotiented along gamma -> orbital of (1, gamma(1)), which is
+    orbital_of[gamma(1) - 1].  G is transitive, so every orbital is a vertex
+    of the quotient.  Groups of order above ``cap`` are skipped."""
     return CoverContext(c, checked).cayley_oracle(cap)
 
 

@@ -1,5 +1,5 @@
-"""Small deterministic graph toolkit: connectivity, vertex deletion,
-partition quotients, DOT export.
+"""Small deterministic graph toolkit: connectivity, vertex deletion, DOT
+export.
 
 Graphs are simple (no loops or multi-edges), undirected, immutable, and keep
 their vertex labels sorted so every operation is reproducible.  Labels within
@@ -9,7 +9,7 @@ one graph must be mutually comparable (ints or strings, typically).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 class ConnectivityVerdict(NamedTuple):
@@ -82,37 +82,6 @@ def delete_vertex(g: Graph, v) -> Graph:
         raise ValueError(f"unknown vertex {v!r}")
     return Graph((x for x in g.labels if x != v),
                  (e for e in g.edges if v not in e))
-
-
-def quotient_by_partition(g: Graph, parts: Sequence[Iterable],
-                          names: Sequence | None = None) -> Graph:
-    """Quotient graph: one vertex per part, an edge between distinct parts
-    whenever some cross-edge exists.  Parts must partition the vertex set.
-    Part names default to each part's least label."""
-    part_sets = [frozenset(p) for p in parts]
-    covered: set = set()
-    for p in part_sets:
-        if not p:
-            raise ValueError("empty part")
-        if p & covered:
-            raise ValueError("parts are not disjoint")
-        covered |= p
-    if covered != set(g.labels):
-        raise ValueError("parts do not cover the vertex set")
-    if names is None:
-        names = [min(p) for p in part_sets]
-    elif len(names) != len(part_sets):
-        raise ValueError("one name per part required")
-    part_of = {}
-    for name, p in zip(names, part_sets):
-        for v in p:
-            part_of[v] = name
-    edges = set()
-    for a, b in g.edges:
-        pa, pb = part_of[a], part_of[b]
-        if pa != pb:
-            edges.add((pa, pb) if pa < pb else (pb, pa))
-    return Graph(names, edges)
 
 
 def to_dot(g: Graph) -> str:

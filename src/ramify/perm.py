@@ -144,10 +144,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._from_raw(_inverse(self._raw))
 
-    def conjugate(self, by: "Permutation") -> "Permutation":
-        """by * self * by^-1."""
-        return by * self * by.inverse()
-
     def is_identity(self) -> bool:
         return _is_identity(self._raw)
 

@@ -23,7 +23,7 @@ import itertools
 import math
 import random
 from collections import deque
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,12 +172,13 @@ def o_generators(cover) -> list:
 def relabel(cover: BranchedCover, sigma: Permutation) -> BranchedCover:
     """The cover with every generator conjugated by sigma: the same cover
     with its fiber points renamed."""
+    inv = sigma.inverse()
     return BranchedCover(
         degree=cover.degree,
         base_genus=cover.base_genus,
-        handles=tuple((a.conjugate(sigma), b.conjugate(sigma))
+        handles=tuple((sigma * a * inv, sigma * b * inv)
                       for a, b in cover.handles),
-        branch_cycles=tuple(c.conjugate(sigma) for c in cover.branch_cycles),
+        branch_cycles=tuple(sigma * c * inv for c in cover.branch_cycles),
         labels=cover.labels,
     )
 
@@ -387,6 +388,37 @@ def o_dual_graph(cover, walk: list) -> Graph:
         ids = sorted({orbital[pair] for pair, _ in branches})
         edges.update(itertools.combinations(ids, 2))
     return Graph(range(len(parts)), edges)
+
+
+def o_quotient_by_partition(g: Graph, parts: Sequence[Iterable],
+                            names: Sequence | None = None) -> Graph:
+    """Quotient graph: one vertex per part, an edge between distinct parts
+    whenever some cross-edge exists.  Parts must partition the vertex set.
+    Part names default to each part's least label."""
+    part_sets = [frozenset(p) for p in parts]
+    covered: set = set()
+    for p in part_sets:
+        if not p:
+            raise ValueError("empty part")
+        if p & covered:
+            raise ValueError("parts are not disjoint")
+        covered |= p
+    if covered != set(g.labels):
+        raise ValueError("parts do not cover the vertex set")
+    if names is None:
+        names = [min(p) for p in part_sets]
+    elif len(names) != len(part_sets):
+        raise ValueError("one name per part required")
+    part_of = {}
+    for name, p in zip(names, part_sets):
+        for v in p:
+            part_of[v] = name
+    edges = set()
+    for a, b in g.edges:
+        pa, pb = part_of[a], part_of[b]
+        if pa != pb:
+            edges.add((pa, pb) if pa < pb else (pb, pa))
+    return Graph(names, edges)
 
 
 def naive_closure(generators: list, cap: int = 10080) -> frozenset:

@@ -23,9 +23,10 @@ from ramify.fiber import (
     scheme_points,
 )
 from ramify.gen import CorpusSpec, check_cover, enumerate_covers, random_cover
-from ramify.graphs import is_connected
+from ramify.graphs import Graph, is_connected
 from ramify.numono import certify_projection, parse_poly
-from ramify.perm import Permutation, _congruence, orbits, parse_cycles
+from ramify.perm import (Permutation, _congruence, format_cycles, orbits,
+                         parse_cycles)
 
 from oracles import (
     o_closure,
@@ -39,6 +40,7 @@ from oracles import (
     o_normal_closure,
     o_pair_orbits,
     o_power,
+    o_quotient_by_partition,
     o_stabilizer,
     o_transitivity,
     relabel,
@@ -878,6 +880,92 @@ def test_oracle_quotient_edges_within_dual(cover):
     assert set(report.quotient.edges) <= set(dual_graph(cover).edges)
     if validate(cover).is_galois:
         assert report.matches_dual
+
+
+def _cayley_oracle_by_permutations(ctx) -> tuple:
+    """The Cayley graph and its quotient built on Permutation objects: the
+    connection set holds g s g^-1 for every g in G and non-identity power s
+    of a c_j, each element g is joined to s g and labelled by its cycle
+    string, and the graph is quotiented by the generic partition quotient
+    along g -> orbital of (1, g(1)), the orbitals by brute force."""
+    cover = ctx.cover
+    elements = [(g, g.inverse()) for g in ctx.group.elements()]
+    connection = set()
+    for cj in cover.branch_cycles:
+        s = cj
+        while not s.is_identity():
+            connection.update(g * s * inv for g, inv in elements)
+            s = s * cj
+    label = {g: format_cycles(g) for g, _ in elements}
+    cayley = Graph(label.values(), [(label[g], label[s * g])
+                                    for g in label for s in connection])
+    parts = o_pair_orbits(o_generators(cover), cover.degree)
+    orbital = {pair: i for i, part in enumerate(parts) for pair in part}
+    blocks: dict = {}
+    for g in label:
+        blocks.setdefault(orbital[1, g(1)], []).append(label[g])
+    names = sorted(blocks)
+    return cayley, o_quotient_by_partition(
+        cayley, [blocks[n] for n in names], names)
+
+
+class _Reads(list):
+    """A code table that records the codes read from it."""
+
+    def __getitem__(self, code):
+        self.codes.append(code)
+        return super().__getitem__(code)
+
+
+def test_oracle_matches_the_permutation_construction():
+    """Every cover of the bench's exhaustive strata, Galois or not: genus 0
+    with d <= 4 and r <= 4, and genus 1 with d <= 3 and r <= 3.  Vertex i
+    of the Cayley graph is the i-th element of G, so the two Cayley graphs
+    are compared by size.  The orbital of (g(1), 1)
+    is the transpose of that of (1, g(1)), and transposition is an
+    automorphism of the quotient, so the map itself is checked by the codes
+    it reads: that of (1, g(1)), g(1) - 1, once per g."""
+    specs = (CorpusSpec((1, 4), (0, 0), (0, 4), dedup=True),
+             CorpusSpec((1, 3), (1, 1), (0, 3), dedup=True))
+    galois = 0
+    for cover in itertools.chain.from_iterable(map(enumerate_covers, specs)):
+        ctx = CoverContext(cover)
+        assert ctx.dual_graph.n
+        ctx.orbital_of = table = _Reads(ctx.orbital_of)
+        table.codes = []
+        report = ctx.cayley_oracle(10080)
+        cayley, quotient = _cayley_oracle_by_permutations(ctx)
+        elements = ctx.group.elements()
+        assert sorted(table.codes) == sorted(g(1) - 1 for g in elements)
+        assert not report.skipped
+        assert report.cayley_graph.labels == tuple(range(len(elements)))
+        assert len(report.cayley_graph.edges) == len(cayley.edges)
+        assert report.quotient == quotient
+        assert report.quotient_connected == is_connected(quotient).connected
+        assert report.matches_dual == (quotient == ctx.dual_graph)
+        galois += ctx.group.order == cover.degree
+    assert galois == 56
+
+
+@pytest.mark.parametrize("cover", [
+    HYPERELLIPTIC6, D4, mk(3, 0, ["(1 2 3)", "(1 3 2)"])],
+    ids=["hyperelliptic6", "d4", "cyclic3"])
+def test_oracle_multiplies_no_permutation(cover, monkeypatch):
+    """With G and the dual graph built, the oracle makes no Permutation
+    product or inverse: it works on the elements' image tuples."""
+    ctx = CoverContext(cover)
+    assert ctx.group.order and ctx.dual_graph
+    calls = []
+    for name in ("__mul__", "inverse"):
+        method = getattr(Permutation, name)
+
+        def counted(*args, name=name, method=method):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(Permutation, name, counted)
+    assert ctx.cayley_oracle(10080).matches_dual
+    assert calls == []
 
 
 # -- report assembly -----------------------------------------------------------------
