@@ -10,11 +10,11 @@ are read off cycle positions, not walked: over a pair of cycles (kappa, lam)
 of lengths (e, l), branch s < gcd(e, l) holds lcm(e, l) pairs and
 (kappa[0], lam[s]), so it lies in that pair's orbital.  Two fixed points
 carry one branch of one pair, so the dual graph and the genera read only
-pairs with a moved cycle; only the report builds every scheme point.  A
-cycle pair recurs at many branch points, so the report builds each distinct
-pair's record (the pair and its branches) once per cover and its JSON lists
-once per document, and each point over it adds one slotted SchemePoint and
-one JSON dict.
+pairs with a moved cycle; only the report reads every scheme point.  A
+cycle pair recurs at many branch points, so the report keeps each distinct
+pair's record (the pair and its branches), built once per cover, and its
+JSON lists are built once per document; each point over it adds one JSON
+dict.  SchemePoints are built only when read.
 
 Genuine ramification is decided two independent ways: group-theoretically
 (HN = G for H a point stabilizer and N the normal closure of the branch
@@ -30,12 +30,13 @@ All of these live on a CoverContext, which builds each on first use and at
 most once: the monodromy group G, the table of each c_j's cycles, the
 orbitals with a table from the code d(p-1) + q-1 of each pair (p, q) to
 its orbital (``perm._pair_orbits`` of the raw generators), the scheme
-points, the branches over cycle pairs with a moved cycle (read by the dual
-graph and the genera), the dual graph, Stab_G(1), the Morse and HN tests,
-the off-diagonal flag, the S_d certificate and the derived cover.  G, the
-one group built per cover, serves its order, two-transitivity, Stab_G(1)
-(sharing its levels) and elements alone: validation, the orbitals, the
-dual graph and the HN test read the generators and build none.
+points' per-pair records, the branches over cycle pairs with a moved cycle
+(read by the dual graph and the genera), the dual graph, Stab_G(1), the
+Morse and HN tests, the off-diagonal flag, the S_d certificate and the
+derived cover.  G, the one group built per cover, serves its order,
+two-transitivity, Stab_G(1) (sharing its levels) and elements alone:
+validation, the orbitals, the dual graph and the HN test read the
+generators and build none.
 Each public function below is a view of a fresh context;
 ``gen.check_cover`` and ``numono.certify_projection`` keep one context
 for all their checks.  Nothing is cached across covers.
@@ -123,11 +124,19 @@ class SdCertification:
         }
 
 
+def _scheme_points(point_records: tuple) -> tuple:
+    """One SchemePoint per record of ``CoverContext.point_records``, each
+    sharing its record's pair and branches."""
+    return tuple(SchemePoint(j, pair, branches)
+                 for j, row in enumerate(point_records, start=1)
+                 for pair, branches in row)
+
+
 @dataclass(frozen=True, eq=False)
 class FiberReport:
     degree: int
     orbitals: tuple
-    scheme_points: tuple
+    point_records: tuple         # CoverContext.point_records
     dual_graph: Graph
     fiber_connected: bool
     offdiag_closure_connected: ConnectivityVerdict
@@ -137,24 +146,28 @@ class FiberReport:
     galois_closure_order: int
     sd_certificate: SdCertification
 
+    @cached_property
+    def scheme_points(self) -> tuple:
+        return _scheme_points(self.point_records)
+
     def to_json_dict(self) -> dict:
         """The ``fiber-report/1`` document, for serialisation only: the
         points over one cycle pair share its "cycles" and "branches" lists,
-        built on the pair's first point, so the document must not be
+        built once per distinct record, so the document must not be
         mutated.  Each call builds its own lists."""
-        shared: dict = {}   # cycle pair -> its "cycles" and "branches" lists
-        points = []
-        for sp in self.scheme_points:
-            lists = shared.get(sp.cycle_pair)
-            if lists is None:
-                kappa, kappa2 = sp.cycle_pair
-                lists = shared[sp.cycle_pair] = (
-                    [list(kappa), list(kappa2)],
-                    [{"orbital": b.orbital_id, "size": b.size,
-                      "representative": list(b.representative)}
-                     for b in sp.branches])
-            points.append({"branch_index": sp.branch_index,
-                           "cycles": lists[0], "branches": lists[1]})
+        shared: dict = {}   # id of a record in the table -> its two lists
+        for row in self.point_records:
+            for rec in row:
+                if id(rec) not in shared:
+                    (kappa, kappa2), branches = rec
+                    shared[id(rec)] = (
+                        [list(kappa), list(kappa2)],
+                        [{"orbital": b.orbital_id, "size": b.size,
+                          "representative": list(b.representative)}
+                         for b in branches])
+        points = [{"branch_index": j, "cycles": lists[0], "branches": lists[1]}
+                  for j, row in enumerate(self.point_records, start=1)
+                  for lists in map(shared.__getitem__, map(id, row))]
         return {
             "schema": "fiber-report/1",
             "degree": self.degree,
@@ -265,11 +278,15 @@ class CoverContext:
         return lookup
 
     @cached_property
-    def scheme_points(self) -> tuple:
+    def point_records(self) -> tuple:
+        """For each branch point j, the shared (pair, branches) record of
+        each pair of cycles of c_j, in ``itertools.product`` order: each
+        distinct cycle pair's record is built once per cover."""
         d, lookup = self.cover.degree, self.orbital_of
         shared: dict = {}   # cycle pair -> (pair, branches), alike at every j
-        points = []
-        for j, cycles in enumerate(self.cycles, start=1):
+        table = []
+        for cycles in self.cycles:
+            row = []
             for pair in itertools.product(cycles, repeat=2):
                 rec = shared.get(pair)
                 if rec is None:
@@ -283,10 +300,13 @@ class CoverContext:
                         LocalBranch(orbital_id=lookup[d * p + q - d - 1],
                                     size=size, representative=(p, q))
                         for p, q in reps))
-                # rebinding pair to the shared tuple lets product reuse its own
-                pair, branches = rec
-                points.append(SchemePoint(j, pair, branches))
-        return tuple(points)
+                row.append(rec)
+            table.append(tuple(row))
+        return tuple(table)
+
+    @cached_property
+    def scheme_points(self) -> tuple:
+        return _scheme_points(self.point_records)
 
     @cached_property
     def _branches(self) -> tuple:
@@ -479,7 +499,7 @@ class CoverContext:
         return FiberReport(
             degree=d,
             orbitals=self.orbitals,
-            scheme_points=self.scheme_points,
+            point_records=self.point_records,
             dual_graph=self.dual_graph,
             fiber_connected=is_connected(self.dual_graph).connected,
             offdiag_closure_connected=self.offdiag,
@@ -502,12 +522,12 @@ def orbitals(c: BranchedCover, checked: bool = True) -> tuple:
 
 def scheme_points(c: BranchedCover, checked: bool = True) -> tuple:
     """All points of the fiber square over branch points, with their local
-    branches: every pair (kappa, lam) of cycles of c_j, fixed points too,
-    read by ``analyze`` alone.  c_j maps (kappa[i], lam[k]) to
-    (kappa[i+1], lam[k+1]), so on lengths (e, l) the class of k - i mod g,
-    g = gcd(e, l), is invariant; its g classes are the branches, each of
-    lcm(e, l) pairs.  Class s holds (kappa[0], lam[s]) and has least pair
-    (kappa[0], min lam[s::g]), as every cycle lists its least point first."""
+    branches: every pair (kappa, lam) of cycles of c_j, fixed points too.
+    c_j maps (kappa[i], lam[k]) to (kappa[i+1], lam[k+1]), so on lengths
+    (e, l) the class of k - i mod g, g = gcd(e, l), is invariant; its g
+    classes are the branches, each of lcm(e, l) pairs.  Class s holds
+    (kappa[0], lam[s]) and has least pair (kappa[0], min lam[s::g]), as
+    every cycle lists its least point first."""
     return CoverContext(c, checked).scheme_points
 
 

@@ -226,16 +226,22 @@ def test_local_branches_match_the_orbit_walk_on_d4():
                for sp in scheme_points(D4))
 
 
-def test_every_cycle_pair_reads_its_branches_once():
-    """A cycle pair that occurs at several branch points shares one pair
-    tuple and one tuple of branches there."""
-    points = CoverContext(braid_walk_covers(12, count=1)[0]).scheme_points
+def assert_one_record_per_pair(points):
+    """Some cycle pair recurs, and the points over each cycle pair share one
+    pair tuple and one tuple of branches."""
     by_pair: dict = {}
     for sp in points:
         by_pair.setdefault(sp.cycle_pair, set()).add(
             (id(sp.cycle_pair), id(sp.branches)))
     assert len(by_pair) < len(points)
     assert all(len(ids) == 1 for ids in by_pair.values())
+
+
+def test_every_cycle_pair_reads_its_branches_once():
+    """A cycle pair that occurs at several branch points shares one pair
+    tuple and one tuple of branches there."""
+    assert_one_record_per_pair(
+        CoverContext(braid_walk_covers(12, count=1)[0]).scheme_points)
 
 
 def test_report_records_have_no_instance_dict():
@@ -312,10 +318,9 @@ def test_orbitals_match_the_pair_action(covers):
         assert_orbitals_match_the_pair_action(cover)
 
 
-def test_no_check_builds_a_scheme_point(monkeypatch):
-    """``check_cover`` and ``certify_projection`` read the dual graph and
-    the genera off the cycle pairs with a moved cycle; only ``analyze``
-    builds the scheme points, all (number of cycles of c_j)^2 per j."""
+def count_scheme_points(monkeypatch) -> list:
+    """Patch ``fiber.SchemePoint`` to append 1 to the returned list on each
+    construction."""
     made = []
     real = fiber.SchemePoint
 
@@ -324,16 +329,59 @@ def test_no_check_builds_a_scheme_point(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fiber, "SchemePoint", counted)
-    cover = random_cover(CorpusSpec((8, 8), (0, 0), (14, 14), morse_only=True,
-                                    samples=1, seed=3))
+    return made
+
+
+def morse8_cover() -> BranchedCover:
+    """A seeded Morse cover of degree 8 with 14 branch points, so 14 * 7^2
+    scheme points."""
+    return random_cover(CorpusSpec((8, 8), (0, 0), (14, 14), morse_only=True,
+                                   samples=1, seed=3))
+
+
+def test_no_check_builds_a_scheme_point(monkeypatch):
+    """``check_cover`` and ``certify_projection`` read the dual graph and
+    the genera off the cycle pairs with a moved cycle; reading a report's
+    scheme points builds them all, (number of cycles of c_j)^2 per j."""
+    made = count_scheme_points(monkeypatch)
+    cover = morse8_cover()
     assert check_cover(cover)[2] == []
     assert len(made) == 0
     report = certify_projection(parse_poly("y^4 + x^4 + x*y - 1"))
     assert report.sd_certificate.certified
     assert len(made) == 0
-    analyze(cover)
+    analyze(cover).scheme_points
     assert len(made) == sum(len(cj.cycles(include_fixed=True)) ** 2
                             for cj in cover.branch_cycles) == 14 * 7 ** 2
+
+
+def test_the_fiber_report_document_builds_no_scheme_point(monkeypatch):
+    """``analyze`` and its document read the per-pair records alone."""
+    made = count_scheme_points(monkeypatch)
+    doc = analyze(morse8_cover()).to_json_dict()
+    assert len(doc["scheme_points"]) == 14 * 7 ** 2
+    assert len(made) == 0
+
+
+@pytest.mark.parametrize("cover", [braid_walk_covers(10, count=1)[0], MORSE7],
+                         ids=["braid10", "morse7"])
+def test_report_scheme_points_are_read_lazily(cover):
+    """A report's scheme points are one cached tuple, equal to the
+    context's, with one pair tuple and one branches tuple per distinct
+    pair; reading them, before or after, leaves the document unchanged."""
+    never = json.dumps(analyze(cover).to_json_dict())
+
+    report = analyze(cover)
+    points = report.scheme_points
+    assert points is report.scheme_points
+    assert points == CoverContext(cover).scheme_points
+    assert_one_record_per_pair(points)
+    assert json.dumps(report.to_json_dict()) == never
+
+    report = analyze(cover)
+    assert json.dumps(report.to_json_dict()) == never
+    assert report.scheme_points == points
+    assert json.dumps(report.to_json_dict()) == never
 
 
 # -- dual graph -------------------------------------------------------------
@@ -994,9 +1042,11 @@ def test_analyze_flags_consistent():
 #: SHA-256 of ``json.dumps(analyze(c).to_json_dict())`` with the headline
 #: verdicts: genuinely ramified, orbitals, |G|, S_d certified.  The first
 #: six were recorded from the implementation that rebuilt every derived
-#: object on each use.  The last two, a d = 12 braid walk (2,662 points)
+#: object on each use.  The next two, a d = 12 braid walk (2,662 points)
 #: and a cover whose cycle pairs have gcd 1, 2, 3, 4 and 6, were recorded
-#: before the points over one cycle pair shared their records.
+#: before the points over one cycle pair shared their records.  The d = 24
+#: braid walk (24,334 points) was recorded while the report still built
+#: every SchemePoint, before it wrote the document from per-pair records.
 GOLDEN_ANALYZE = {
     "galois_v4": (GALOIS_V4, True, 4, 4, False,
                   "64a2a7997a7772b7cc7039a8dc32b8e29cb2d236373a237f6a2497a251a7c6d2"),
@@ -1012,6 +1062,9 @@ GOLDEN_ANALYZE = {
                "860b9c32b95b193641fb6d8702909a607c27a5a009c16de24c7ce6e9529c513a"),
     "braid12": (braid_walk_covers(12, count=1)[0], True, 2, 479001600, True,
                 "507f012d8f5239227ac0c23567e4f26cf94805ba5b8bb6ef3d425a307d4c9e17"),
+    "braid24": (braid_walk_covers(24, count=1)[0], True, 2,
+                math.factorial(24), True,
+                "8777b9b38c4240309d3f93266c867069cc77824f735b921451fcf9c33848b2e8"),
     "long_cycles": (long_cycle_covers()[2], True, 2, 720, False,
                     "c4173e457fb2d81fcaf3c0d5d82747c60122942e008231f81351fdff62d49806"),
 }
