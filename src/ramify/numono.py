@@ -43,8 +43,18 @@ the discriminant is squarefree, each critical fiber has exactly one double
 root, so a critical loop whose tracked cycle is not a transposition is a
 mis-track and is refused, like a failed relation.
 
-Tracking.  Each path piece has a fixed grid of initial steps, and its
-fibers are solved together: ``_fibers`` stacks the companion matrices that
+Tracking.  Each path piece has a grid graded by its distance to the
+nearest loop target, a critical value or a root of the leading
+coefficient: only there do two roots meet or one leave for infinity.  On a
+segment a step from t spans at most 1/8 of the piece and at most
+``STEP_FRACTION`` of the distance from the point at t to the nearest
+target, and the last point is exactly the end.  So a rail far from every
+target keeps 8 uniform steps, and an ascent closes in geometrically on its
+circle, where two roots meet like sqrt(x - z).  A circle takes uniform
+steps, each arc at most ``STEP_FRACTION`` of the least distance from the
+circle to a target, and at least 8: a loop circle, whose reach is its
+radius, takes ceil(2 pi / STEP_FRACTION) = 13.  The piece's fibers are
+solved together: ``_fibers`` stacks the companion matrices that
 ``np.roots`` would build at the grid points into one ``eigvals`` call, so
 the roots are exactly those of ``np.roots``, and computes the least root
 separation of every grid fiber in one array operation.  A step matches the
@@ -52,10 +62,11 @@ fiber it holds to the next grid fiber by nearest neighbours on a d x d
 distance array; every root's move must stay under the lesser of the two
 separations divided by ``SAFETY_FACTOR``, and the separation of the
 accepted fiber is carried into the next step, so no separation is computed
-twice along a piece.  A failing step is bisected, solving one midpoint at a
-time, never below ``STEP_TOLERANCE`` on the path parameter, which also
-bounds how close two critical values may be.  A grid point that cannot be
-solved refuses its piece before any of the piece's steps is matched.
+twice along a piece.  A step that still fails is bisected, solving one
+midpoint at a time, never below ``STEP_TOLERANCE`` on the path parameter,
+which also bounds how close two critical values may be.  A grid point that
+cannot be solved refuses its piece before any of the piece's steps is
+matched.
 
 Tracking runs once, in float64.  Every exact value
 enters float64 through ``_complex``, which refuses one beyond its range as
@@ -472,7 +483,7 @@ def reject_singular(p: PlanePolynomial) -> None:
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     """The ascending ``coeffs`` at z in Python complex arithmetic.  It stays
     scalar: numpy's complex ``a*b + c`` may fuse the multiply and the add,
-    which changes the last bits, and on grids of 8 to 33 points an array
+    which changes the last bits, and on grids of a few dozen points an array
     Horner is no faster."""
     acc = 0j
     for c in reversed(coeffs):
@@ -530,6 +541,8 @@ def _polish(coeffs: Sequence[complex], z: complex) -> complex:
 
 STEP_TOLERANCE = 1e-10    # bisection floor on the path parameter
 SAFETY_FACTOR = 3.0       # root move must stay under minsep/safety
+STEP_FRACTION = 0.5       # a grid step spans at most this share of the
+                          # distance from its start to the nearest target
 
 
 @dataclass(frozen=True)
@@ -673,10 +686,45 @@ def critical_values(p: PlanePolynomial) -> CriticalData:
 class _Seg:
     a: complex
     b: complex
-    initial_steps = 8
+    near: tuple                # the loop targets, which grade the grid
 
     def at(self, t: float) -> complex:
         return self.a + (self.b - self.a) * t
+
+    def grid(self) -> list:
+        """The parameters of the grid points after 0, the last exactly 1.
+        A step from t spans at most 1/8 of the piece and at most
+        ``STEP_FRACTION`` of the distance from at(t) to the nearest target.
+        It is never shorter than ``STEP_TOLERANCE``, the bisection floor,
+        so a piece through a target takes a few such steps there instead of
+        a grid that never ends.  When two steps can end the piece they are
+        made equal, if the midpoint's own bound allows, so the grid does not
+        end on a sliver."""
+        a, ab = self.a, self.b - self.a
+        length, mid = abs(ab), a + ab / 2
+        # a target farther than length / (8 STEP_FRACTION) from every point
+        # of the piece never shortens a step below 1/8
+        close = [w for w in self.near
+                 if STEP_FRACTION * (abs(w - mid) - length / 2) < length / 8]
+
+        def step(t: float) -> float:
+            z = a + ab * t
+            reach = STEP_FRACTION * min([abs(z - w) for w in close],
+                                        default=math.inf)
+            if 8 * reach >= length:
+                return 1 / 8
+            return max(reach / length, STEP_TOLERANCE)
+
+        grid, t = [], 0.0
+        while t < 1:
+            h, rest = step(t), 1 - t
+            if h < rest <= 2 * h and rest / 2 <= step(t + rest / 2):
+                grid.append(t + rest / 2)
+                t = 1.0
+            else:
+                t = t + h if h < rest else 1.0
+            grid.append(t)
+        return grid
 
 
 @dataclass(frozen=True)
@@ -685,14 +733,22 @@ class _Arc:
     radius: float
     theta0: float
     theta1: float              # theta1 > theta0: counterclockwise
+    near: tuple                # the loop targets, which grade the grid
 
     def at(self, t: float) -> complex:
         th = self.theta0 + (self.theta1 - self.theta0) * t
         return self.center + self.radius * cmath.exp(1j * th)
 
-    @property
-    def initial_steps(self) -> int:
-        return max(8, int(abs(self.theta1 - self.theta0) / (math.pi / 16)) + 1)
+    def grid(self) -> list:
+        """The parameters of n uniform steps after 0: each step's arc is at
+        most ``STEP_FRACTION`` of the circle's reach, the least distance
+        from the circle to a target, and n is at least 8.  A loop circle's
+        reach is its radius, so it takes ceil(2 pi / STEP_FRACTION) steps."""
+        reach = min((abs(abs(w - self.center) - self.radius)
+                     for w in self.near), default=math.inf)
+        n = max(8, math.ceil(abs(self.theta1 - self.theta0) * self.radius
+                             / (STEP_FRACTION * reach)))
+        return [(k + 1) / n for k in range(n)]
 
 
 def _infinity_pieces(x0: complex, targets: list, spread: float) -> tuple:
@@ -704,7 +760,9 @@ def _infinity_pieces(x0: complex, targets: list, spread: float) -> tuple:
     direction = (x0 - center) / abs(x0 - center)
     q = center + radius * direction
     theta_q = cmath.phase(direction)
-    return _Seg(x0, q), _Arc(center, radius, theta_q, theta_q - 2 * math.pi)
+    near = tuple(targets)
+    return (_Seg(x0, q, near),
+            _Arc(center, radius, theta_q, theta_q - 2 * math.pi, near))
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +851,11 @@ def _match(old: np.ndarray, new: np.ndarray, old_sep, new_sep) -> tuple:
 def _advance(piece, ta: float, tb: float, old, new, rows) -> np.ndarray:
     """Continue ``old``, the labelled fiber at ``ta`` and its separation,
     to ``new``, the fiber solved at ``tb`` and its separation: old[i] ->
-    new[0][result[i]].  A failing step is bisected, depth first, and
-    refused once it is shorter than ``STEP_TOLERANCE``."""
+    new[0][result[i]].  ``_track`` calls it only on a grid step that failed
+    the match, although its length was already graded by the distance to
+    the nearest target.  Such a step is bisected, depth first, one midpoint
+    solved at a time, and refused once it is shorter than
+    ``STEP_TOLERANCE``."""
     assignment, holds = _match(old[0], new[0], old[1], new[1])
     if holds:
         return assignment
@@ -809,23 +870,27 @@ def _advance(piece, ta: float, tb: float, old, new, rows) -> np.ndarray:
 
 def _track(piece, fiber, rows) -> np.ndarray:
     """Transport ``fiber`` along ``piece``: entry k of the result continues
-    entry k of ``fiber``.  The piece's grid fibers are solved together, so
-    a point that cannot be solved refuses the piece before any step is
-    matched.  All steps are matched in one operation, on the unlabelled
-    fibers; the labels follow by composing index maps, and only a step that
-    fails is bisected, on its labelled fiber."""
-    n = piece.initial_steps
+    entry k of ``fiber``.  ``piece.grid`` sizes each step by the distance
+    to the nearest loop target: on a segment at most 1/8 of the piece and
+    at most ``STEP_FRACTION`` of that distance from the step's start, on a
+    circle at most ``STEP_FRACTION`` of the circle's least distance to a
+    target.  The whole grid is solved in one ``_fibers`` call, so a point
+    that cannot be solved refuses the piece before any step is matched.
+    All steps are matched in one operation, on the unlabelled fibers; the
+    labels follow by composing index maps, and only a step that fails is
+    bisected, by ``_advance``, on its labelled fiber."""
+    ts = [0.0] + piece.grid()
     fiber = np.asarray(fiber, dtype=complex)
-    grid, grid_seps = _fibers(rows, [piece.at((k + 1) / n) for k in range(n)])
+    grid, grid_seps = _fibers(rows, [piece.at(t) for t in ts[1:]])
     roots = np.concatenate([fiber[None], grid])
     seps = np.concatenate([_separations(fiber[None]), grid_seps])
     best, holds = _match(roots[:-1], roots[1:], seps[:-1], seps[1:])
     index = np.arange(len(fiber))
-    for k in range(n):
+    for k in range(len(grid)):
         if holds[k]:
             index = best[k][index]
         else:
-            index = _advance(piece, k / n, (k + 1) / n,
+            index = _advance(piece, ts[k], ts[k + 1],
                              (roots[k][index], seps[k]),
                              (roots[k + 1], seps[k + 1]), rows)
     return roots[-1][index]
@@ -928,17 +993,18 @@ def track_monodromy(p: PlanePolynomial) -> MonodromyResult:
     # point: the targets of a rational p are closed under conjugation and
     # the sweep tilts by less than pi/4.
     point = s_x0 * p_hat + h_rail * u
-    fiber = _track(_Seg(x0, point), base_fiber, rows)
+    near = tuple(values)
+    fiber = _track(_Seg(x0, point, near), base_fiber, rows)
     theta = cmath.phase(-u)
     loops = []
     for i in sorted(range(len(targets)), key=lambda i: sweep[i], reverse=True):
         z, kind, residual = targets[i]
         foot = sweep[i] * p_hat + h_rail * u
-        fiber = _track(_Seg(point, foot), fiber, rows)
+        fiber = _track(_Seg(point, foot, near), fiber, rows)
         point = foot
         cycle = _circle_permutation(
-            _track(_Seg(foot, z - radii[i] * u), fiber, rows),
-            _Arc(z, radii[i], theta, theta + 2 * math.pi), rows)
+            _track(_Seg(foot, z - radii[i] * u, near), fiber, rows),
+            _Arc(z, radii[i], theta, theta + 2 * math.pi, near), rows)
         pattern = cycle.cycle_type() if kind == "critical" else ()
         loops.append(LoopTarget(
             value=z,

@@ -488,9 +488,11 @@ def loop_pieces(x0: complex, target: complex, radius: float,
     p2 = at(st, h_rail)
     p3 = target - radius * u
     theta3 = cmath.phase(-u)
-    return [numono._Seg(x0, p1), numono._Seg(p1, p2), numono._Seg(p2, p3),
-            numono._Arc(target, radius, theta3, theta3 + 2 * math.pi),
-            numono._Seg(p3, p2), numono._Seg(p2, p1), numono._Seg(p1, x0)]
+    return [numono._Seg(x0, p1, ()), numono._Seg(p1, p2, ()),
+            numono._Seg(p2, p3, ()),
+            numono._Arc(target, radius, theta3, theta3 + 2 * math.pi, ()),
+            numono._Seg(p3, p2, ()), numono._Seg(p2, p1, ()),
+            numono._Seg(p1, x0, ())]
 
 
 class ScalarFloat64:
@@ -552,10 +554,18 @@ def scalar_advance(piece, ta: float, tb: float, fiber: list, ctx) -> list:
     return scalar_advance(piece, tm, tb, mid, ctx)
 
 
+def uniform_steps(piece) -> int:
+    """The oracle's own grid, uniform and blind to the loop targets: 8 steps
+    on a segment, and on an arc one step per pi/16 of angle, at least 8."""
+    if isinstance(piece, numono._Seg):
+        return 8
+    return max(8, int(abs(piece.theta1 - piece.theta0) / (math.pi / 16)) + 1)
+
+
 def scalar_track(piece, fiber: list, ctx) -> list:
-    """Transport ``fiber`` along ``piece``: entry k of the result continues
-    entry k of ``fiber``."""
-    n = piece.initial_steps
+    """Transport ``fiber`` along ``piece`` on its uniform grid: entry k of
+    the result continues entry k of ``fiber``."""
+    n = uniform_steps(piece)
     for k in range(n):
         fiber = scalar_advance(piece, k / n, (k + 1) / n, fiber, ctx)
     return fiber
@@ -598,6 +608,6 @@ def full_loop_cycles(p, result) -> tuple:
                          base_fiber, ctx)
         for t in result.loops)
     stub, circle = numono._infinity_pieces(x0, values, spread)
-    infinity = loop_permutation([stub, circle, numono._Seg(stub.b, stub.a)],
+    infinity = loop_permutation([stub, circle, numono._Seg(stub.b, stub.a, ())],
                                 base_fiber, ctx)
     return cycles, infinity

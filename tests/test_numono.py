@@ -182,9 +182,17 @@ def test_reducible_curve_refused(text):
         track_monodromy(parse_poly(text))
 
 
+# curves that certify S_d with a ramified or unramified infinity
+MIXED = ["y^4 - 3*x^2 + 2*y + x^3 + 4",
+         "y^5 + 2*y^2 - x^2*y + 2*x*y^4 + x^3 - 2",
+         "y^6 + y + 5*x^2*y - x^6 - 1", "y^7 - 2*x^2*y + x^6 - 5"]
+
+
 @pytest.mark.parametrize("text", sorted(set(KNOWN) | set(BENCH_SMALL))
-                         + NON_MONIC)
+                         + NON_MONIC + MIXED)
 def test_transport_matches_full_loops(text):
+    """The graded, shared transport against every loop tracked on its own,
+    on the oracle's uniform grid."""
     result = tracked(text)
     cycles, infinity = full_loop_cycles(parse_poly(text), result)
     assert cycles == tuple(t.cycle for t in result.loops)
@@ -731,9 +739,11 @@ def test_fiber_refused_where_the_leading_coefficient_vanishes():
 
 def test_step_that_never_matches_is_refused(monkeypatch):
     """No step holds, so the first step of the first piece is bisected
-    depth first until it is shorter than ``STEP_TOLERANCE``: from 1/8 of
-    the piece that takes 31 halvings, each solving one midpoint, after the
-    one-point solve of the base fiber."""
+    depth first until it is shorter than ``STEP_TOLERANCE``.  That piece
+    runs from the base point, at distance 1 + spread = 3 from the nearest
+    target, to the rail about 3 below it, so its first step is the cap of
+    1/8 of the piece: that takes 31 halvings, each solving one midpoint,
+    after the one-point solve of the base fiber."""
     passes = _tracking_passes(monkeypatch)
     real = numono._fibers
     single = []
@@ -831,20 +841,98 @@ def test_mistracked_critical_loop_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("text, product", [
-    ("y^8 - x^8 - 2000*x^2*y - 1", "(6 7 8)"),
-    ("y^8 + x^8 - 2000*x^3*y - 20", "(1 5 3)"),
+    ("y^9 - x^9 + x^6*y^2 + 50*x^2 - 20", "(1 4 9 5 2 7 8)"),
 ])
-def test_misaccepted_step_is_refused_in_one_pass(monkeypatch, text, product):
-    """A real mis-track: the step rule accepts a wrong match on these
-    curves, and the relation refuses the result after the single float64
-    pass.  With ``SAFETY_FACTOR = 6`` the same tracking gives S_8, so
-    certified steps (ROADMAP, item 5) should turn each refusal into an S_8
-    certificate."""
+def test_wrong_track_is_refused_in_one_pass(monkeypatch, text, product):
+    """A real wrong track, refused by the relation after the single float64
+    pass.  No step is accepted wrongly here: 16 of the 72 critical values,
+    in two clusters of 8 near x = +-0.633 whose true values lie 2e-4 apart,
+    come out of ``critical_values`` up to 6e-3 off, farther than their loop
+    radii, so those loops enclose no branch point.  The group is S_9."""
     passes = _tracking_passes(monkeypatch)
     with pytest.raises(RelationViolationError,
                        match=re.escape(f"c_inf = {product} != id")):
         track_monodromy(parse_poly(text))
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("text", ["y^8 - x^8 - 2000*x^2*y - 1",
+                                  "y^8 + x^8 - 2000*x^3*y - 20"])
+def test_wide_coefficient_curves_certify_s8(text):
+    """On the uniform grid of 8 steps per segment and pi/16 per circle step
+    a wrong match was accepted on these curves and the relation refused
+    them; graded by the distance to the nearest target, their tracks give
+    the S_8 that the exact Dedekind and discriminant certificate gives."""
+    report = certify_projection(parse_poly(text))
+    loops = report.result.loops
+    assert report.group_order == math.factorial(8) == 40_320
+    assert all(t.cycle.is_transposition() for t in loops
+               if t.kind == "critical")
+    product = report.result.infinity_cycle
+    for t in reversed(loops):
+        product = t.cycle * product
+    assert product.is_identity()
+
+
+def _tracked_grids(monkeypatch) -> tuple:
+    """The (piece, grid parameters) of every piece ``_track`` transports,
+    after checking that its one grid solve is at exactly those points, and
+    the points of every ``_fibers`` call."""
+    real_track, real_fibers = numono._track, numono._fibers
+    grids, solves = [], []
+
+    def fibers(rows, zs):
+        solves.append(list(zs))
+        return real_fibers(rows, zs)
+
+    def track(piece, fiber, rows):
+        start = len(solves)
+        end = real_track(piece, fiber, rows)
+        ts = piece.grid()
+        assert solves[start] == [piece.at(t) for t in ts]
+        grids.append((piece, ts))
+        return end
+
+    monkeypatch.setattr(numono, "_fibers", fibers)
+    monkeypatch.setattr(numono, "_track", track)
+    return grids, solves
+
+
+@pytest.mark.parametrize("text", sorted(set(GOLDEN_CERTIFY) - set(NON_MONIC)))
+def test_grids_are_graded_by_the_nearest_target(monkeypatch, text):
+    """Each segment step is at most 1/8 of the piece and at most
+    ``STEP_FRACTION`` of the distance from its start to the nearest loop
+    target, and ends at exactly 1; each loop circle, whose reach is its
+    radius, takes ceil(2 pi / STEP_FRACTION) = 13 uniform steps."""
+    grids, _ = _tracked_grids(monkeypatch)
+    result = track_monodromy(parse_poly(text))
+    targets = [t.value for t in result.loops]
+    kappa = numono.STEP_FRACTION
+    loops = 0
+    for piece, ts in grids:
+        assert ts[-1] == 1.0 and ts == sorted(set(ts))
+        if isinstance(piece, numono._Seg):
+            length = abs(piece.b - piece.a)
+            for t0, t1 in zip([0.0] + ts, ts):
+                reach = min(abs(piece.at(t0) - w) for w in targets)
+                assert t1 - t0 <= 1 / 8 * (1 + 1e-12)
+                assert (t1 - t0) * length <= kappa * reach * (1 + 1e-12)
+        elif piece.theta1 > piece.theta0:
+            loops += 1
+            assert len(ts) == math.ceil(2 * math.pi / kappa) == 13
+            assert ts == [(k + 1) / 13 for k in range(13)]
+    assert loops == len(result.loops)
+
+
+def test_grid_and_bisection_counts_are_pinned(monkeypatch):
+    """On the degree-8 bench curve the graded grids hold 833 points, and 7
+    fibers are solved one point at a time: the base fiber and 6 bisection
+    midpoints.  The uniform grid of 8 steps per segment and pi/16 per
+    circle step solved 1,078 grid points and 161 single points."""
+    grids, solves = _tracked_grids(monkeypatch)
+    track_monodromy(parse_poly("y^8 + x*y + x^3 - 1"))
+    assert sum(len(ts) for _, ts in grids) == 833
+    assert sum(len(zs) == 1 for zs in solves) == 7
 
 
 # curves whose y-degree is their total degree, so a shear keeps the degree
